@@ -7,6 +7,10 @@ drift-and-transfer maneuvers. Every stock location runs a continuous-review
 lead-time distributions, expected shortages, fill rates, and cycle-average
 stocks for both orbital echelons, plus the degenerate variant where planes
 are resupplied straight from the ground.
+
+Lead-time mixing maps each lead-time law to Poisson demand means and uses
+the exact compound-Poisson shortages from `inventory` (Hadley & Whitin
+1963; Axsater, Inventory Control, ch. 5); nothing is integrated numerically.
 """
 
 from __future__ import annotations
@@ -14,16 +18,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .inventory import SQPolicy, expected_shortage, fill_rate, mean_stock
+from .inventory import (
+    SQPolicy,
+    expected_shortage_geometric,
+    expected_shortage_uniform,
+    fill_rate,
+    mean_stock,
+)
 from .orbits import WGS84, CircularOrbit, EarthConstants, transfer_time
-
-# Quadrature rules are fixed once; integrands are smooth on each piece.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_LAG_NODES, _LAG_WEIGHTS = np.polynomial.laguerre.laggauss(64)
 
 MIXTURE_OF_UNIFORMS = "mixture_of_uniforms"
 SHIFTED_EXPONENTIAL = "shifted_exponential"
@@ -289,40 +294,24 @@ def parking_leadtime(lp: LaunchParams) -> LeadTimeDistribution:
     )
 
 
-def leadtime_expectation(
-    dist: LeadTimeDistribution, integrand: Callable[[np.ndarray], np.ndarray]
-) -> float:
-    """E[g(T)] for a lead-time law T, by fixed-order Gaussian quadrature.
-
-    Uniform segments use 32-node Gauss-Legendre each; the shifted
-    exponential uses 64-node Gauss-Laguerre after absorbing the shift.
-    The integrand must be vectorized over numpy arrays.
-    """
-    if dist.kind == SHIFTED_EXPONENTIAL:
-        taus = dist.shift_days + dist.scale_days * _LAG_NODES
-        return float(np.dot(_LAG_WEIGHTS, integrand(taus)))
-    seg = np.asarray(dist.segments_days, dtype=float)
-    mids = 0.5 * (seg[:, 0] + seg[:, 1])
-    halfs = 0.5 * (seg[:, 1] - seg[:, 0])
-    taus = mids[:, None] + halfs[:, None] * _GL_NODES[None, :]
-    per_segment = integrand(taus) @ _GL_WEIGHTS / 2.0
-    return float(np.dot(np.asarray(dist.weights), per_segment))
-
-
 def leadtime_expected_shortage(s: int, rate_per_day: float, dist: LeadTimeDistribution) -> float:
-    """Expected backorders per cycle with demand Poisson(rate * T) mixed over T."""
+    """Expected backorders per cycle with demand Poisson(rate * T) mixed over T.
+
+    Exact for both lead-time kinds. A uniform segment [lo, hi] of days is a
+    demand mean uniform on [rate*lo, rate*hi]; a shift c plus an exponential
+    wait of mean mu is Poisson(rate*c) demand plus a geometric count of mean
+    rate*mu.
+    """
     if rate_per_day < 0:
         raise ValueError("demand rate must be nonnegative")
     if rate_per_day == 0.0:
         return 0.0
-    return leadtime_expectation(dist, lambda tau: expected_shortage(s, rate_per_day * tau))
-
-
-def parking_expected_shortage(
-    strategy: SpareStrategy, lp: LaunchParams, lambda_parking: float
-) -> float:
-    """Expected backordered batches per cycle at one parking orbit."""
-    return leadtime_expected_shortage(strategy.k_s_parking, lambda_parking, parking_leadtime(lp))
+    if dist.kind == SHIFTED_EXPONENTIAL:
+        return expected_shortage_geometric(
+            s, rate_per_day * dist.shift_days, rate_per_day * dist.scale_days
+        )
+    per_segment = expected_shortage_uniform(s, rate_per_day * np.asarray(dist.segments_days))
+    return float(np.dot(dist.weights, per_segment))
 
 
 def parking_availability(es_parking: float, k_q: int) -> float:
@@ -341,17 +330,22 @@ def parking_availability(es_parking: float, k_q: int) -> float:
     return 1.0 - es_parking / k_q
 
 
+def _check_supply_args(p_av: float, n_parking: int) -> None:
+    if not 0.0 < p_av <= 1.0:
+        raise ValueError(f"availability must be in (0, 1], got {p_av}")
+    if n_parking < 1:
+        raise ValueError(f"n_parking must be >= 1, got {n_parking}")
+
+
 def supply_probabilities_raw(p_av: float, n_parking: int) -> list[float]:
     """Probability that the i-th closest parking orbit serves an order.
 
     Sums, over the number of available orbits k, the chance that the i-th
     closest is available and all closer ones are not. The list sums to
-    1 - (1 - p_av)^n, the chance of any supplier at all.
+    1 - (1 - p_av)^n, the chance of any supplier at all. This is the
+    binomial reference for the geometric form in supply_probabilities.
     """
-    if not 0.0 < p_av <= 1.0:
-        raise ValueError(f"availability must be in (0, 1], got {p_av}")
-    if n_parking < 1:
-        raise ValueError(f"n_parking must be >= 1, got {n_parking}")
+    _check_supply_args(p_av, n_parking)
     probs = []
     for i in range(1, n_parking + 1):
         total = 0.0
@@ -368,12 +362,15 @@ def supply_probabilities_raw(p_av: float, n_parking: int) -> list[float]:
 def supply_probabilities(p_av: float, n_parking: int) -> list[float]:
     """Supplier-rank probabilities conditioned on at least one being available.
 
-    The raw probabilities leave out the all-stocked-out case; dividing by
-    1 - (1 - p_av)^n makes them a proper distribution over ranks.
+    The i-th closest orbit serves when it is available and the i - 1 closer
+    ones are not, p(1 - p)^(i-1). These raw probabilities leave out the
+    all-stocked-out case; dividing by 1 - (1 - p)^n makes them a proper
+    distribution over ranks.
     """
-    raw = supply_probabilities_raw(p_av, n_parking)
-    norm = 1.0 - (1.0 - p_av) ** n_parking
-    return [p / norm for p in raw]
+    _check_supply_args(p_av, n_parking)
+    miss = 1.0 - p_av
+    norm = 1.0 - miss**n_parking
+    return [p_av * miss ** (i - 1) / norm for i in range(1, n_parking + 1)]
 
 
 def plane_leadtime(
@@ -386,34 +383,20 @@ def plane_leadtime(
 
     The i-th closest parking orbit sits between (i-1) and i ring spacings
     of nodal separation, uniformly for a randomly timed order, so each rank
-    contributes one uniform segment of drift-plus-flight times.
+    contributes one uniform segment of drift-plus-flight times. The
+    transfer time is affine in the nodal gap (linear drift wait plus a fixed
+    flight), so two evaluations give every bound.
     """
     parking = CircularOrbit(strategy.h_parking_km, cfg.inclination_deg)
     plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
     spacing = 2.0 * math.pi / strategy.n_parking
-    bounds = [
-        transfer_time(i * spacing, parking, plane, consts)
-        for i in range(strategy.n_parking + 1)
-    ]
+    first = transfer_time(0.0, parking, plane, consts)
+    step = transfer_time(spacing, parking, plane, consts) - first
+    bounds = [first + i * step for i in range(strategy.n_parking + 1)]
     segments = tuple(zip(bounds[:-1], bounds[1:]))
     weights = tuple(supply_probabilities(p_av, strategy.n_parking))
     neglected = (1.0 - p_av) ** strategy.n_parking
     return LeadTimeDistribution.uniform_mixture(weights, segments, neglected_mass=neglected)
-
-
-def plane_expected_shortage(
-    strategy: SpareStrategy, cfg: ConstellationConfig, leadtime: LeadTimeDistribution
-) -> float:
-    """Expected backordered satellites per cycle at one plane."""
-    return leadtime_expected_shortage(strategy.s_plane, plane_demand_rate(cfg), leadtime)
-
-
-def plane_fill_rate(es_plane: float, strategy: SpareStrategy) -> float:
-    return fill_rate(es_plane, strategy.q_plane)
-
-
-def parking_fill_rate(es_parking: float, strategy: SpareStrategy) -> float:
-    return fill_rate(es_parking, strategy.k_q_parking)
 
 
 def plane_mean_stock(
@@ -471,8 +454,8 @@ def evaluate_strategy(
         p_av=p_av,
         es_plane=es_plane,
         es_parking_batches=es_parking,
-        rho_plane=plane_fill_rate(es_plane, strategy),
-        rho_parking=parking_fill_rate(es_parking, strategy),
+        rho_plane=fill_rate(es_plane, strategy.q_plane),
+        rho_parking=fill_rate(es_parking, strategy.k_q_parking),
         mean_stock_plane=plane_mean_stock(strategy, cfg, plane_lt),
         mean_stock_parking_batches=parking_mean_stock(strategy, lam_parking, park_lt),
         e_leadtime_plane_days=plane_lt.mean_days,

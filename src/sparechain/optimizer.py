@@ -307,11 +307,16 @@ def optimize(
             if generation == ga.generations - 1:
                 break
             next_population = [list(population[i]) for i in order[: ga.elitism]]
+            # Candidates with equal sort keys are equal genomes, so the
+            # stable sort's rank picks the same parent as comparing keys.
+            rank = [0] * ga.population
+            for r, i in enumerate(order):
+                rank[i] = r
             while len(next_population) < ga.population:
                 parents = []
                 for _ in range(2):
                     idxs = rng.integers(0, ga.population, size=ga.tournament_size)
-                    winner = min(idxs, key=lambda i: _sort_key(population[i], fits[i]))
+                    winner = min(idxs.tolist(), key=rank.__getitem__)
                     parents.append(population[winner])
                 child_a, child_b = _crossover(parents[0], parents[1], rng, ga)
                 _mutate(child_a, rng, bounds, ga)

@@ -239,7 +239,7 @@ def test_criterion_5_model_identity_oracles(capsys):
     rank_ok = worst_rank <= 1e-12
     mass_ok = worst_mass <= 1e-12
 
-    # quadrature lead-time shortages vs 1e6-sample Monte Carlo
+    # closed-form lead-time shortages vs 1e6-sample Monte Carlo
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(20260815)))
     n_mc = 1_000_000
     strategy = SpareStrategy(
@@ -253,7 +253,7 @@ def test_criterion_5_model_identity_oracles(capsys):
     mc_plane = float(
         np.mean(expected_shortage(strategy.s_plane, metrics.lambda_plane_per_day * taus))
     )
-    quad_plane = leadtime_expected_shortage(
+    exact_plane = leadtime_expected_shortage(
         strategy.s_plane, metrics.lambda_plane_per_day, plane_law
     )
     park_law = parking_leadtime(CASE_LAUNCH)
@@ -265,11 +265,11 @@ def test_criterion_5_model_identity_oracles(capsys):
             )
         )
     )
-    quad_park = leadtime_expected_shortage(
+    exact_park = leadtime_expected_shortage(
         strategy.k_s_parking, metrics.lambda_parking_batches_per_day, park_law
     )
-    mc_plane_err = abs(quad_plane - mc_plane) / mc_plane
-    mc_park_err = abs(quad_park - mc_park) / mc_park
+    mc_plane_err = abs(exact_plane - mc_plane) / mc_plane
+    mc_park_err = abs(exact_park - mc_park) / mc_park
     mc_ok = mc_plane_err <= 0.01 and mc_park_err <= 0.01
 
     # two-impulse transfer speed change for the 700 -> 1200 km raise
@@ -286,7 +286,7 @@ def test_criterion_5_model_identity_oracles(capsys):
         ok,
         f"shortage closed form vs tail sum rel {worst_es:.1e}<=1e-10; rank probs vs "
         f"enumeration abs {worst_rank:.1e}<=1e-12; mass identity abs {worst_mass:.1e}<=1e-12; "
-        f"quadrature vs 1e6-sample MC rel {mc_plane_err * 100:.2f}%/{mc_park_err * 100:.2f}%<=1%; "
+        f"closed form vs 1e6-sample MC rel {mc_plane_err * 100:.2f}%/{mc_park_err * 100:.2f}%<=1%; "
         f"delta-v {dv:.5f} km/s = 0.2517 +/- 0.0001; {elapsed:.1f}s < 60s",
     )
     assert es_ok and rank_ok and mass_ok and mc_ok and dv_ok

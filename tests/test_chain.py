@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from sparechain.chain import (
     ConstellationConfig,
@@ -21,6 +22,7 @@ from sparechain.chain import (
     supply_probabilities_raw,
 )
 from sparechain.inventory import SQPolicy, expected_shortage
+from sparechain.orbits import CircularOrbit, transfer_time
 
 CFG = ConstellationConfig(
     h_plane_km=1200.0, inclination_deg=50.0, n_plane=40, n_sats=40, lambda_sat_per_year=0.05
@@ -32,8 +34,8 @@ LAUNCH = LaunchParams(mu_launch_days=66.7, pt_launch_days=90.0, cap_launch=34)
 
 # References from an independent pipeline: adaptive quadrature
 # (scipy.integrate.quad, epsabs default, 60 mean lifetimes) against the
-# same demand-model formulas. The package integrates with fixed-order
-# Gauss rules, so agreement is to quadrature accuracy, not bitwise.
+# same demand-model formulas. The package uses exact closed forms, so
+# agreement is to the reference's quadrature accuracy, not bitwise.
 REF = {
     "lambda_plane_per_day": 0.005479452054794521,
     "lambda_parking_batches_per_day": 0.0182648401826484,
@@ -130,6 +132,76 @@ def test_leadtime_shortage_against_monte_carlo():
     assert exact == pytest.approx(mc, rel=0.01)
 
 
+# Demand means (rate * T) spanning near-certain service to deep backorder.
+RATE = 0.02
+UNIFORM_DEMAND_SEGMENTS = [
+    (0.0, 1e-3),
+    (0.02, 0.05),
+    (0.1, 0.9),
+    (0.0, 2.5),
+    (1.5, 4.0),
+    (3.0, 12.0),
+    (10.0, 25.0),
+    (30.0, 60.0),
+    (59.0, 60.0),
+]
+SHIFT_DEMANDS = [0.0, 0.01, 0.5, 3.0, 20.0]
+EXPONENTIAL_DEMANDS = [0.01, 0.3, 2.0, 10.0]
+
+
+def _assert_matches_quadrature(got: float, ref: float) -> None:
+    if ref < 1e-12:
+        assert abs(got - ref) <= 1e-15
+    else:
+        assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("s", range(21))
+def test_uniform_segment_shortage_against_adaptive_quadrature(s):
+    for lo, hi in UNIFORM_DEMAND_SEGMENTS:
+        lo_days, hi_days = lo / RATE, hi / RATE
+        dist = LeadTimeDistribution.uniform_mixture((1.0,), ((lo_days, hi_days),))
+        integral, _ = integrate.quad(
+            lambda t: expected_shortage(s, RATE * t),
+            lo_days,
+            hi_days,
+            epsabs=0.0,
+            epsrel=1e-12,
+            limit=200,
+        )
+        ref = integral / (hi_days - lo_days)
+        _assert_matches_quadrature(leadtime_expected_shortage(s, RATE, dist), ref)
+
+
+@pytest.mark.parametrize("s", range(21))
+def test_shifted_exponential_shortage_against_adaptive_quadrature(s):
+    for shift, scale in itertools.product(SHIFT_DEMANDS, EXPONENTIAL_DEMANDS):
+        shift_days, scale_days = shift / RATE, scale / RATE
+        dist = LeadTimeDistribution.shifted_exponential(shift_days, scale_days)
+        ref, _ = integrate.quad(
+            lambda x: expected_shortage(s, RATE * (shift_days + scale_days * x)) * math.exp(-x),
+            0.0,
+            math.inf,
+            epsabs=0.0,
+            epsrel=1e-12,
+            limit=200,
+        )
+        _assert_matches_quadrature(leadtime_expected_shortage(s, RATE, dist), ref)
+
+
+def test_mixture_shortage_is_weighted_sum_of_segments():
+    weights = (0.5, 0.3, 0.2)
+    segments = ((10.0, 40.0), (40.0, 70.0), (70.0, 100.0))
+    mix = LeadTimeDistribution.uniform_mixture(weights, segments)
+    parts = [
+        leadtime_expected_shortage(2, 0.05, LeadTimeDistribution.uniform_mixture((1.0,), (seg,)))
+        for seg in segments
+    ]
+    assert leadtime_expected_shortage(2, 0.05, mix) == pytest.approx(
+        sum(w * p for w, p in zip(weights, parts)), rel=1e-14
+    )
+
+
 def test_leadtime_shortage_zero_rate():
     assert leadtime_expected_shortage(3, 0.0, parking_leadtime(LAUNCH)) == 0.0
 
@@ -170,11 +242,26 @@ def test_supply_probabilities_against_enumeration(n, p):
     assert math.fsum(renorm) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 21))
+def test_supply_probabilities_match_binomial_sum(n):
+    for p in (1e-3, 0.05, 0.37, 0.5, 0.9951431731426084, 1.0):
+        raw = supply_probabilities_raw(p, n)
+        norm = 1.0 - (1.0 - p) ** n
+        got = supply_probabilities(p, n)
+        assert len(got) == n
+        for g, r in zip(got, raw):
+            assert g == pytest.approx(r / norm, rel=1e-13, abs=0.0)
+
+
 def test_supply_probabilities_rejects_zero():
     with pytest.raises(ValueError):
         supply_probabilities_raw(0.0, 3)
     with pytest.raises(ValueError):
         supply_probabilities_raw(1.2, 3)
+    with pytest.raises(ValueError):
+        supply_probabilities(0.0, 3)
+    with pytest.raises(ValueError):
+        supply_probabilities(0.5, 0)
 
 
 def test_plane_leadtime_segments_cover_full_ring():
@@ -187,6 +274,34 @@ def test_plane_leadtime_segments_cover_full_ring():
     assert mix.segments_days[-1][1] - mix.segments_days[0][0] == pytest.approx(
         2 * math.pi / rel_rate, rel=1e-9
     )
+
+
+@pytest.mark.parametrize("n_parking", [1, 2, 3, 7, 20])
+@pytest.mark.parametrize("h_parking_km", [700.0, 850.0, 999.0])
+@pytest.mark.parametrize("inclination_deg", [30.0, 50.0, 85.0])
+def test_plane_leadtime_bounds_match_transfer_time(n_parking, h_parking_km, inclination_deg):
+    cfg = ConstellationConfig(
+        h_plane_km=1200.0,
+        inclination_deg=inclination_deg,
+        n_plane=40,
+        n_sats=40,
+        lambda_sat_per_year=0.05,
+    )
+    strategy = SpareStrategy(
+        n_parking=n_parking,
+        h_parking_km=h_parking_km,
+        q_plane=4,
+        s_plane=3,
+        k_q_parking=8,
+        k_s_parking=8,
+    )
+    mix = plane_leadtime(strategy, cfg, 0.9)
+    bounds = [lo for lo, _ in mix.segments_days] + [mix.segments_days[-1][1]]
+    parking = CircularOrbit(h_parking_km, inclination_deg)
+    plane = CircularOrbit(1200.0, inclination_deg)
+    spacing = 2.0 * math.pi / n_parking
+    for i, bound in enumerate(bounds):
+        assert bound == pytest.approx(transfer_time(i * spacing, parking, plane), rel=1e-12)
 
 
 def test_strategy_validation_and_derived_quantities():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from sparechain.inventory import (
     DemandLaw,
     SQPolicy,
     expected_shortage,
+    expected_shortage_geometric,
     expected_shortage_series,
+    expected_shortage_uniform,
     fill_rate,
     mean_stock,
 )
@@ -64,6 +67,57 @@ def test_expected_shortage_monotonicity():
     for s in (0, 2, 7):
         values = [expected_shortage(s, m) for m in (0.1, 0.5, 1.0, 3.0, 8.0)]
         assert all(x <= y for x, y in zip(values, values[1:]))
+
+
+def test_expected_shortage_uniform_vectorized_and_edges():
+    segments = np.array([[0.0, 0.3], [0.4, 2.0], [3.0, 9.0], [20.0, 21.0]])
+    out = expected_shortage_uniform(4, segments)
+    assert out.shape == (4,)
+    for i, seg in enumerate(segments):
+        assert out[i] == pytest.approx(expected_shortage_uniform(4, seg), rel=1e-15)
+    assert isinstance(expected_shortage_uniform(4, (1.0, 2.0)), float)
+    assert expected_shortage_uniform(0, (1.0, 2.5)) == pytest.approx(1.75, rel=1e-15)
+    # a narrow segment averages to the shortage at its midpoint
+    assert expected_shortage_uniform(3, (2.0, 2.0 + 1e-6)) == pytest.approx(
+        expected_shortage(3, 2.0 + 5e-7), rel=1e-6
+    )
+    assert expected_shortage_uniform(30, (0.0, 1e-3)) >= 0.0
+    for s, seg in ((-1, (1.0, 2.0)), (2, (-0.1, 2.0)), (2, (2.0, 2.0)), (2, (3.0, 2.0))):
+        with pytest.raises(ValueError):
+            expected_shortage_uniform(s, seg)
+
+
+def _convolved_shortage(s: int, m: float, g: float) -> float:
+    """E[(A + G - s)+] by a direct double sum over the Poisson and geometric counts."""
+    a = np.arange(int(m + 40.0 * np.sqrt(m) + 40.0))
+    pa = stats.poisson.pmf(a, m)
+    q = g / (1.0 + g)
+    k = np.arange(s + int(60.0 / -np.log(q)) + 1) if g > 0 else np.zeros(1, dtype=int)
+    pk = (1.0 - q) * q**k
+    excess = np.maximum(a[:, None] + k[None, :] - s, 0)
+    return float(pa @ excess @ pk)
+
+
+@pytest.mark.parametrize("s", [0, 1, 3, 8, 20])
+@pytest.mark.parametrize("m", [0.0, 0.01, 1.7, 12.0])
+@pytest.mark.parametrize("g", [0.0, 0.05, 1.0, 10.0])
+def test_expected_shortage_geometric_matches_double_sum(s, m, g):
+    ref = _convolved_shortage(s, m, g)
+    got = expected_shortage_geometric(s, m, g)
+    assert got == pytest.approx(ref, rel=1e-10, abs=1e-300)
+
+
+def test_expected_shortage_geometric_large_demand():
+    # exp(-m) underflows here, so the Poisson pmf must not be built from it
+    for s in (20, 790, 830):
+        ref = _convolved_shortage(s, 800.0, 3.0)
+        assert expected_shortage_geometric(s, 800.0, 3.0) == pytest.approx(ref, rel=1e-10)
+
+
+def test_expected_shortage_geometric_rejects_negative():
+    for args in ((-1, 1.0, 1.0), (2, -1.0, 1.0), (2, 1.0, -1.0)):
+        with pytest.raises(ValueError):
+            expected_shortage_geometric(*args)
 
 
 def test_fill_rate():

@@ -10,6 +10,8 @@ from sparechain.chain import (
     SatelliteParams,
     SpareStrategy,
 )
+from sparechain.cli import command_seed
+from sparechain.config import bundled_case_study_path, load_run_config
 from sparechain.costs import CostParams
 from sparechain.inventory import SQPolicy
 from sparechain.optimizer import (
@@ -154,6 +156,26 @@ def test_optimize_is_deterministic_per_seed():
     assert len(a.trace) == 2 * 8
     restarts = {row[0] for row in a.trace}
     assert restarts == {0, 1}
+
+
+def test_ga_trajectory_is_pinned_on_bundled_case_study():
+    # Any change to the chain's numbers or the search's RNG use shows here
+    # as a different best strategy.
+    rc = load_run_config(bundled_case_study_path())
+    prob = OptimizationProblem(
+        constellation=rc.constellation,
+        launch=rc.launch,
+        costs=rc.costs,
+        satellite=rc.satellite,
+        rho_target=rc.optimization.rho_target,
+        bounds=rc.optimization.bounds,
+        ga=rc.optimization.ga,
+        consts=rc.earth,
+    )
+    result = optimize(prob, command_seed(0, "optimize"))
+    assert result.feasible
+    assert result.best_strategy.as_vector() == (3, 720.4790469755253, 3, 3, 10, 9)
+    assert result.best_cost == pytest.approx(308.99838307882777, rel=1e-9)
 
 
 def test_seed_candidates_are_injected():
