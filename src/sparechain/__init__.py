@@ -29,9 +29,15 @@ from .config import (
     bundled_launch_dates_path,
     load_run_config,
 )
-from .costs import CostBreakdown, CostParams, launch_price, tessac, tessac_inplane_only
+from .costs import (
+    CostBreakdown,
+    CostParams,
+    evaluate_design,
+    launch_price,
+    tessac,
+    tessac_inplane_only,
+)
 from .inventory import (
-    DemandLaw,
     SQPolicy,
     expected_shortage,
     expected_shortage_series,
@@ -77,7 +83,6 @@ __all__ = [
     "ConstellationConfig",
     "CostBreakdown",
     "CostParams",
-    "DemandLaw",
     "EarthConstants",
     "ErrorReport",
     "GAParams",
@@ -99,6 +104,7 @@ __all__ = [
     "WGS84",
     "bundled_case_study_path",
     "bundled_launch_dates_path",
+    "evaluate_design",
     "evaluate_inplane_only",
     "evaluate_strategy",
     "expected_shortage",

@@ -399,22 +399,6 @@ def plane_leadtime(
     return LeadTimeDistribution.uniform_mixture(weights, segments, neglected_mass=neglected)
 
 
-def plane_mean_stock(
-    strategy: SpareStrategy, cfg: ConstellationConfig, leadtime: LeadTimeDistribution
-) -> float:
-    """Cycle-average satellites on hand at one plane."""
-    policy = SQPolicy(strategy.s_plane, strategy.q_plane)
-    return mean_stock(policy, plane_demand_rate(cfg) * leadtime.mean_days)
-
-
-def parking_mean_stock(
-    strategy: SpareStrategy, lambda_parking: float, leadtime: LeadTimeDistribution
-) -> float:
-    """Cycle-average batches on hand at one parking orbit."""
-    policy = SQPolicy(strategy.k_s_parking, strategy.k_q_parking)
-    return mean_stock(policy, lambda_parking * leadtime.mean_days)
-
-
 def evaluate_strategy(
     cfg: ConstellationConfig,
     strategy: SpareStrategy,
@@ -456,8 +440,12 @@ def evaluate_strategy(
         es_parking_batches=es_parking,
         rho_plane=fill_rate(es_plane, strategy.q_plane),
         rho_parking=fill_rate(es_parking, strategy.k_q_parking),
-        mean_stock_plane=plane_mean_stock(strategy, cfg, plane_lt),
-        mean_stock_parking_batches=parking_mean_stock(strategy, lam_parking, park_lt),
+        mean_stock_plane=mean_stock(
+            SQPolicy(strategy.s_plane, strategy.q_plane), lam_plane * plane_lt.mean_days
+        ),
+        mean_stock_parking_batches=mean_stock(
+            SQPolicy(strategy.k_s_parking, strategy.k_q_parking), lam_parking * park_lt.mean_days
+        ),
         e_leadtime_plane_days=plane_lt.mean_days,
         e_leadtime_parking_days=park_lt.mean_days,
         neglected_supply_mass=plane_lt.neglected_mass,

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .chain import evaluate_inplane_only, evaluate_strategy
+from .chain import evaluate_inplane_only
 from .config import (
     ConfigError,
     RunConfig,
@@ -44,14 +43,13 @@ from .config import (
     bundled_launch_dates_path,
     load_run_config,
 )
-from .costs import tessac, tessac_inplane_only
+from .costs import evaluate_design, tessac_inplane_only
 from .optimizer import (
     OptimizationProblem,
     optimize,
     optimize_inplane_only,
     sensitivity_sweep,
 )
-from .orbits import CircularOrbit, hohmann_transfer
 from .simulator import SimConfig, run_batch
 from .validation import OUTPUT_NAMES, fit_launch_gaps, read_launch_dates, run_validation
 
@@ -73,22 +71,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_rows(fh, header: list[str], rows: list[list]) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows([_fmt(x) for x in row] for row in rows)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        _csv_rows(fh, header, rows)
 
 
 def _emit(fmt: str, header: list[str], rows: list[list]) -> None:
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-        sys.stdout.write(buf.getvalue())
+        _csv_rows(sys.stdout, header, rows)
     elif len(rows) == 1:
         for name, value in zip(header, rows[0]):
             print(f"{name:<28} {_fmt(value)}")
@@ -130,13 +126,9 @@ def cmd_evaluate(rc: RunConfig, args, out: Path) -> int:
         row: list = [rc.inplane_policy.order_quantity_q, rc.inplane_policy.reorder_point_s]
     else:
         rc.require("strategy")
-        metrics = evaluate_strategy(cfg, rc.strategy, rc.launch, consts=rc.earth)
-        parking = CircularOrbit(rc.strategy.h_parking_km, cfg.inclination_deg)
-        plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
-        transfer = hohmann_transfer(
-            parking, plane, rc.satellite.m_dry_kg, rc.satellite.v_exhaust_km_s, consts=rc.earth
+        metrics, breakdown = evaluate_design(
+            cfg, rc.strategy, rc.launch, rc.costs, rc.satellite, rc.earth
         )
-        breakdown = tessac(cfg, rc.strategy, metrics, transfer, rc.costs, rc.launch)
         header, row = _strategy_fields(rc.strategy)
     header += _METRIC_FIELDS
     row += [getattr(metrics, n) for n in _METRIC_FIELDS]
@@ -224,6 +216,7 @@ def cmd_simulate(rc: RunConfig, args, out: Path, master: int) -> int:
 
 
 def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
+    rc.require("launch", "costs", "satellite")
     vs = rc.validation
     n = args.n_cases if args.n_cases is not None else vs.n_cases
     reps = args.reps if args.reps is not None else vs.replications
@@ -232,6 +225,10 @@ def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
     report = run_validation(
         vs.space,
         n,
+        costs=rc.costs,
+        satellite=rc.satellite,
+        cap_launch=rc.launch.cap_launch,
+        consts=rc.earth,
         replications=reps,
         horizon_years=horizon,
         warmup_years=warmup,
@@ -269,9 +266,9 @@ def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
     return 0
 
 
-def cmd_optimize(rc: RunConfig, args, out: Path, master: int) -> int:
+def _problem(rc: RunConfig) -> OptimizationProblem:
     rc.require("constellation", "launch", "costs", "satellite")
-    prob = OptimizationProblem(
+    return OptimizationProblem(
         constellation=rc.constellation,
         launch=rc.launch,
         costs=rc.costs,
@@ -281,6 +278,10 @@ def cmd_optimize(rc: RunConfig, args, out: Path, master: int) -> int:
         ga=rc.optimization.ga,
         consts=rc.earth,
     )
+
+
+def cmd_optimize(rc: RunConfig, args, out: Path, master: int) -> int:
+    prob = _problem(rc)
     if args.inplane_only:
         res = optimize_inplane_only(prob)
         if not res.feasible:
@@ -317,23 +318,13 @@ def cmd_optimize(rc: RunConfig, args, out: Path, master: int) -> int:
 
 
 def cmd_sensitivity(rc: RunConfig, args, out: Path, master: int) -> int:
-    rc.require("constellation", "launch", "costs", "satellite")
+    prob = _problem(rc)
     try:
         rates = [float(tok) for tok in args.rates.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"--rates: {exc}") from exc
     if not rates:
         raise ConfigError("--rates: need at least one failure rate")
-    prob = OptimizationProblem(
-        constellation=rc.constellation,
-        launch=rc.launch,
-        costs=rc.costs,
-        satellite=rc.satellite,
-        rho_target=rc.optimization.rho_target,
-        bounds=rc.optimization.bounds,
-        ga=rc.optimization.ga,
-        consts=rc.earth,
-    )
     points = sensitivity_sweep(prob, rates, seed=command_seed(master, "sensitivity"))
     header = [
         "lambda_sat_per_year",

@@ -10,9 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import ConstellationConfig, LaunchParams, PolicyMetrics, SpareStrategy
+from .chain import (
+    ConstellationConfig,
+    LaunchParams,
+    PolicyMetrics,
+    SatelliteParams,
+    SpareStrategy,
+    evaluate_strategy,
+)
 from .inventory import SQPolicy
-from .orbits import TransferResult
+from .orbits import WGS84, CircularOrbit, EarthConstants, TransferResult, hohmann_transfer
 
 
 @dataclass(frozen=True)
@@ -64,21 +71,18 @@ class CostBreakdown:
         return self.manufacturing + self.holding + self.launch + self.maneuvering
 
 
-def launch_price(q_parking: int, cp: CostParams, cap: int | None = None) -> float:
+def launch_price(q_parking: int, cp: CostParams) -> float:
     """Price of one resupply flight carrying q_parking satellites.
 
     The cheaper of a full-capacity rocket and individually booked slots.
-    When a capacity is given, batches that cannot fit one rocket are
-    rejected; validation studies price oversized batches without a cap
-    since the full-rocket price already bounds the cost.
+    The launch capacity is a constraint of the search, not of the tariff,
+    so oversized batches are priced at the full-rocket bound.
 
     Raises:
-        ValueError: If q_parking < 1, or a capacity is given and exceeded.
+        ValueError: If q_parking < 1.
     """
     if q_parking < 1:
         raise ValueError(f"batch must be >= 1 satellite, got {q_parking}")
-    if cap is not None and q_parking > cap:
-        raise ValueError(f"batch of {q_parking} exceeds launch capacity {cap}")
     return min(cp.p_launch_full_musd, q_parking * cp.p_launch_unit_musd)
 
 
@@ -98,8 +102,7 @@ def tessac(
         metrics: Steady-state analytics from the chain evaluation.
         transfer: Parking-to-plane Hohmann figures (fuel per satellite).
         cp: Unit prices.
-        lp: Launch characteristics (capacity is not enforced here; see
-            launch_price).
+        lp: Launch characteristics (capacity is not enforced here).
 
     Returns:
         CostBreakdown with the four annual parts.
@@ -130,6 +133,34 @@ def tessac(
     )
 
 
+def evaluate_design(
+    cfg: ConstellationConfig,
+    strategy: SpareStrategy,
+    lp: LaunchParams,
+    costs: CostParams,
+    satellite: SatelliteParams,
+    consts: EarthConstants = WGS84,
+) -> tuple[PolicyMetrics, CostBreakdown]:
+    """Metrics and annual cost of one multi-echelon strategy.
+
+    Evaluates the chain, prices the parking-to-plane Hohmann raise for the
+    given satellite, and assembles the TESSAC breakdown.
+
+    Raises:
+        ValueError: If the chain cannot evaluate the strategy (see
+            evaluate_strategy).
+    """
+    metrics = evaluate_strategy(cfg, strategy, lp, consts)
+    transfer = hohmann_transfer(
+        CircularOrbit(strategy.h_parking_km, cfg.inclination_deg),
+        CircularOrbit(cfg.h_plane_km, cfg.inclination_deg),
+        satellite.m_dry_kg,
+        satellite.v_exhaust_km_s,
+        consts,
+    )
+    return metrics, tessac(cfg, strategy, metrics, transfer, costs, lp)
+
+
 def tessac_inplane_only(
     cfg: ConstellationConfig,
     policy: SQPolicy,
@@ -153,7 +184,7 @@ def tessac_inplane_only(
     manufacturing = cp.p_sat_musd * replacements_per_year
     holding = cp.p_holding_musd_per_sat_year * metrics.mean_stock_plane * cfg.n_plane
     launches_per_year = (metrics.lambda_plane_per_day / q) * cfg.n_plane * days
-    launch = launch_price(q, cp, cap=lp.cap_launch) * launches_per_year
+    launch = launch_price(q, cp) * launches_per_year
     return CostBreakdown(
         manufacturing=manufacturing,
         holding=holding,

@@ -35,17 +35,6 @@ class SQPolicy:
             raise ValueError(f"reorder point must be >= 0, got {self.reorder_point_s}")
 
 
-@dataclass(frozen=True)
-class DemandLaw:
-    """Poisson demand at a stock location, in units per day."""
-
-    rate_per_day: float
-
-    def __post_init__(self) -> None:
-        if self.rate_per_day <= 0:
-            raise ValueError(f"demand rate must be positive, got {self.rate_per_day}")
-
-
 def expected_shortage(s: int, mean_demand):
     """Expected backorders per cycle, E[(D - s)+] with D ~ Poisson(mean_demand).
 

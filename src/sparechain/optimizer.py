@@ -29,14 +29,15 @@ from .chain import (
     SatelliteParams,
     SpareStrategy,
     evaluate_inplane_only,
-    evaluate_strategy,
 )
-from .costs import CostBreakdown, CostParams, tessac, tessac_inplane_only
+from .costs import CostBreakdown, CostParams, evaluate_design, tessac_inplane_only
 from .inventory import SQPolicy
-from .orbits import WGS84, CircularOrbit, EarthConstants, hohmann_transfer
+from .orbits import WGS84, EarthConstants
 
 PENALTY_SCALE = 1e6
 ERROR_PENALTY = 1e9
+# Largest in-plane reorder point the exhaustive baseline tries.
+INPLANE_S_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -132,15 +133,9 @@ def fitness(candidate: SpareStrategy, prob: OptimizationProblem) -> FitnessResul
     cannot evaluate at all get a flat maximal penalty.
     """
     try:
-        metrics = evaluate_strategy(prob.constellation, candidate, prob.launch, prob.consts)
-        transfer = hohmann_transfer(
-            CircularOrbit(candidate.h_parking_km, prob.constellation.inclination_deg),
-            CircularOrbit(prob.constellation.h_plane_km, prob.constellation.inclination_deg),
-            prob.satellite.m_dry_kg,
-            prob.satellite.v_exhaust_km_s,
-            prob.consts,
+        metrics, cost = evaluate_design(
+            prob.constellation, candidate, prob.launch, prob.costs, prob.satellite, prob.consts
         )
-        cost = tessac(prob.constellation, candidate, metrics, transfer, prob.costs, prob.launch)
     except ValueError:
         return FitnessResult(
             tessac=None,
@@ -361,21 +356,17 @@ class InplaneOptimizationResult:
     fill_rate_product: float | None
 
 
-def optimize_inplane_only(
-    prob: OptimizationProblem, seed: int = 0, s_max: int = 20
-) -> InplaneOptimizationResult:
+def optimize_inplane_only(prob: OptimizationProblem) -> InplaneOptimizationResult:
     """Exhaustive baseline search over order quantity and reorder point.
 
-    The space is tiny (Q up to the launch capacity, s up to ``s_max``),
-    so the optimum is exact and the seed is accepted only for interface
-    symmetry with the genetic search.
+    The space is tiny (Q up to the launch capacity, s up to
+    INPLANE_S_MAX), so the optimum is exact.
     """
-    del seed
     cfg, lp = prob.constellation, prob.launch
     best: tuple[float, int, int] | None = None
     best_product: float | None = None
     for q in range(1, lp.cap_launch + 1):
-        for s in range(0, s_max + 1):
+        for s in range(0, INPLANE_S_MAX + 1):
             policy = SQPolicy(reorder_point_s=s, order_quantity_q=q)
             metrics = evaluate_inplane_only(cfg, policy, lp)
             product = metrics.rho_plane**cfg.n_plane

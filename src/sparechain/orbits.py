@@ -92,6 +92,11 @@ def raan_drift_rate(orbit: CircularOrbit, consts: EarthConstants = WGS84) -> flo
     return rate_rad_s * SECONDS_PER_DAY
 
 
+def _time_of_flight_days(a0: float, a1: float, mu: float) -> float:
+    """Half-period of the transfer ellipse between radii a0 and a1, days."""
+    return math.pi * math.sqrt((a0 + a1) ** 3 / (8.0 * mu)) / SECONDS_PER_DAY
+
+
 def hohmann_transfer(
     origin: CircularOrbit,
     target: CircularOrbit,
@@ -136,11 +141,10 @@ def hohmann_transfer(
     dv2 = math.sqrt(mu / a1) * (1.0 - math.sqrt(2.0 * a0 / (a0 + a1)))
     delta_v = dv1 + dv2
     fuel = m_dry_kg * (math.exp(delta_v / v_exhaust_km_s) - 1.0)
-    tof_s = math.pi * math.sqrt((a0 + a1) ** 3 / (8.0 * mu))
     return TransferResult(
         delta_v_km_s=delta_v,
         fuel_mass_kg=fuel,
-        time_of_flight_days=tof_s / SECONDS_PER_DAY,
+        time_of_flight_days=_time_of_flight_days(a0, a1, mu),
     )
 
 
@@ -177,8 +181,7 @@ def transfer_time(
     relative = raan_drift_rate(parking, consts) - raan_drift_rate(plane, consts)
     if relative == 0.0:
         raise ValueError("zero relative drift rate: planes never align")
-    mu = consts.mu_km3_s2
-    a0 = parking.semimajor_axis_km(consts)
-    a1 = plane.semimajor_axis_km(consts)
-    tof_days = math.pi * math.sqrt((a0 + a1) ** 3 / (8.0 * mu)) / SECONDS_PER_DAY
+    tof_days = _time_of_flight_days(
+        parking.semimajor_axis_km(consts), plane.semimajor_axis_km(consts), consts.mu_km3_s2
+    )
     return delta_raan_rad / abs(relative) + tof_days

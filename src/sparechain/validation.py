@@ -24,29 +24,12 @@ from .chain import (
     SatelliteParams,
     SpareStrategy,
     evaluate_strategy,
-    leadtime_expected_shortage,
-    parking_availability,
-    parking_demand_rate,
-    parking_leadtime,
-    plane_demand_rate,
-    plane_leadtime,
 )
-from .costs import CostParams, tessac
-from .inventory import fill_rate
-from .orbits import WGS84, CircularOrbit, EarthConstants, hohmann_transfer
+from .costs import CostParams, evaluate_design
+from .orbits import WGS84, EarthConstants
 from .simulator import SimConfig, SimulationResult, run_batch
 
-# Fixed study parameters: prices, rocket, satellite, and the fill-rate
-# requirement both echelons are sized against.
-DEFAULT_COST_PARAMS = CostParams(
-    p_sat_musd=0.5,
-    p_holding_musd_per_sat_year=0.5,
-    p_launch_full_musd=47.6,
-    p_launch_unit_musd=10.0,
-    eps_maneuvering_musd_per_kg=0.001,
-)
-DEFAULT_SATELLITE = SatelliteParams(m_dry_kg=150.0, v_exhaust_km_s=2.16)
-DEFAULT_CAP_LAUNCH = 34
+# The fill-rate requirement both echelons are sized against.
 RHO_REQUIREMENT = 0.95
 
 OUTPUT_NAMES = (
@@ -137,39 +120,38 @@ def size_reorder_points(
 
     The parking echelon is sized first because its availability shapes the
     plane lead times. Each echelon must satisfy
-    (fill rate)^(number of locations) >= rho_requirement.
+    (fill rate)^(number of locations) >= rho_requirement. Every trial runs
+    through evaluate_strategy.
 
     Returns:
         (s_plane, k_s_parking).
 
     Raises:
         SizingInfeasibleError: If no value within bounds suffices.
+        ValueError: If the parking orbit is not below the planes.
     """
-    lam_parking = parking_demand_rate(cfg, strategy)
-    park_lt = parking_leadtime(lp)
-    k_s_sized = None
     for k_s in range(1, 11):
-        es = leadtime_expected_shortage(k_s, lam_parking, park_lt)
-        rho = fill_rate(es, strategy.k_q_parking)
-        if rho**strategy.n_parking >= rho_requirement:
-            k_s_sized = k_s
-            es_sized = es
+        trial = dataclasses.replace(strategy, s_plane=1, k_s_parking=k_s)
+        try:
+            metrics = evaluate_strategy(cfg, trial, lp, consts)
+        except ValueError:
+            # Too small a parking stock leaves availability undefined, which
+            # only a larger k_s mends; the altitude error does not depend on k_s.
+            if strategy.h_parking_km >= cfg.h_plane_km:
+                raise
+            continue
+        if metrics.rho_parking**strategy.n_parking >= rho_requirement:
             break
-    if k_s_sized is None:
+    else:
         raise SizingInfeasibleError(
             f"no parking reorder point in [1, 10] reaches "
             f"{rho_requirement} with k_q={strategy.k_q_parking}"
         )
 
-    p_av = parking_availability(es_sized, strategy.k_q_parking)
-    trial = dataclasses.replace(strategy, k_s_parking=k_s_sized)
-    plane_lt = plane_leadtime(trial, cfg, p_av, consts)
-    lam_plane = plane_demand_rate(cfg)
     for s in range(1, 11):
-        es = leadtime_expected_shortage(s, lam_plane, plane_lt)
-        rho = fill_rate(es, strategy.q_plane)
-        if rho**cfg.n_plane >= rho_requirement:
-            return s, k_s_sized
+        metrics = evaluate_strategy(cfg, dataclasses.replace(trial, s_plane=s), lp, consts)
+        if metrics.rho_plane**cfg.n_plane >= rho_requirement:
+            return s, k_s
     raise SizingInfeasibleError(
         f"no plane reorder point in [1, 10] reaches {rho_requirement} "
         f"with q={strategy.q_plane}"
@@ -220,6 +202,10 @@ def run_validation(
     space: TradeSpace,
     n: int,
     *,
+    costs: CostParams,
+    satellite: SatelliteParams,
+    cap_launch: int,
+    consts: EarthConstants,
     replications: int = 100,
     horizon_years: float = 15.0,
     warmup_years: float = 1.0,
@@ -236,6 +222,10 @@ def run_validation(
     Args:
         space: Sampling bounds.
         n: Number of cases.
+        costs: Unit prices of the analytic and simulated TESSAC.
+        satellite: Spare satellite whose transfers are priced.
+        cap_launch: Rocket capacity of every case's launch parameters.
+        consts: Earth constants of the orbital model.
         replications: Simulation replications per case.
         horizon_years: Simulated horizon per replication.
         warmup_years: Discarded start-up span per replication.
@@ -256,6 +246,10 @@ def run_validation(
             _run_case(
                 i,
                 params,
+                costs=costs,
+                satellite=satellite,
+                cap_launch=cap_launch,
+                consts=consts,
                 replications=replications,
                 horizon_years=horizon_years,
                 warmup_years=warmup_years,
@@ -280,6 +274,10 @@ def _run_case(
     index: int,
     params: dict[str, float | int],
     *,
+    costs: CostParams,
+    satellite: SatelliteParams,
+    cap_launch: int,
+    consts: EarthConstants,
     replications: int,
     horizon_years: float,
     warmup_years: float,
@@ -297,7 +295,7 @@ def _run_case(
     lp = LaunchParams(
         mu_launch_days=float(params["mu_launch_days"]),
         pt_launch_days=float(params["pt_launch_days"]),
-        cap_launch=DEFAULT_CAP_LAUNCH,
+        cap_launch=cap_launch,
     )
     try:
         strategy = SpareStrategy(
@@ -308,29 +306,23 @@ def _run_case(
             k_q_parking=int(params["k_q_parking"]),
             k_s_parking=1,
         )
-        s_plane, k_s = size_reorder_points(cfg, strategy, lp)
+        s_plane, k_s = size_reorder_points(cfg, strategy, lp, consts=consts)
         strategy = dataclasses.replace(strategy, s_plane=s_plane, k_s_parking=k_s)
-        metrics = evaluate_strategy(cfg, strategy, lp)
-        transfer = hohmann_transfer(
-            CircularOrbit(strategy.h_parking_km, cfg.inclination_deg),
-            CircularOrbit(cfg.h_plane_km, cfg.inclination_deg),
-            DEFAULT_SATELLITE.m_dry_kg,
-            DEFAULT_SATELLITE.v_exhaust_km_s,
-        )
-        cost = tessac(cfg, strategy, metrics, transfer, DEFAULT_COST_PARAMS, lp)
-    except (SizingInfeasibleError, ValueError) as exc:
+        metrics, cost = evaluate_design(cfg, strategy, lp, costs, satellite, consts)
+    except ValueError as exc:
         return CaseOutcome(index=index, params=params, feasible=False, reason=str(exc))
 
     sim_config = SimConfig(
         constellation=cfg,
         strategy=strategy,
         launch=lp,
-        costs=DEFAULT_COST_PARAMS,
-        satellite=DEFAULT_SATELLITE,
+        costs=costs,
+        satellite=satellite,
         horizon_years=horizon_years,
         replications=replications,
         seed=seed,
         warmup_years=warmup_years,
+        consts=consts,
     )
     sim = simulate(sim_config, jobs)
     model_values = {

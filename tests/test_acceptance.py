@@ -37,7 +37,7 @@ from sparechain.optimizer import (
     optimize_inplane_only,
     sensitivity_sweep,
 )
-from sparechain.orbits import CircularOrbit, hohmann_transfer
+from sparechain.orbits import WGS84, CircularOrbit, hohmann_transfer
 from sparechain.simulator import SimConfig, run_batch
 from sparechain.validation import (
     TradeSpace,
@@ -136,6 +136,10 @@ def test_criterion_3_model_accuracy_study(capsys):
     report = run_validation(
         TradeSpace(),
         25,
+        costs=COSTS,
+        satellite=SAT,
+        cap_launch=CASE_LAUNCH.cap_launch,
+        consts=WGS84,
         replications=100,
         horizon_years=15.0,
         warmup_years=1.0,

@@ -184,6 +184,32 @@ def test_validate_smoke(tmp_path, fast_config, capsys):
             assert case["reason"]
 
 
+def test_validate_prices_with_the_config_costs(tmp_path, base_config):
+    model_tessac = {}
+    for p_sat in (0.5, 5.0):
+        cfg = json.loads(json.dumps(base_config))
+        cfg["costs"]["p_sat_musd"] = p_sat
+        path = tmp_path / f"p{p_sat}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"o{p_sat}"
+        argv = ["validate", "--config", str(path), "--n-cases", "2", "--reps", "2"]
+        assert main(argv + ["--horizon", "2", "--warmup", "0.5", "--out", str(out)]) == 0
+        rows = read_rows(out / "validation_cases.csv")
+        model_tessac[p_sat] = [r["model_tessac"] for r in rows if r["feasible"] == "1"]
+    assert model_tessac[0.5]
+    for cheap, dear in zip(model_tessac[0.5], model_tessac[5.0]):
+        assert float(dear) > float(cheap)
+
+
+def test_validate_requires_the_cost_sections(tmp_path, base_config, capsys):
+    cfg = dict(base_config)
+    del cfg["costs"]
+    path = tmp_path / "nocosts.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "costs: section required" in capsys.readouterr().err
+
+
 def test_optimize_smoke(tmp_path, fast_config):
     out = tmp_path / "o"
     assert main(["optimize", "--config", str(fast_config), "--out", str(out)]) == 0

@@ -70,8 +70,6 @@ def test_launch_price_capacity_is_optional():
     # of the optimization, not of the tariff)
     assert launch_price(100, COSTS) == pytest.approx(47.6, rel=0)
     with pytest.raises(ValueError):
-        launch_price(35, COSTS, cap=34)
-    with pytest.raises(ValueError):
         launch_price(0, COSTS)
 
 

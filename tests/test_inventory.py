@@ -3,7 +3,6 @@ import pytest
 from scipy import stats
 
 from sparechain.inventory import (
-    DemandLaw,
     SQPolicy,
     expected_shortage,
     expected_shortage_geometric,
@@ -145,6 +144,3 @@ def test_policy_and_demand_validation():
         SQPolicy(reorder_point_s=-1, order_quantity_q=4)
     with pytest.raises(ValueError):
         SQPolicy(reorder_point_s=0, order_quantity_q=0)
-    with pytest.raises(ValueError):
-        DemandLaw(rate_per_day=0.0)
-    assert DemandLaw(rate_per_day=0.2).rate_per_day == 0.2

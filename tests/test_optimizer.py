@@ -223,11 +223,13 @@ def test_inplane_exhaustive_optimum():
 
 
 def test_inplane_reports_infeasible():
+    # At 5 failures per satellite-year no reorder point up to INPLANE_S_MAX
+    # reaches the fill-rate target.
     prob = dataclasses.replace(
         CASE_PROBLEM,
-        launch=LaunchParams(mu_launch_days=66.7, pt_launch_days=90.0, cap_launch=1),
+        constellation=dataclasses.replace(CASE_CFG, lambda_sat_per_year=5.0),
     )
-    result = optimize_inplane_only(prob, s_max=1)
+    result = optimize_inplane_only(prob)
     assert not result.feasible
     assert result.best_policy is None
 

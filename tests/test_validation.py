@@ -8,8 +8,8 @@ import pytest
 from sparechain.chain import (
     ConstellationConfig,
     LaunchParams,
+    SatelliteParams,
     SpareStrategy,
-    evaluate_strategy,
     leadtime_expected_shortage,
     parking_availability,
     parking_demand_rate,
@@ -18,12 +18,10 @@ from sparechain.chain import (
     plane_leadtime,
 )
 from sparechain.config import bundled_launch_dates_path
-from sparechain.costs import tessac
+from sparechain.costs import CostParams, evaluate_design
 from sparechain.inventory import fill_rate
-from sparechain.orbits import CircularOrbit, hohmann_transfer
+from sparechain.orbits import WGS84
 from sparechain.validation import (
-    DEFAULT_COST_PARAMS,
-    DEFAULT_SATELLITE,
     OUTPUT_NAMES,
     ParameterRange,
     SizingInfeasibleError,
@@ -94,6 +92,14 @@ CASE_TEMPLATE = SpareStrategy(
     n_parking=3, h_parking_km=792.3, q_plane=4, s_plane=1, k_q_parking=8, k_s_parking=1
 )
 CASE_LAUNCH = LaunchParams(mu_launch_days=66.7, pt_launch_days=90.0, cap_launch=34)
+COSTS = CostParams(
+    p_sat_musd=0.5,
+    p_holding_musd_per_sat_year=0.5,
+    p_launch_full_musd=47.6,
+    p_launch_unit_musd=10.0,
+    eps_maneuvering_musd_per_kg=0.001,
+)
+SAT = SatelliteParams(m_dry_kg=150.0, v_exhaust_km_s=2.16)
 
 
 def test_sizing_returns_minimal_reorder_points():
@@ -129,8 +135,42 @@ def test_sizing_raises_when_no_reorder_point_suffices():
         n_parking=1, h_parking_km=700.0, q_plane=1, s_plane=1, k_q_parking=1, k_s_parking=1
     )
     lp = LaunchParams(mu_launch_days=90.0, pt_launch_days=120.0, cap_launch=34)
-    with pytest.raises(SizingInfeasibleError):
+    with pytest.raises(SizingInfeasibleError) as info:
         size_reorder_points(cfg, st, lp)
+    assert str(info.value) == "no parking reorder point in [1, 10] reaches 0.95 with k_q=1"
+
+    # The parking echelon sizes here; no plane reorder point suffices.
+    cfg = ConstellationConfig(
+        h_plane_km=1080.0, inclination_deg=67.0, n_plane=26, n_sats=47, lambda_sat_per_year=0.09
+    )
+    st = SpareStrategy(
+        n_parking=5, h_parking_km=956.0, q_plane=5, s_plane=1, k_q_parking=3, k_s_parking=1
+    )
+    lp = LaunchParams(mu_launch_days=41.5, pt_launch_days=32.0, cap_launch=34)
+    with pytest.raises(SizingInfeasibleError) as info:
+        size_reorder_points(cfg, st, lp)
+    assert str(info.value) == "no plane reorder point in [1, 10] reaches 0.95 with q=5"
+
+
+def test_sizing_keeps_the_altitude_error():
+    cfg = dataclasses.replace(CASE_CFG, h_plane_km=900.0)
+    st = dataclasses.replace(CASE_TEMPLATE, h_parking_km=900.0)
+    with pytest.raises(ValueError, match="must be below plane altitude") as info:
+        size_reorder_points(cfg, st, CASE_LAUNCH)
+    assert not isinstance(info.value, SizingInfeasibleError)
+
+
+def test_validation_reports_the_altitude_reason():
+    space = TradeSpace(
+        h_plane_km=ParameterRange(750.0, 850.0), h_parking_km=ParameterRange(900.0, 1000.0)
+    )
+    report = run_validation(
+        space, 3, costs=COSTS, satellite=SAT, cap_launch=34, consts=WGS84, seed=0,
+        simulate_fn=_model_echo,
+    )
+    assert report.infeasible_count == 3
+    for case in report.cases:
+        assert "must be below plane altitude" in case.reason
 
 
 def test_relative_error_definition():
@@ -143,22 +183,13 @@ def test_relative_error_definition():
 
 def _model_echo(sim_config, jobs):
     """Simulation stand-in that returns the analytic values themselves."""
-    metrics = evaluate_strategy(
-        sim_config.constellation, sim_config.strategy, sim_config.launch
-    )
-    transfer = hohmann_transfer(
-        CircularOrbit(sim_config.strategy.h_parking_km, sim_config.constellation.inclination_deg),
-        CircularOrbit(sim_config.constellation.h_plane_km, sim_config.constellation.inclination_deg),
-        DEFAULT_SATELLITE.m_dry_kg,
-        DEFAULT_SATELLITE.v_exhaust_km_s,
-    )
-    cost = tessac(
+    metrics, cost = evaluate_design(
         sim_config.constellation,
         sim_config.strategy,
-        metrics,
-        transfer,
-        DEFAULT_COST_PARAMS,
         sim_config.launch,
+        sim_config.costs,
+        sim_config.satellite,
+        sim_config.consts,
     )
     return SimpleNamespace(
         mean_stock_plane=metrics.mean_stock_plane,
@@ -181,6 +212,10 @@ def test_perfect_simulator_yields_zero_errors():
     report = run_validation(
         TradeSpace(),
         6,
+        costs=COSTS,
+        satellite=SAT,
+        cap_launch=34,
+        consts=WGS84,
         replications=7,
         horizon_years=4.0,
         warmup_years=0.5,
@@ -204,8 +239,9 @@ def test_perfect_simulator_yields_zero_errors():
 
 
 def test_validation_report_is_deterministic():
-    a = run_validation(TradeSpace(), 4, seed=9, simulate_fn=_model_echo)
-    b = run_validation(TradeSpace(), 4, seed=9, simulate_fn=_model_echo)
+    study = dict(costs=COSTS, satellite=SAT, cap_launch=34, consts=WGS84)
+    a = run_validation(TradeSpace(), 4, seed=9, simulate_fn=_model_echo, **study)
+    b = run_validation(TradeSpace(), 4, seed=9, simulate_fn=_model_echo, **study)
     assert a == b
 
 
