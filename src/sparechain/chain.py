@@ -314,16 +314,20 @@ def leadtime_expected_shortage(s: int, rate_per_day: float, dist: LeadTimeDistri
     return float(np.dot(dist.weights, per_segment))
 
 
+class UndefinedAvailabilityError(ValueError):
+    """The parking policy is so undersized that its availability is undefined or zero."""
+
+
 def parking_availability(es_parking: float, k_q: int) -> float:
     """Probability that an arriving order finds the parking orbit stocked.
 
     Equals the parking fill rate 1 - ES/k_Q.
 
     Raises:
-        ValueError: If the expected shortage is outside [0, k_q].
+        UndefinedAvailabilityError: If the expected shortage is outside [0, k_q].
     """
     if not 0.0 <= es_parking <= k_q:
-        raise ValueError(
+        raise UndefinedAvailabilityError(
             f"expected shortage {es_parking} outside [0, {k_q}]: "
             "availability undefined for this policy"
         )
@@ -412,8 +416,9 @@ def evaluate_strategy(
     time / shortage, then fill rates and stocks for both echelons.
 
     Raises:
-        ValueError: If the parking orbit is not below the constellation, or
-            the policy is so undersized that availability is undefined.
+        ValueError: If the parking orbit is not below the constellation.
+        UndefinedAvailabilityError: If the parking policy is so undersized
+            that availability is undefined or zero.
     """
     if strategy.h_parking_km >= cfg.h_plane_km:
         raise ValueError(
@@ -427,7 +432,9 @@ def evaluate_strategy(
     es_parking = leadtime_expected_shortage(strategy.k_s_parking, lam_parking, park_lt)
     p_av = parking_availability(es_parking, strategy.k_q_parking)
     if p_av == 0.0:
-        raise ValueError("parking availability is zero: no supplier rank distribution")
+        raise UndefinedAvailabilityError(
+            "parking availability is zero: no supplier rank distribution"
+        )
 
     plane_lt = plane_leadtime(strategy, cfg, p_av, consts)
     es_plane = leadtime_expected_shortage(strategy.s_plane, lam_plane, plane_lt)

@@ -216,7 +216,7 @@ def cmd_simulate(rc: RunConfig, args, out: Path, master: int) -> int:
 
 
 def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
-    rc.require("launch", "costs", "satellite")
+    rc.require("costs", "satellite")
     vs = rc.validation
     n = args.n_cases if args.n_cases is not None else vs.n_cases
     reps = args.reps if args.reps is not None else vs.replications
@@ -227,7 +227,6 @@ def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
         n,
         costs=rc.costs,
         satellite=rc.satellite,
-        cap_launch=rc.launch.cap_launch,
         consts=rc.earth,
         replications=reps,
         horizon_years=horizon,

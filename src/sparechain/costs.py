@@ -19,7 +19,7 @@ from .chain import (
     evaluate_strategy,
 )
 from .inventory import SQPolicy
-from .orbits import WGS84, CircularOrbit, EarthConstants, TransferResult, hohmann_transfer
+from .orbits import CircularOrbit, EarthConstants, TransferResult, hohmann_transfer
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def evaluate_design(
     lp: LaunchParams,
     costs: CostParams,
     satellite: SatelliteParams,
-    consts: EarthConstants = WGS84,
+    consts: EarthConstants,
 ) -> tuple[PolicyMetrics, CostBreakdown]:
     """Metrics and annual cost of one multi-echelon strategy.
 

@@ -23,6 +23,7 @@ from .chain import (
     LaunchParams,
     SatelliteParams,
     SpareStrategy,
+    UndefinedAvailabilityError,
     evaluate_strategy,
 )
 from .costs import CostParams, evaluate_design
@@ -31,6 +32,11 @@ from .simulator import SimConfig, SimulationResult, run_batch
 
 # The fill-rate requirement both echelons are sized against.
 RHO_REQUIREMENT = 0.95
+
+# LaunchParams needs a rocket capacity, but nothing on this path reads it:
+# the chain, TESSAC and the simulator use only the launch wait and the
+# processing time.
+_UNREAD_CAP_LAUNCH = 34
 
 OUTPUT_NAMES = (
     "mean_stock_plane",
@@ -128,17 +134,17 @@ def size_reorder_points(
 
     Raises:
         SizingInfeasibleError: If no value within bounds suffices.
-        ValueError: If the parking orbit is not below the planes.
+        ValueError: If evaluate_strategy rejects the strategy for any
+            reason other than a too small parking stock, e.g. a parking
+            orbit that is not below the planes.
     """
     for k_s in range(1, 11):
         trial = dataclasses.replace(strategy, s_plane=1, k_s_parking=k_s)
         try:
             metrics = evaluate_strategy(cfg, trial, lp, consts)
-        except ValueError:
-            # Too small a parking stock leaves availability undefined, which
-            # only a larger k_s mends; the altitude error does not depend on k_s.
-            if strategy.h_parking_km >= cfg.h_plane_km:
-                raise
+        except UndefinedAvailabilityError:
+            # Only a larger parking stock mends this; every other error
+            # reaches the caller.
             continue
         if metrics.rho_parking**strategy.n_parking >= rho_requirement:
             break
@@ -204,7 +210,6 @@ def run_validation(
     *,
     costs: CostParams,
     satellite: SatelliteParams,
-    cap_launch: int,
     consts: EarthConstants,
     replications: int = 100,
     horizon_years: float = 15.0,
@@ -224,7 +229,6 @@ def run_validation(
         n: Number of cases.
         costs: Unit prices of the analytic and simulated TESSAC.
         satellite: Spare satellite whose transfers are priced.
-        cap_launch: Rocket capacity of every case's launch parameters.
         consts: Earth constants of the orbital model.
         replications: Simulation replications per case.
         horizon_years: Simulated horizon per replication.
@@ -248,7 +252,6 @@ def run_validation(
                 params,
                 costs=costs,
                 satellite=satellite,
-                cap_launch=cap_launch,
                 consts=consts,
                 replications=replications,
                 horizon_years=horizon_years,
@@ -276,7 +279,6 @@ def _run_case(
     *,
     costs: CostParams,
     satellite: SatelliteParams,
-    cap_launch: int,
     consts: EarthConstants,
     replications: int,
     horizon_years: float,
@@ -295,7 +297,7 @@ def _run_case(
     lp = LaunchParams(
         mu_launch_days=float(params["mu_launch_days"]),
         pt_launch_days=float(params["pt_launch_days"]),
-        cap_launch=cap_launch,
+        cap_launch=_UNREAD_CAP_LAUNCH,
     )
     try:
         strategy = SpareStrategy(

@@ -138,7 +138,6 @@ def test_criterion_3_model_accuracy_study(capsys):
         25,
         costs=COSTS,
         satellite=SAT,
-        cap_launch=CASE_LAUNCH.cap_launch,
         consts=WGS84,
         replications=100,
         horizon_years=15.0,

@@ -10,6 +10,7 @@ from sparechain.chain import (
     LaunchParams,
     LeadTimeDistribution,
     SpareStrategy,
+    UndefinedAvailabilityError,
     evaluate_inplane_only,
     evaluate_strategy,
     leadtime_expected_shortage,
@@ -209,9 +210,9 @@ def test_leadtime_shortage_zero_rate():
 def test_parking_availability_bounds():
     assert parking_availability(0.0, 8) == 1.0
     assert parking_availability(8.0, 8) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(UndefinedAvailabilityError):
         parking_availability(-0.1, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(UndefinedAvailabilityError):
         parking_availability(8.4, 8)
 
 

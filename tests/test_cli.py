@@ -210,6 +210,15 @@ def test_validate_requires_the_cost_sections(tmp_path, base_config, capsys):
     assert "costs: section required" in capsys.readouterr().err
 
 
+def test_validate_needs_no_launch_section(tmp_path, base_config):
+    cfg = dict(base_config)
+    del cfg["launch"]
+    path = tmp_path / "nolaunch.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["validate", "--config", str(path), "--n-cases", "2", "--reps", "2"]
+    assert main(argv + ["--horizon", "2", "--warmup", "0.5", "--out", str(tmp_path / "o")]) == 0
+
+
 def test_optimize_smoke(tmp_path, fast_config):
     out = tmp_path / "o"
     assert main(["optimize", "--config", str(fast_config), "--out", str(out)]) == 0

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from sparechain import validation
 from sparechain.chain import (
     ConstellationConfig,
     LaunchParams,
@@ -160,12 +161,22 @@ def test_sizing_keeps_the_altitude_error():
     assert not isinstance(info.value, SizingInfeasibleError)
 
 
+def test_sizing_passes_other_chain_errors_through(monkeypatch):
+    def reject(cfg, strategy, lp, consts):
+        raise ValueError("rejected by the chain")
+
+    monkeypatch.setattr(validation, "evaluate_strategy", reject)
+    with pytest.raises(ValueError, match="^rejected by the chain$") as info:
+        size_reorder_points(CASE_CFG, CASE_TEMPLATE, CASE_LAUNCH)
+    assert not isinstance(info.value, SizingInfeasibleError)
+
+
 def test_validation_reports_the_altitude_reason():
     space = TradeSpace(
         h_plane_km=ParameterRange(750.0, 850.0), h_parking_km=ParameterRange(900.0, 1000.0)
     )
     report = run_validation(
-        space, 3, costs=COSTS, satellite=SAT, cap_launch=34, consts=WGS84, seed=0,
+        space, 3, costs=COSTS, satellite=SAT, consts=WGS84, seed=0,
         simulate_fn=_model_echo,
     )
     assert report.infeasible_count == 3
@@ -214,7 +225,6 @@ def test_perfect_simulator_yields_zero_errors():
         6,
         costs=COSTS,
         satellite=SAT,
-        cap_launch=34,
         consts=WGS84,
         replications=7,
         horizon_years=4.0,
@@ -239,7 +249,7 @@ def test_perfect_simulator_yields_zero_errors():
 
 
 def test_validation_report_is_deterministic():
-    study = dict(costs=COSTS, satellite=SAT, cap_launch=34, consts=WGS84)
+    study = dict(costs=COSTS, satellite=SAT, consts=WGS84)
     a = run_validation(TradeSpace(), 4, seed=9, simulate_fn=_model_echo, **study)
     b = run_validation(TradeSpace(), 4, seed=9, simulate_fn=_model_echo, **study)
     assert a == b
