@@ -112,13 +112,52 @@ class SimulationResult:
     per_replication: tuple[ReplicationResult, ...]
 
 
-def _alignment_wait_days(theta: float, omega: float, relative_rate: float) -> float:
-    """Days until a parking plane at phase theta reaches RAAN omega."""
-    if relative_rate < 0.0:
-        gap = (theta - omega) % _TWO_PI
+def _closest_parking(
+    t: float, omega: float, relative: float, stock: list[int], stocked_only: bool
+) -> tuple[float, int] | None:
+    """Smallest (alignment wait in days, index) of a parking orbit toward RAAN omega.
+
+    Parking orbit p of the ring has phase 2*pi*p/n + relative*t at time t
+    and waits for the phase gap to RAAN omega, closed in the drift
+    direction, divided by |relative|. With stocked_only, orbits without
+    stock are skipped; ``None`` when no orbit is eligible.
+
+    The ring is evenly spaced, so the nearest orbit follows from the
+    phase gap by arithmetic, and waits grow by one spacing per step along
+    the ring from it. Rounding can only move the orbit lying on the wrap
+    of the phase gap from first to last in that order or back, so the
+    exact minimum over the first two eligible orbits in ring order and
+    the last one is the minimum over all of them: O(1) calls per query
+    when most orbits are stocked, instead of a scan of the ring.
+    """
+    n = len(stock)
+    drift = relative * t
+    phase = (omega - drift) % _TWO_PI
+    if relative < 0.0:
+        start, step = math.ceil(phase * n / _TWO_PI), 1
     else:
-        gap = (omega - theta) % _TWO_PI
-    return gap / abs(relative_rate)
+        start, step = math.floor(phase * n / _TWO_PI), -1
+    candidates: list[int] = []
+    i = 0
+    while i < n and len(candidates) < 2:
+        p = (start + step * i) % n
+        if not stocked_only or stock[p] > 0:
+            candidates.append(p)
+        i += 1
+    for k in range(n - 1, i - 1, -1):
+        p = (start + step * k) % n
+        if not stocked_only or stock[p] > 0:
+            candidates.append(p)
+            break
+    rate = abs(relative)
+    best: tuple[float, int] | None = None
+    for p in candidates:
+        theta = _TWO_PI * p / n + drift
+        gap = (theta - omega) % _TWO_PI if relative < 0.0 else (omega - theta) % _TWO_PI
+        cand = (gap / rate, p)
+        if best is None or cand < best:
+            best = cand
+    return best
 
 
 def run_replication(sc: SimConfig, seed: int) -> ReplicationResult:
@@ -152,7 +191,6 @@ def _run_with_rng(sc: SimConfig, rng) -> ReplicationResult:
     tof = transfer.time_of_flight_days
 
     plane_raan = [_TWO_PI * j / n_plane for j in range(n_plane)]
-    parking_phase0 = [_TWO_PI * p / n_park for p in range(n_park)]
 
     plane_stock = [s_plane + q_plane] * n_plane
     plane_backorders = [0] * n_plane
@@ -206,19 +244,8 @@ def _run_with_rng(sc: SimConfig, rng) -> ReplicationResult:
         j = int(rng.integers(0, n_plane))
         push(t + dt, _FAILURE, j)
 
-    def parking_wait(p: int, t: float, j: int) -> float:
-        theta = parking_phase0[p] + relative * t
-        return _alignment_wait_days(theta, plane_raan[j], relative)
-
-    def closest_parking(t: float, j: int, stocked_only: bool) -> int | None:
-        best: tuple[float, int] | None = None
-        for p in range(n_park):
-            if stocked_only and parking_stock[p] < 1:
-                continue
-            cand = (parking_wait(p, t, j), p)
-            if best is None or cand < best:
-                best = cand
-        return None if best is None else best[1]
+    def closest_parking(t: float, j: int, stocked_only: bool) -> tuple[float, int] | None:
+        return _closest_parking(t, plane_raan[j], relative, parking_stock, stocked_only)
 
     def place_ground_order_if_due(p: int, t: float) -> None:
         nonlocal ground_orders
@@ -229,15 +256,12 @@ def _run_with_rng(sc: SimConfig, rng) -> ReplicationResult:
             push(t + delay, _PARKING_ARRIVAL, p)
             log(t, "ground_order", p, parking_stock[p])
 
-    def assign_transfer(j: int, t: float) -> bool:
-        """Send one batch toward plane j from the closest stocked parking."""
+    def assign_transfer(j: int, t: float, choice: tuple[float, int]) -> None:
+        """Send one batch toward plane j from parking orbit p, choice = (wait, p)."""
         nonlocal agg_park, transfers, transfers_window
-        p = closest_parking(t, j, stocked_only=True)
-        if p is None:
-            return False
+        wait, p = choice
         parking_stock[p] -= 1
         agg_park -= 1.0
-        wait = parking_wait(p, t, j)
         push(t + wait + tof, _PLANE_ARRIVAL, j)
         transfers += 1
         if in_window(t):
@@ -245,7 +269,6 @@ def _run_with_rng(sc: SimConfig, rng) -> ReplicationResult:
             leadtimes.append(wait + tof)
         log(t, "transfer_start", p, parking_stock[p])
         place_ground_order_if_due(p, t)
-        return True
 
     def place_plane_order_if_due(j: int, t: float) -> None:
         nonlocal plane_orders, parking_backorders_window
@@ -255,13 +278,18 @@ def _run_with_rng(sc: SimConfig, rng) -> ReplicationResult:
             log(t, "plane_order", j, plane_stock[j])
             # Demand accounting: the order targets the geometrically closest
             # parking orbit; finding it empty is a parking backorder even if
-            # another orbit ends up serving the transfer.
-            target = closest_parking(t, j, stocked_only=False)
-            if parking_stock[target] < 1 and in_window(t):
-                parking_backorders_window += 1
-            if not assign_transfer(j, t):
+            # another orbit ends up serving the transfer. When it is stocked,
+            # it is also the closest stocked orbit.
+            choice = closest_parking(t, j, stocked_only=False)
+            if parking_stock[choice[1]] < 1:
+                if in_window(t):
+                    parking_backorders_window += 1
+                choice = closest_parking(t, j, stocked_only=True)
+            if choice is None:
                 waiting_orders.append(j)
                 log(t, "order_queued", j, 0)
+            else:
+                assign_transfer(j, t, choice)
 
     def handle_failure(j: int, t: float) -> None:
         nonlocal agg_plane, failures, failures_window, served, backorder_events_window
@@ -309,7 +337,8 @@ def _run_with_rng(sc: SimConfig, rng) -> ReplicationResult:
         log(t, "parking_arrival", p, parking_stock[p])
         # Queued plane orders re-pick the closest stocked orbit now.
         while waiting_orders and any(s > 0 for s in parking_stock):
-            assign_transfer(waiting_orders.popleft(), t)
+            j = waiting_orders.popleft()
+            assign_transfer(j, t, closest_parking(t, j, stocked_only=True))
         place_ground_order_if_due(p, t)
 
     if merged_rate > 0.0:

@@ -15,6 +15,7 @@ from sparechain.costs import CostParams
 from sparechain.orbits import CircularOrbit, hohmann_transfer, raan_drift_rate
 from sparechain.simulator import (
     SimConfig,
+    _closest_parking,
     _run_with_rng,
     replication_seed,
     run_batch,
@@ -137,6 +138,50 @@ def test_hand_traced_replication():
     launch = 10.0 * 2 / 2.0  # one-satellite batches price per unit
     maneuvering = 0.001 * FUEL_700_1200 * 2 / 2.0
     assert rep.tessac == pytest.approx(manufacturing + holding + launch + maneuvering, rel=1e-12)
+
+
+def _scan_closest_parking(t, omega, relative, stock, stocked_only):
+    """Reference: the exact (wait, index) minimum over every parking orbit."""
+    n = len(stock)
+    best = None
+    for p in range(n):
+        if stocked_only and stock[p] < 1:
+            continue
+        theta = 2 * math.pi * p / n + relative * t
+        if relative < 0.0:
+            gap = (theta - omega) % (2 * math.pi)
+        else:
+            gap = (omega - theta) % (2 * math.pi)
+        cand = (gap / abs(relative), p)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def test_closest_parking_matches_the_full_scan():
+    rng = np.random.default_rng(2024)
+    for n_park in range(1, 21):
+        spacing = 2 * math.pi / n_park
+        for relative in (-0.016503, 0.012347):
+            states = []
+            for _ in range(150):
+                omega = 2 * math.pi * int(rng.integers(0, 40)) / 40
+                states.append((float(rng.uniform(0.0, 6000.0)), omega))
+            # Times that put every ring orbit exactly on the plane's RAAN,
+            # and one ulp either side.
+            for k in range(n_park):
+                for m in (1, 7):
+                    omega = 2 * math.pi * int(rng.integers(0, 40)) / 40
+                    t = (omega - k * spacing + math.copysign(2 * math.pi * m, relative)) / relative
+                    for tt in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)):
+                        states.append((tt, omega))
+            for t, omega in states:
+                stock = [int(x) for x in rng.integers(0, 3, size=n_park)]
+                for stocked_only in (True, False):
+                    want = _scan_closest_parking(t, omega, relative, stock, stocked_only)
+                    got = _closest_parking(t, omega, relative, stock, stocked_only)
+                    assert got == want, (n_park, relative, t, omega, stock, stocked_only)
+    assert _closest_parking(10.0, 0.0, 0.01, [0, 0, 0], True) is None
 
 
 def test_no_failures_means_constant_stocks():
