@@ -28,6 +28,14 @@ class ConfigError(ValueError):
     """A configuration problem, with the offending key path in the message."""
 
 
+def _check_warmup(section: str, warmup_years: float, horizon_years: float) -> None:
+    if not 0.0 <= warmup_years < horizon_years:
+        raise ConfigError(
+            f"{section}.warmup_years: must be nonnegative and shorter than "
+            f"{section}.horizon_years ({horizon_years}), got {warmup_years}"
+        )
+
+
 @dataclass(frozen=True)
 class SimulationSettings:
     horizon_years: float = 15.0
@@ -35,8 +43,9 @@ class SimulationSettings:
     warmup_years: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.horizon_years <= 0 or self.replications < 1 or self.warmup_years < 0:
+        if self.horizon_years <= 0 or self.replications < 1:
             raise ValueError("invalid simulation settings")
+        _check_warmup("simulation", self.warmup_years, self.horizon_years)
 
 
 @dataclass(frozen=True)
@@ -44,6 +53,12 @@ class OptimizationSettings:
     rho_target: float = 0.95
     bounds: VariableBounds = VariableBounds()
     ga: GAParams = GAParams()
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.rho_target < 1.0:
+            raise ConfigError(
+                f"optimization.rho_target: must be in (0, 1), got {self.rho_target}"
+            )
 
 
 @dataclass(frozen=True)
@@ -57,6 +72,7 @@ class ValidationSettings:
     def __post_init__(self) -> None:
         if self.n_cases < 1 or self.replications < 1 or self.horizon_years <= 0:
             raise ValueError("invalid validation settings")
+        _check_warmup("validation", self.warmup_years, self.horizon_years)
 
 
 @dataclass(frozen=True)
@@ -129,6 +145,8 @@ def _build(cls, data: Any, keypath: str, nested: dict[str, Any] | None = None):
         raise ConfigError(f"{keypath}.{missing[0]}: required key missing")
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{keypath}: {exc}") from exc
 

@@ -7,11 +7,24 @@ location; transfers depart from the parking orbit that reaches nodal
 alignment soonest among those with stock, and ground resupply arrives
 after a fixed processing time plus an exponential launch-window wait.
 
-Randomness comes from a counter-based Philox generator. Replication i of
-a batch draws its stream from SeedSequence(master_seed, spawn_key=(i,)),
-so batches are reproducible across platforms and worker counts. Within a
-replication the draw order is: failure interarrival, failed plane index,
-then one launch delay per ground order.
+Randomness comes from counter-based Philox generators. Replication i of
+a batch takes its seed from SeedSequence(master_seed, spawn_key=(i,))
+(``replication_seed``), so batches are reproducible across platforms and
+worker counts. ``SeedSequence(seed).spawn(2)`` splits that seed into two
+independent streams, one per purpose:
+
+* failures: blocks of _FAILURE_BLOCK exponential interarrival gaps of the
+  merged failure process, each followed by as many failed-plane indices,
+  drawn until the running time passes the horizon. The failures of a
+  replication therefore depend only on its seed, the failure rate, the
+  plane count and the horizon, not on the strategy or the launch law.
+* launch waits: one exponential launch-window wait per ground order, in
+  the order the orders are placed.
+
+The event loop takes the failures as a sorted list and keeps only plane
+and parking arrivals on its heap. A failure at exactly the same time as
+an arrival is handled first; arrivals at the same time are handled in the
+order they were scheduled.
 """
 
 from __future__ import annotations
@@ -30,10 +43,12 @@ from .orbits import WGS84, CircularOrbit, EarthConstants, hohmann_transfer, raan
 
 _TWO_PI = 2.0 * math.pi
 
-# Event kinds, ordered only for heap tie-breaking stability.
-_FAILURE = 0
+# Heap event kinds; failures never enter the heap.
 _PARKING_ARRIVAL = 1
 _PLANE_ARRIVAL = 2
+
+# Failure interarrival gaps and plane indices are drawn this many at a time.
+_FAILURE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -160,13 +175,47 @@ def _closest_parking(
     return best
 
 
+def _draw_failures(rng, rate: float, n_plane: int, horizon: float) -> tuple[list[float], list[int]]:
+    """Failure times up to the horizon, in order, and the plane each one hits.
+
+    Draws blocks of _FAILURE_BLOCK interarrival gaps, then as many plane
+    indices, until the running time passes the horizon. Times accumulate
+    left to right across blocks, as a scalar loop over the gaps would.
+    """
+    if rate <= 0.0:
+        return [], []
+    times: list[np.ndarray] = []
+    planes: list[np.ndarray] = []
+    last = 0.0
+    while last <= horizon:
+        gaps = rng.exponential(1.0 / rate, _FAILURE_BLOCK)
+        planes.append(rng.integers(0, n_plane, _FAILURE_BLOCK))
+        gaps[0] += last
+        times.append(np.cumsum(gaps))
+        last = float(times[-1][-1])
+    all_times = np.concatenate(times)
+    n = int(np.searchsorted(all_times, horizon, side="right"))
+    return all_times[:n].tolist(), np.concatenate(planes)[:n].tolist()
+
+
 def run_replication(sc: SimConfig, seed: int) -> ReplicationResult:
-    """Run one replication with its own random stream."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return _run_with_rng(sc, rng)
+    """Run one replication: failures and launch waits from two child streams."""
+    failure_ss, launch_ss = np.random.SeedSequence(seed).spawn(2)
+    cfg = sc.constellation
+    times, planes = _draw_failures(
+        np.random.Generator(np.random.Philox(failure_ss)),
+        plane_demand_rate(cfg) * cfg.n_plane,
+        cfg.n_plane,
+        sc.horizon_years * cfg.n_days_per_year,
+    )
+    launch_rng = np.random.Generator(np.random.Philox(launch_ss))
+    return _run_with_rng(sc, times, planes, launch_rng)
 
 
-def _run_with_rng(sc: SimConfig, rng) -> ReplicationResult:
+def _run_with_rng(
+    sc: SimConfig, failure_times: list[float], failure_planes: list[int], launch_rng
+) -> ReplicationResult:
+    """The event loop: given failures, in time order, and the launch-wait stream."""
     cfg, st, lp = sc.constellation, sc.strategy, sc.launch
     n_plane, n_park = cfg.n_plane, st.n_parking
     q_plane, s_plane = st.q_plane, st.s_plane
@@ -176,9 +225,6 @@ def _run_with_rng(sc: SimConfig, rng) -> ReplicationResult:
     horizon = sc.horizon_years * cfg.n_days_per_year
     warmup = sc.warmup_years * cfg.n_days_per_year
     window = horizon - warmup
-
-    lam_plane = plane_demand_rate(cfg)
-    merged_rate = lam_plane * n_plane
 
     parking_orbit = CircularOrbit(st.h_parking_km, cfg.inclination_deg)
     plane_orbit = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
@@ -239,11 +285,6 @@ def _run_with_rng(sc: SimConfig, rng) -> ReplicationResult:
     def in_window(t: float) -> bool:
         return warmup <= t <= horizon
 
-    def schedule_next_failure(t: float) -> None:
-        dt = rng.exponential(1.0 / merged_rate)
-        j = int(rng.integers(0, n_plane))
-        push(t + dt, _FAILURE, j)
-
     def closest_parking(t: float, j: int, stocked_only: bool) -> tuple[float, int] | None:
         return _closest_parking(t, plane_raan[j], relative, parking_stock, stocked_only)
 
@@ -252,7 +293,7 @@ def _run_with_rng(sc: SimConfig, rng) -> ReplicationResult:
         if parking_stock[p] <= k_s and not parking_in_transit[p]:
             parking_in_transit[p] = True
             ground_orders += 1
-            delay = lp.pt_launch_days + rng.exponential(lp.mu_launch_days)
+            delay = lp.pt_launch_days + launch_rng.exponential(lp.mu_launch_days)
             push(t + delay, _PARKING_ARRIVAL, p)
             log(t, "ground_order", p, parking_stock[p])
 
@@ -296,7 +337,6 @@ def _run_with_rng(sc: SimConfig, rng) -> ReplicationResult:
         failures += 1
         if in_window(t):
             failures_window += 1
-        schedule_next_failure(t)
         if plane_stock[j] > 0:
             plane_stock[j] -= 1
             agg_plane -= 1.0
@@ -341,20 +381,29 @@ def _run_with_rng(sc: SimConfig, rng) -> ReplicationResult:
             assign_transfer(j, t, closest_parking(t, j, stocked_only=True))
         place_ground_order_if_due(p, t)
 
-    if merged_rate > 0.0:
-        schedule_next_failure(0.0)
-
-    while heap:
-        t, _, kind, loc = heapq.heappop(heap)
-        if t > horizon:
-            break
-        advance(t)
-        if kind == _FAILURE:
-            handle_failure(loc, t)
-        elif kind == _PLANE_ARRIVAL:
-            handle_plane_arrival(loc, t)
+    # Failures come from their sorted list, arrivals from the heap; a
+    # failure at the same time as an arrival is handled first.
+    n_failures = len(failure_times)
+    next_failure = 0
+    t_failure = failure_times[0] if n_failures else math.inf
+    while True:
+        if heap and heap[0][0] < t_failure:
+            t, _, kind, loc = heapq.heappop(heap)
+            if t > horizon:
+                break
+            advance(t)
+            if kind == _PLANE_ARRIVAL:
+                handle_plane_arrival(loc, t)
+            else:
+                handle_parking_arrival(loc, t)
         else:
-            handle_parking_arrival(loc, t)
+            t = t_failure
+            if t > horizon:
+                break
+            advance(t)
+            handle_failure(failure_planes[next_failure], t)
+            next_failure += 1
+            t_failure = failure_times[next_failure] if next_failure < n_failures else math.inf
     advance(horizon)
 
     final_on_hand = sum(plane_stock) + q_plane * sum(parking_stock)

@@ -85,6 +85,36 @@ def test_unknown_key_names_the_path(tmp_path, base_config, capsys):
     assert "constellation.bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("command", "section", "values", "keypath"),
+    [
+        ("optimize", "optimization", {"rho_target": 1.5}, "optimization.rho_target"),
+        ("optimize", "optimization", {"rho_target": 0.0}, "optimization.rho_target"),
+        (
+            "simulate",
+            "simulation",
+            {"horizon_years": 2.0, "warmup_years": 2.0},
+            "simulation.warmup_years",
+        ),
+        (
+            "validate",
+            "validation",
+            {"horizon_years": 2.0, "warmup_years": 20.0},
+            "validation.warmup_years",
+        ),
+    ],
+)
+def test_out_of_range_settings_name_the_key_path(
+    tmp_path, base_config, capsys, command, section, values, keypath
+):
+    cfg = json.loads(json.dumps(base_config))
+    cfg[section] = {**cfg.get(section, {}), **values}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert keypath in capsys.readouterr().err
+
+
 def test_invalid_json_and_missing_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

@@ -10,10 +10,12 @@ from sparechain.chain import (
     SatelliteParams,
     SpareStrategy,
     evaluate_strategy,
+    plane_demand_rate,
 )
 from sparechain.costs import CostParams
 from sparechain.orbits import CircularOrbit, hohmann_transfer, raan_drift_rate
 from sparechain.simulator import (
+    _FAILURE_BLOCK,
     SimConfig,
     _closest_parking,
     _run_with_rng,
@@ -45,17 +47,14 @@ TOF_700_1200_DAYS = 0.036129139021561396
 FUEL_700_1200 = 18.53943710466358
 
 
-class ScriptedRng:
-    """Replays fixed exponential draws; plane picks always hit plane 0."""
+class ScriptedLaunchRng:
+    """Replays fixed launch-window waits."""
 
     def __init__(self, exponentials):
         self._exp = list(exponentials)
 
     def exponential(self, scale):
         return self._exp.pop(0)
-
-    def integers(self, low, high):
-        return 0
 
 
 def _toy_config(**overrides):
@@ -83,10 +82,12 @@ def _toy_config(**overrides):
 
 
 def test_hand_traced_replication():
-    # Scripted draws: failure gaps 50 then 500 then 5000 days (the last
-    # lands beyond the 730-day horizon), launch-window waits 10 and 100.
+    # Scripted draws: failure gaps 50 then 500 then 5000 days on plane 0
+    # (the last lands beyond the 730-day horizon), launch-window waits 10
+    # and 100.
     sc = _toy_config()
-    rep = _run_with_rng(sc, ScriptedRng([50.0, 500.0, 10.0, 5000.0, 100.0]))
+    launch = ScriptedLaunchRng([10.0, 100.0])
+    rep = _run_with_rng(sc, [50.0, 50.0 + 500.0, 550.0 + 5000.0], [0, 0, 0], launch)
 
     relative = DRIFT_700_50 - DRIFT_1200_50
     wait1 = ((relative * 50.0) % (2 * math.pi)) / abs(relative)
@@ -111,6 +112,7 @@ def test_hand_traced_replication():
         assert got[1:] == want[1:]
         assert got[0] == pytest.approx(want[0], rel=1e-12)
 
+    assert launch._exp == []  # one wait per ground order
     assert rep.failures == 2
     assert rep.served == 2
     assert rep.backorders_end == 0
@@ -182,6 +184,51 @@ def test_closest_parking_matches_the_full_scan():
                     got = _closest_parking(t, omega, relative, stock, stocked_only)
                     assert got == want, (n_park, relative, t, omega, stock, stocked_only)
     assert _closest_parking(10.0, 0.0, 0.01, [0, 0, 0], True) is None
+
+
+def _failures(rep):
+    return [(t, loc) for t, what, loc, _ in rep.events if what == "failure"]
+
+
+def test_failure_sequence_depends_only_on_seed_rate_and_planes():
+    base = dict(
+        constellation=CASE_CFG,
+        costs=COSTS,
+        satellite=SAT,
+        horizon_years=15.0,
+        replications=1,
+        seed=0,
+        capture_events=True,
+    )
+    a = run_replication(
+        SimConfig(strategy=CASE_STRATEGY, launch=CASE_LAUNCH, **base), 987654321
+    )
+    other_strategy = SpareStrategy(
+        n_parking=5, h_parking_km=700.0, q_plane=2, s_plane=1, k_q_parking=3, k_s_parking=2
+    )
+    other_launch = LaunchParams(mu_launch_days=5.0, pt_launch_days=300.0, cap_launch=34)
+    b = run_replication(
+        SimConfig(strategy=other_strategy, launch=other_launch, **base), 987654321
+    )
+    assert a.ground_orders != b.ground_orders  # the launch-wait stream was used differently
+    assert _failures(a) == _failures(b)
+
+    # More failures than one block: the sequence runs on across block
+    # boundaries exactly as a scalar walk over the failure stream.
+    horizon = 15.0 * CASE_CFG.n_days_per_year
+    rate = plane_demand_rate(CASE_CFG) * CASE_CFG.n_plane
+    failure_ss, _ = np.random.SeedSequence(987654321).spawn(2)
+    rng = np.random.Generator(np.random.Philox(failure_ss))
+    want, t = [], 0.0
+    while t <= horizon:
+        gaps = rng.exponential(1.0 / rate, _FAILURE_BLOCK)
+        planes = rng.integers(0, CASE_CFG.n_plane, _FAILURE_BLOCK)
+        for gap, j in zip(gaps.tolist(), planes.tolist()):
+            t += gap
+            if t <= horizon:
+                want.append((t, j))
+    assert len(want) > _FAILURE_BLOCK
+    assert _failures(a) == want
 
 
 def test_no_failures_means_constant_stocks():
