@@ -48,7 +48,7 @@ _PARKING_ARRIVAL = 1
 _PLANE_ARRIVAL = 2
 
 # Failure interarrival gaps and plane indices are drawn this many at a time.
-_FAILURE_BLOCK = 1024
+_FAILURE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -176,26 +176,23 @@ def _closest_parking(
 
 
 def _draw_failures(rng, rate: float, n_plane: int, horizon: float) -> tuple[list[float], list[int]]:
-    """Failure times up to the horizon, in order, and the plane each one hits.
+    """Failure times in order, past the horizon, and the plane each one hits.
 
     Draws blocks of _FAILURE_BLOCK interarrival gaps, then as many plane
-    indices, until the running time passes the horizon. Times accumulate
-    left to right across blocks, as a scalar loop over the gaps would.
+    indices, until the running time passes the horizon; the event loop
+    stops at the first failure beyond it. Times accumulate left to right
+    across blocks, as a scalar loop over the gaps would.
     """
-    if rate <= 0.0:
-        return [], []
-    times: list[np.ndarray] = []
-    planes: list[np.ndarray] = []
+    times: list[float] = []
+    planes: list[int] = []
     last = 0.0
-    while last <= horizon:
+    while rate > 0.0 and last <= horizon:
         gaps = rng.exponential(1.0 / rate, _FAILURE_BLOCK)
-        planes.append(rng.integers(0, n_plane, _FAILURE_BLOCK))
+        planes += rng.integers(0, n_plane, _FAILURE_BLOCK).tolist()
         gaps[0] += last
-        times.append(np.cumsum(gaps))
-        last = float(times[-1][-1])
-    all_times = np.concatenate(times)
-    n = int(np.searchsorted(all_times, horizon, side="right"))
-    return all_times[:n].tolist(), np.concatenate(planes)[:n].tolist()
+        times += np.cumsum(gaps, out=gaps).tolist()
+        last = times[-1]
+    return times, planes
 
 
 def run_replication(sc: SimConfig, seed: int) -> ReplicationResult:

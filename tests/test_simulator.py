@@ -86,8 +86,8 @@ def test_hand_traced_replication():
     # (the last lands beyond the 730-day horizon), launch-window waits 10
     # and 100.
     sc = _toy_config()
-    launch = ScriptedLaunchRng([10.0, 100.0])
-    rep = _run_with_rng(sc, [50.0, 50.0 + 500.0, 550.0 + 5000.0], [0, 0, 0], launch)
+    waits = ScriptedLaunchRng([10.0, 100.0])
+    rep = _run_with_rng(sc, [50.0, 50.0 + 500.0, 550.0 + 5000.0], [0, 0, 0], waits)
 
     relative = DRIFT_700_50 - DRIFT_1200_50
     wait1 = ((relative * 50.0) % (2 * math.pi)) / abs(relative)
@@ -112,7 +112,7 @@ def test_hand_traced_replication():
         assert got[1:] == want[1:]
         assert got[0] == pytest.approx(want[0], rel=1e-12)
 
-    assert launch._exp == []  # one wait per ground order
+    assert waits._exp == []  # one wait per ground order
     assert rep.failures == 2
     assert rep.served == 2
     assert rep.backorders_end == 0
@@ -210,7 +210,7 @@ def test_failure_sequence_depends_only_on_seed_rate_and_planes():
     b = run_replication(
         SimConfig(strategy=other_strategy, launch=other_launch, **base), 987654321
     )
-    assert a.ground_orders != b.ground_orders  # the launch-wait stream was used differently
+    assert a.ground_orders != b.ground_orders  # the runs differ after the failures
     assert _failures(a) == _failures(b)
 
     # More failures than one block: the sequence runs on across block
