@@ -16,8 +16,8 @@ independent streams, one per purpose:
 * failures: blocks of _FAILURE_BLOCK exponential interarrival gaps of the
   merged failure process, each followed by as many failed-plane indices,
   drawn until the running time passes the horizon. The failures of a
-  replication therefore depend only on its seed, the failure rate, the
-  plane count and the horizon, not on the strategy or the launch law.
+  replication therefore depend only on its seed, the failure rate and
+  the plane count, not on the strategy or the launch law.
 * launch waits: one exponential launch-window wait per ground order, in
   the order the orders are placed.
 
@@ -175,13 +175,14 @@ def _closest_parking(
     return best
 
 
-def _draw_failures(rng, rate: float, n_plane: int, horizon: float) -> tuple[list[float], list[int]]:
-    """Failure times in order, past the horizon, and the plane each one hits.
+def _draw_failures(
+    rng, rate: float, n_plane: int, horizon: float
+) -> tuple[list[float], list[int]]:
+    """Failure times in order, until one passes the horizon, and their planes.
 
     Draws blocks of _FAILURE_BLOCK interarrival gaps, then as many plane
-    indices, until the running time passes the horizon; the event loop
-    stops at the first failure beyond it. Times accumulate left to right
-    across blocks, as a scalar loop over the gaps would.
+    indices, until the running time passes the horizon. Times accumulate
+    left to right across blocks, as a scalar loop over the gaps would.
     """
     times: list[float] = []
     planes: list[int] = []
@@ -212,7 +213,11 @@ def run_replication(sc: SimConfig, seed: int) -> ReplicationResult:
 def _run_with_rng(
     sc: SimConfig, failure_times: list[float], failure_planes: list[int], launch_rng
 ) -> ReplicationResult:
-    """The event loop: given failures, in time order, and the launch-wait stream."""
+    """The event loop over failures, in time order, and a launch-wait stream.
+
+    Failure j happens at failure_times[j] on plane failure_planes[j];
+    failures past the horizon are ignored.
+    """
     cfg, st, lp = sc.constellation, sc.strategy, sc.launch
     n_plane, n_park = cfg.n_plane, st.n_parking
     q_plane, s_plane = st.q_plane, st.s_plane
