@@ -19,12 +19,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .inventory import (
     SQPolicy,
     expected_shortage_geometric,
-    expected_shortage_uniform,
+    expected_shortage_mixture,
     fill_rate,
     mean_stock,
 )
@@ -310,8 +308,8 @@ def leadtime_expected_shortage(s: int, rate_per_day: float, dist: LeadTimeDistri
         return expected_shortage_geometric(
             s, rate_per_day * dist.shift_days, rate_per_day * dist.scale_days
         )
-    per_segment = expected_shortage_uniform(s, rate_per_day * np.asarray(dist.segments_days))
-    return float(np.dot(dist.weights, per_segment))
+    segments = [(rate_per_day * lo, rate_per_day * hi) for lo, hi in dist.segments_days]
+    return expected_shortage_mixture(s, dist.weights, segments)
 
 
 class UndefinedAvailabilityError(ValueError):

@@ -217,20 +217,21 @@ def cmd_simulate(rc: RunConfig, args, out: Path, master: int) -> int:
 
 def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
     rc.require("costs", "satellite")
-    vs = rc.validation
-    n = args.n_cases if args.n_cases is not None else vs.n_cases
-    reps = args.reps if args.reps is not None else vs.replications
-    horizon = args.horizon if args.horizon is not None else vs.horizon_years
-    warmup = args.warmup if args.warmup is not None else vs.warmup_years
+    vs = rc.validation.with_flags(
+        n_cases=("--n-cases", args.n_cases),
+        replications=("--reps", args.reps),
+        horizon_years=("--horizon", args.horizon),
+        warmup_years=("--warmup", args.warmup),
+    )
     report = run_validation(
         vs.space,
-        n,
+        vs.n_cases,
         costs=rc.costs,
         satellite=rc.satellite,
         consts=rc.earth,
-        replications=reps,
-        horizon_years=horizon,
-        warmup_years=warmup,
+        replications=vs.replications,
+        horizon_years=vs.horizon_years,
+        warmup_years=vs.warmup_years,
         seed=command_seed(master, "validate"),
         jobs=args.jobs,
     )
@@ -423,6 +424,8 @@ def main(argv=None) -> int:
         master = args.seed if args.seed is not None else rc.seed
         if master < 0:
             raise ConfigError("--seed: must be nonnegative")
+        if args.jobs is not None and args.jobs < 1:
+            raise ConfigError("--jobs: must be >= 1")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "evaluate":

@@ -28,11 +28,13 @@ class ConfigError(ValueError):
     """A configuration problem, with the offending key path in the message."""
 
 
-def _check_warmup(section: str, warmup_years: float, horizon_years: float) -> None:
+def _check_warmup(
+    warmup_name: str, horizon_name: str, warmup_years: float, horizon_years: float
+) -> None:
     if not 0.0 <= warmup_years < horizon_years:
         raise ConfigError(
-            f"{section}.warmup_years: must be nonnegative and shorter than "
-            f"{section}.horizon_years ({horizon_years}), got {warmup_years}"
+            f"{warmup_name}: must be nonnegative and shorter than "
+            f"{horizon_name} ({horizon_years}), got {warmup_years}"
         )
 
 
@@ -45,7 +47,12 @@ class SimulationSettings:
     def __post_init__(self) -> None:
         if self.horizon_years <= 0 or self.replications < 1:
             raise ValueError("invalid simulation settings")
-        _check_warmup("simulation", self.warmup_years, self.horizon_years)
+        _check_warmup(
+            "simulation.warmup_years",
+            "simulation.horizon_years",
+            self.warmup_years,
+            self.horizon_years,
+        )
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,32 @@ class OptimizationSettings:
             )
 
 
+def _check_validation(values: dict[str, Any], names: dict[str, str]) -> None:
+    """ValidationSettings' rules on the run-size fields in ``values``.
+
+    An error names ``names[field]`` where given, else the field's config
+    key path.
+    """
+
+    def name(field: str) -> str:
+        return names.get(field, f"validation.{field}")
+
+    if values["n_cases"] < 1:
+        raise ConfigError(f"{name('n_cases')}: need at least one case, got {values['n_cases']}")
+    if values["replications"] < 1:
+        raise ConfigError(
+            f"{name('replications')}: need at least one replication, "
+            f"got {values['replications']}"
+        )
+    if values["horizon_years"] <= 0:
+        raise ConfigError(
+            f"{name('horizon_years')}: must be positive, got {values['horizon_years']}"
+        )
+    _check_warmup(
+        name("warmup_years"), name("horizon_years"), values["warmup_years"], values["horizon_years"]
+    )
+
+
 @dataclass(frozen=True)
 class ValidationSettings:
     n_cases: int = 25
@@ -70,9 +103,19 @@ class ValidationSettings:
     space: TradeSpace = TradeSpace()
 
     def __post_init__(self) -> None:
-        if self.n_cases < 1 or self.replications < 1 or self.horizon_years <= 0:
-            raise ValueError("invalid validation settings")
-        _check_warmup("validation", self.warmup_years, self.horizon_years)
+        _check_validation(vars(self), {})
+
+    def with_flags(self, **flags: tuple[str, Any]) -> "ValidationSettings":
+        """A copy with command-line overrides, checked by the same rules.
+
+        Each keyword maps a field to (flag, value); a value of None keeps
+        the field. An out-of-range value raises a ConfigError that names
+        the flag it came from.
+        """
+        given = {field: fv for field, fv in flags.items() if fv[1] is not None}
+        values = {field: value for field, (_, value) in given.items()}
+        _check_validation({**vars(self), **values}, {f: flag for f, (flag, _) in given.items()})
+        return dataclasses.replace(self, **values)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ quantities are per location and per cycle. The exact shortages for the two
 random lead-time shapes (a demand mean uniform on a segment, and Poisson
 plus geometric demand) live here too; the chain model maps its lead-time
 laws onto them.
+
+Every shortage comes down to Poisson tail probabilities, and one scalar
+kernel, `_poisson_tails`, supplies them all in plain floats: each tail is a
+sum of positive, decreasing terms built from one pmf taken from logs.
+Array inputs are served by mapping that kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+
+# Relative size below which a further term cannot change a float sum.
+_EPS = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -35,12 +42,59 @@ class SQPolicy:
             raise ValueError(f"reorder point must be >= 0, got {self.reorder_point_s}")
 
 
+def _poisson_tails(s: int, m: float) -> tuple[float, float, float]:
+    """(P(D >= s), P(D >= s+1), P(D >= s+2)) for D ~ Poisson(m), s >= 1, m >= 0.
+
+    One pmf value is taken from logs, so that exp(-m) cannot underflow for
+    large m, and every other term follows from it by the ratio
+    P(D = k+1) / P(D = k) = m / (k+1). For m <= s + 2 the tail from s + 2
+    is summed forward, where that ratio is below 1. Above, each tail is
+    1 - cdf, with the cdf summed downward from s - 1, where the inverse
+    ratio k / m is below 1; that cdf stays under about one half, so the
+    subtraction keeps the tail's relative accuracy. Each sum of positive,
+    decreasing terms stops once a term can no longer change it.
+    """
+    if m == 0.0:
+        return 0.0, 0.0, 0.0
+    log_m = math.log(m)
+    if m <= s + 2:
+        p0 = math.exp(s * log_m - m - math.lgamma(s + 1))
+        p1 = p0 * m / (s + 1)
+        term = p1 * m / (s + 2)
+        tail2 = 0.0
+        k = s + 2
+        while term > tail2 * _EPS:
+            tail2 += term
+            k += 1
+            term *= m / k
+        tail1 = tail2 + p1
+        return tail1 + p0, tail1, tail2
+    term = math.exp((s - 1) * log_m - m - math.lgamma(s))
+    p0 = term * m / s
+    p1 = p0 * m / (s + 1)
+    cdf = 0.0
+    k = s - 1
+    while term > cdf * _EPS:
+        cdf += term
+        term *= k / m
+        k -= 1
+    return 1.0 - cdf, 1.0 - (cdf + p0), 1.0 - (cdf + p0 + p1)
+
+
+def _shortage(s: int, m: float) -> float:
+    if s == 0:
+        return m
+    tail0, tail1, _ = _poisson_tails(s, m)
+    # Cancellation can leave a tiny negative residue where the shortage is ~0.
+    return max(m * tail0 - s * tail1, 0.0)
+
+
 def expected_shortage(s: int, mean_demand):
     """Expected backorders per cycle, E[(D - s)+] with D ~ Poisson(mean_demand).
 
-    Uses the closed form m*P(D >= s) - s*P(D >= s+1), which the survival
-    function of the Poisson distribution evaluates without explicit tail
-    summation. Vectorized over ``mean_demand``.
+    Uses the closed form m*P(D >= s) - s*P(D >= s+1), with both tails from
+    the module's Poisson tail kernel, so no term of the shortage itself is
+    summed. Array inputs are mapped element by element.
 
     Args:
         s: Reorder point (units), >= 0.
@@ -51,16 +105,44 @@ def expected_shortage(s: int, mean_demand):
     """
     if s < 0:
         raise ValueError(f"reorder point must be >= 0, got {s}")
+    if np.isscalar(mean_demand):
+        m = float(mean_demand)
+        if not 0.0 <= m < math.inf:
+            raise ValueError("mean demand must be finite and nonnegative")
+        return _shortage(s, m)
     m = np.asarray(mean_demand, dtype=float)
-    if (m < 0).any():
-        raise ValueError("mean demand must be nonnegative")
+    if not ((m >= 0) & (m < math.inf)).all():
+        raise ValueError("mean demand must be finite and nonnegative")
+    return np.array([_shortage(s, x) for x in m.ravel().tolist()]).reshape(m.shape)
+
+
+def _antiderivative(s: int, m: float) -> float:
+    # H_s(m) of expected_shortage_uniform's docstring, for s >= 1.
+    tail0, tail1, tail2 = _poisson_tails(s, m)
+    return 0.5 * (m * m * tail0 - 2 * s * m * tail1 + s * (s + 1) * tail2)
+
+
+def _segment_shortages(s: int, mean_segments) -> list[float]:
+    """Average of E[(D - s)+] over each (lo, hi) demand-mean segment.
+
+    H_s is evaluated once per distinct end, so contiguous segments, which
+    share their ends, cost one kernel call per segment plus one.
+    """
+    for lo, hi in mean_segments:
+        if not 0.0 <= lo < hi < math.inf:
+            raise ValueError("demand segments must satisfy 0 <= lo < hi < inf")
     if s == 0:
-        out = m.copy()
-    else:
-        # pdtrc(k, m) = P(D > k); cancellation can leave a tiny negative residue.
-        out = m * special.pdtrc(s - 1, m) - s * special.pdtrc(s, m)
-        out = np.maximum(out, 0.0)
-    return float(out) if np.isscalar(mean_demand) else out
+        return [lo + 0.5 * (hi - lo) for lo, hi in mean_segments]
+    h: dict[float, float] = {}
+    out = []
+    for lo, hi in mean_segments:
+        if lo not in h:
+            h[lo] = _antiderivative(s, lo)
+        if hi not in h:
+            h[hi] = _antiderivative(s, hi)
+        # Cancellation in H can leave a tiny negative residue where S_s is ~0.
+        out.append(max((h[hi] - h[lo]) / (hi - lo), 0.0))
+    return out
 
 
 def expected_shortage_uniform(s: int, mean_segments):
@@ -75,7 +157,7 @@ def expected_shortage_uniform(s: int, mean_segments):
     Args:
         s: Reorder point (units), >= 0.
         mean_segments: Demand means at the segment ends, shape (..., 2) as
-            (lo, hi) pairs with 0 <= lo < hi.
+            (lo, hi) pairs with 0 <= lo < hi < inf.
 
     Returns:
         Scalar for a single (lo, hi) pair, ndarray of shape (...) otherwise;
@@ -84,22 +166,19 @@ def expected_shortage_uniform(s: int, mean_segments):
     if s < 0:
         raise ValueError(f"reorder point must be >= 0, got {s}")
     m = np.asarray(mean_segments, dtype=float)
-    lo, hi = m[..., 0], m[..., 1]
-    width = hi - lo
-    if lo.min() < 0 or width.min() <= 0:
-        raise ValueError("demand segments must satisfy 0 <= lo < hi")
-    if s == 0:
-        out = lo + 0.5 * width
-    else:
-        # pdtrc(k, M) = P(D > k) for D ~ Poisson(M)
-        h = 0.5 * (
-            m**2 * special.pdtrc(s - 1, m)
-            - 2 * s * m * special.pdtrc(s, m)
-            + s * (s + 1) * special.pdtrc(s + 1, m)
-        )
-        # Cancellation in H can leave a tiny negative residue where S_s is ~0.
-        out = np.maximum((h[..., 1] - h[..., 0]) / width, 0.0)
+    out = np.array(_segment_shortages(s, m.reshape(-1, 2).tolist())).reshape(m.shape[:-1])
     return float(out) if out.ndim == 0 else out
+
+
+def expected_shortage_mixture(s: int, weights, mean_segments) -> float:
+    """Weighted sum of expected_shortage_uniform over (lo, hi) segments, in plain floats.
+
+    This is the shortage for a lead time that is a mixture of uniform
+    segments. Segments that share an end evaluate it once.
+    """
+    if s < 0:
+        raise ValueError(f"reorder point must be >= 0, got {s}")
+    return sum(w * x for w, x in zip(weights, _segment_shortages(s, mean_segments)))
 
 
 def expected_shortage_geometric(s: int, mean_demand: float, geometric_mean: float) -> float:
@@ -127,7 +206,7 @@ def expected_shortage_geometric(s: int, mean_demand: float, geometric_mean: floa
     # P(A = a) from logs, so that exp(-m) cannot underflow for large m.
     log_m = math.log(m)
     below = sum(math.exp(a * log_m - m - math.lgamma(a + 1)) * q ** (s - a) for a in range(s))
-    return expected_shortage(s, m) + g * (float(special.pdtrc(s - 1, m)) + below)
+    return expected_shortage(s, m) + g * (_poisson_tails(s, m)[0] + below)
 
 
 def expected_shortage_series(s: int, mean_demand: float) -> float:

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sparechain
 from sparechain.cli import command_seed, main
 from sparechain.config import bundled_case_study_path
 
@@ -102,6 +107,7 @@ def test_unknown_key_names_the_path(tmp_path, base_config, capsys):
             {"horizon_years": 2.0, "warmup_years": 20.0},
             "validation.warmup_years",
         ),
+        ("validate", "validation", {"n_cases": 0}, "validation.n_cases"),
     ],
 )
 def test_out_of_range_settings_name_the_key_path(
@@ -113,6 +119,50 @@ def test_out_of_range_settings_name_the_key_path(
     path.write_text(json.dumps(cfg))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert keypath in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (
+            ["--horizon", "2", "--warmup", "5"],
+            "--warmup: must be nonnegative and shorter than --horizon",
+        ),
+        (["--n-cases", "0"], "--n-cases: need at least one case"),
+        (["--reps", "0"], "--reps: need at least one replication"),
+    ],
+)
+def test_validate_flag_overrides_name_the_flag(tmp_path, capsys, flags, message):
+    assert main(["validate", *flags, "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_rejected(tmp_path, fast_config, capsys, jobs):
+    argv = ["simulate", "--config", str(fast_config), "--jobs", jobs, "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert "--jobs: must be >= 1" in capsys.readouterr().err
+
+
+def test_evaluate_runs_without_scipy(tmp_path):
+    assert main(["evaluate", "--out", str(tmp_path / "in_process")]) == 0
+    # A None entry in sys.modules makes every import of scipy fail.
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from sparechain.cli import main; raise SystemExit(main(sys.argv[1:]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(sparechain.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "evaluate", "--out", str(tmp_path / "no_scipy")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    a = (tmp_path / "in_process" / "evaluate.csv").read_bytes()
+    b = (tmp_path / "no_scipy" / "evaluate.csv").read_bytes()
+    assert a == b
 
 
 def test_invalid_json_and_missing_file(tmp_path, capsys):

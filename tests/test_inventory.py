@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+from sparechain import inventory
 from sparechain.inventory import (
     SQPolicy,
+    _poisson_tails,
     expected_shortage,
     expected_shortage_geometric,
+    expected_shortage_mixture,
     expected_shortage_series,
     expected_shortage_uniform,
     fill_rate,
@@ -56,6 +61,11 @@ def test_expected_shortage_scalar_type_and_edges():
     assert expected_shortage(5, 0.0) == 0.0
     # never negative even when the two cdf terms nearly cancel
     assert expected_shortage(200, 1.0) >= 0.0
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            expected_shortage(2, bad)
+        with pytest.raises(ValueError):
+            expected_shortage(2, np.array([1.0, bad]))
 
 
 def test_expected_shortage_monotonicity():
@@ -81,9 +91,31 @@ def test_expected_shortage_uniform_vectorized_and_edges():
         expected_shortage(3, 2.0 + 5e-7), rel=1e-6
     )
     assert expected_shortage_uniform(30, (0.0, 1e-3)) >= 0.0
-    for s, seg in ((-1, (1.0, 2.0)), (2, (-0.1, 2.0)), (2, (2.0, 2.0)), (2, (3.0, 2.0))):
+    for s, seg in (
+        (-1, (1.0, 2.0)),
+        (2, (-0.1, 2.0)),
+        (2, (2.0, 2.0)),
+        (2, (3.0, 2.0)),
+        (2, (1.0, math.inf)),
+    ):
         with pytest.raises(ValueError):
             expected_shortage_uniform(s, seg)
+
+
+def test_mixture_evaluates_each_shared_end_once(monkeypatch):
+    ends = []
+
+    def counted(s, m):
+        ends.append(m)
+        return _poisson_tails(s, m)
+
+    monkeypatch.setattr(inventory, "_poisson_tails", counted)
+    weights = (0.5, 0.3, 0.2)
+    segments = [(0.5, 1.0), (1.0, 1.5), (1.5, 4.0)]
+    got = expected_shortage_mixture(3, weights, segments)
+    assert sorted(ends) == [0.5, 1.0, 1.5, 4.0]
+    parts = [expected_shortage_uniform(3, seg) for seg in segments]
+    assert got == pytest.approx(sum(w * p for w, p in zip(weights, parts)), rel=1e-15)
 
 
 def _convolved_shortage(s: int, m: float, g: float) -> float:
@@ -144,3 +176,20 @@ def test_policy_and_demand_validation():
         SQPolicy(reorder_point_s=-1, order_quantity_q=4)
     with pytest.raises(ValueError):
         SQPolicy(reorder_point_s=0, order_quantity_q=0)
+
+
+def test_poisson_tail_kernel_matches_scipy():
+    # P(D >= s + j) = pdtrc(s - 1 + j, m); the grid includes both sides of
+    # the switch between the forward series and 1 - cdf at m = s + 2.
+    for s in range(1, 41):
+        ms = [0.0, 800.0, *np.logspace(-8, 3, 221)]
+        for edge in (float(s + 1), float(s + 2)):
+            ms += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+        for m in ms:
+            got = np.array(_poisson_tails(s, m))
+            ref = special.pdtrc(np.arange(s - 1, s + 2), m)
+            if m == 0.0:
+                assert got.tolist() == [0.0, 0.0, 0.0]
+                continue
+            big = ref >= 1e-300
+            assert np.all(np.abs(got - ref)[big] <= 1e-12 * ref[big]), (s, m, got, ref)
