@@ -40,7 +40,6 @@ from .costs import (
 from .inventory import (
     SQPolicy,
     expected_shortage,
-    expected_shortage_series,
     fill_rate,
     mean_stock,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "evaluate_inplane_only",
     "evaluate_strategy",
     "expected_shortage",
-    "expected_shortage_series",
     "fill_rate",
     "fit_launch_gaps",
     "hohmann_transfer",

@@ -332,35 +332,6 @@ def parking_availability(es_parking: float, k_q: int) -> float:
     return 1.0 - es_parking / k_q
 
 
-def _check_supply_args(p_av: float, n_parking: int) -> None:
-    if not 0.0 < p_av <= 1.0:
-        raise ValueError(f"availability must be in (0, 1], got {p_av}")
-    if n_parking < 1:
-        raise ValueError(f"n_parking must be >= 1, got {n_parking}")
-
-
-def supply_probabilities_raw(p_av: float, n_parking: int) -> list[float]:
-    """Probability that the i-th closest parking orbit serves an order.
-
-    Sums, over the number of available orbits k, the chance that the i-th
-    closest is available and all closer ones are not. The list sums to
-    1 - (1 - p_av)^n, the chance of any supplier at all. This is the
-    binomial reference for the geometric form in supply_probabilities.
-    """
-    _check_supply_args(p_av, n_parking)
-    probs = []
-    for i in range(1, n_parking + 1):
-        total = 0.0
-        for k in range(1, n_parking - i + 2):
-            total += (
-                math.comb(n_parking - i, k - 1)
-                * p_av**k
-                * (1.0 - p_av) ** (n_parking - k)
-            )
-        probs.append(total)
-    return probs
-
-
 def supply_probabilities(p_av: float, n_parking: int) -> list[float]:
     """Supplier-rank probabilities conditioned on at least one being available.
 
@@ -369,7 +340,10 @@ def supply_probabilities(p_av: float, n_parking: int) -> list[float]:
     all-stocked-out case; dividing by 1 - (1 - p)^n makes them a proper
     distribution over ranks.
     """
-    _check_supply_args(p_av, n_parking)
+    if not 0.0 < p_av <= 1.0:
+        raise ValueError(f"availability must be in (0, 1], got {p_av}")
+    if n_parking < 1:
+        raise ValueError(f"n_parking must be >= 1, got {n_parking}")
     miss = 1.0 - p_av
     norm = 1.0 - miss**n_parking
     return [p_av * miss ** (i - 1) / norm for i in range(1, n_parking + 1)]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -325,6 +326,8 @@ def cmd_sensitivity(rc: RunConfig, args, out: Path, master: int) -> int:
         raise ConfigError(f"--rates: {exc}") from exc
     if not rates:
         raise ConfigError("--rates: need at least one failure rate")
+    if not all(math.isfinite(rate) for rate in rates):
+        raise ConfigError(f"--rates: failure rates must be finite, got {args.rates}")
     points = sensitivity_sweep(prob, rates, seed=command_seed(master, "sensitivity"))
     header = [
         "lambda_sat_per_year",

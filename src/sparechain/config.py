@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -45,8 +46,15 @@ class SimulationSettings:
     warmup_years: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.horizon_years <= 0 or self.replications < 1:
-            raise ValueError("invalid simulation settings")
+        if self.horizon_years <= 0:
+            raise ConfigError(
+                f"simulation.horizon_years: must be positive, got {self.horizon_years}"
+            )
+        if self.replications < 1:
+            raise ConfigError(
+                f"simulation.replications: need at least one replication, "
+                f"got {self.replications}"
+            )
         _check_warmup(
             "simulation.warmup_years",
             "simulation.horizon_years",
@@ -85,9 +93,10 @@ def _check_validation(values: dict[str, Any], names: dict[str, str]) -> None:
             f"{name('replications')}: need at least one replication, "
             f"got {values['replications']}"
         )
-    if values["horizon_years"] <= 0:
+    if not 0 < values["horizon_years"] < math.inf:
         raise ConfigError(
-            f"{name('horizon_years')}: must be positive, got {values['horizon_years']}"
+            f"{name('horizon_years')}: must be positive and finite, "
+            f"got {values['horizon_years']}"
         )
     _check_warmup(
         name("warmup_years"), name("horizon_years"), values["warmup_years"], values["horizon_years"]
@@ -145,6 +154,9 @@ def _coerce(value: Any, hint: Any, keypath: str) -> Any:
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{keypath}: expected a number, got {value!r}")
+        # json accepts NaN and Infinity, which no setting can take.
+        if not math.isfinite(value):
+            raise ConfigError(f"{keypath}: expected a finite number, got {value!r}")
         return float(value)
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -158,8 +170,8 @@ def _coerce(value: Any, hint: Any, keypath: str) -> Any:
     if hint in (tuple[int, int], tuple[float, float]):
         if not isinstance(value, list) or len(value) != 2:
             raise ConfigError(f"{keypath}: expected [lo, hi], got {value!r}")
-        element = int if hint is tuple[int, int] else float
-        return (element(value[0]), element(value[1]))
+        element = int if hint == tuple[int, int] else float
+        return tuple(_coerce(v, element, f"{keypath}[{i}]") for i, v in enumerate(value))
     raise ConfigError(f"{keypath}: unsupported value {value!r}")
 
 

@@ -10,15 +10,12 @@ laws onto them.
 Every shortage comes down to Poisson tail probabilities, and one scalar
 kernel, `_poisson_tails`, supplies them all in plain floats: each tail is a
 sum of positive, decreasing terms built from one pmf taken from logs.
-Array inputs are served by mapping that kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 # Relative size below which a further term cannot change a float sum.
 _EPS = 2.0**-53
@@ -81,7 +78,25 @@ def _poisson_tails(s: int, m: float) -> tuple[float, float, float]:
     return 1.0 - cdf, 1.0 - (cdf + p0), 1.0 - (cdf + p0 + p1)
 
 
-def _shortage(s: int, m: float) -> float:
+def expected_shortage(s: int, mean_demand: float) -> float:
+    """Expected backorders per cycle, E[(D - s)+] with D ~ Poisson(mean_demand).
+
+    Uses the closed form m*P(D >= s) - s*P(D >= s+1), with both tails from
+    the module's Poisson tail kernel, so no term of the shortage itself is
+    summed.
+
+    Args:
+        s: Reorder point (units), >= 0.
+        mean_demand: Expected lead-time demand, finite and >= 0.
+
+    Returns:
+        The expected shortage as a float, always >= 0.
+    """
+    if s < 0:
+        raise ValueError(f"reorder point must be >= 0, got {s}")
+    m = float(mean_demand)
+    if not 0.0 <= m < math.inf:
+        raise ValueError("mean demand must be finite and nonnegative")
     if s == 0:
         return m
     tail0, tail1, _ = _poisson_tails(s, m)
@@ -89,96 +104,48 @@ def _shortage(s: int, m: float) -> float:
     return max(m * tail0 - s * tail1, 0.0)
 
 
-def expected_shortage(s: int, mean_demand):
-    """Expected backorders per cycle, E[(D - s)+] with D ~ Poisson(mean_demand).
-
-    Uses the closed form m*P(D >= s) - s*P(D >= s+1), with both tails from
-    the module's Poisson tail kernel, so no term of the shortage itself is
-    summed. Array inputs are mapped element by element.
-
-    Args:
-        s: Reorder point (units), >= 0.
-        mean_demand: Expected lead-time demand, scalar or array.
-
-    Returns:
-        Scalar for scalar input, ndarray otherwise; always >= 0.
-    """
-    if s < 0:
-        raise ValueError(f"reorder point must be >= 0, got {s}")
-    if np.isscalar(mean_demand):
-        m = float(mean_demand)
-        if not 0.0 <= m < math.inf:
-            raise ValueError("mean demand must be finite and nonnegative")
-        return _shortage(s, m)
-    m = np.asarray(mean_demand, dtype=float)
-    if not ((m >= 0) & (m < math.inf)).all():
-        raise ValueError("mean demand must be finite and nonnegative")
-    return np.array([_shortage(s, x) for x in m.ravel().tolist()]).reshape(m.shape)
-
-
 def _antiderivative(s: int, m: float) -> float:
-    # H_s(m) of expected_shortage_uniform's docstring, for s >= 1.
+    # H_s(m) of expected_shortage_mixture's docstring, for s >= 1.
     tail0, tail1, tail2 = _poisson_tails(s, m)
     return 0.5 * (m * m * tail0 - 2 * s * m * tail1 + s * (s + 1) * tail2)
 
 
-def _segment_shortages(s: int, mean_segments) -> list[float]:
-    """Average of E[(D - s)+] over each (lo, hi) demand-mean segment.
+def expected_shortage_mixture(s: int, weights, mean_segments) -> float:
+    """Expected backorders for a demand mean that is a mixture of uniforms.
 
-    H_s is evaluated once per distinct end, so contiguous segments, which
-    share their ends, cost one kernel call per segment plus one.
+    This is the shortage for a lead time that is a mixture of uniform
+    segments: the weighted sum, over the (lo, hi) demand-mean segments,
+    of the average of S_s(m) = E[(D - s)+], D ~ Poisson(m), for m uniform
+    on [lo, hi]. The antiderivative of S_s is
+    H_s(M) = (M^2 P(D >= s) - 2sM P(D >= s+1) + s(s+1) P(D >= s+2)) / 2 for
+    D ~ Poisson(M), so each segment's average is
+    (H_s(hi) - H_s(lo)) / (hi - lo). H_s is evaluated once per distinct
+    end, so contiguous segments, which share their ends, cost one kernel
+    call per segment plus one.
+
+    Args:
+        s: Reorder point (units), >= 0.
+        weights: Mixture weight of each segment.
+        mean_segments: (lo, hi) demand means at the segment ends, with
+            0 <= lo < hi < inf.
     """
+    if s < 0:
+        raise ValueError(f"reorder point must be >= 0, got {s}")
     for lo, hi in mean_segments:
         if not 0.0 <= lo < hi < math.inf:
             raise ValueError("demand segments must satisfy 0 <= lo < hi < inf")
     if s == 0:
-        return [lo + 0.5 * (hi - lo) for lo, hi in mean_segments]
+        return sum(w * (lo + 0.5 * (hi - lo)) for w, (lo, hi) in zip(weights, mean_segments))
     h: dict[float, float] = {}
-    out = []
     for lo, hi in mean_segments:
-        if lo not in h:
-            h[lo] = _antiderivative(s, lo)
-        if hi not in h:
-            h[hi] = _antiderivative(s, hi)
-        # Cancellation in H can leave a tiny negative residue where S_s is ~0.
-        out.append(max((h[hi] - h[lo]) / (hi - lo), 0.0))
-    return out
-
-
-def expected_shortage_uniform(s: int, mean_segments):
-    """Average of E[(D - s)+], D ~ Poisson(m), over m uniform on a segment.
-
-    This is the shortage for a lead time uniform on a segment. With
-    S_s(m) = E[(D - s)+], the antiderivative is
-    H_s(M) = (M^2 P(D >= s) - 2sM P(D >= s+1) + s(s+1) P(D >= s+2)) / 2 for
-    D ~ Poisson(M), so the average over [lo, hi] is
-    (H_s(hi) - H_s(lo)) / (hi - lo). Vectorized over segments.
-
-    Args:
-        s: Reorder point (units), >= 0.
-        mean_segments: Demand means at the segment ends, shape (..., 2) as
-            (lo, hi) pairs with 0 <= lo < hi < inf.
-
-    Returns:
-        Scalar for a single (lo, hi) pair, ndarray of shape (...) otherwise;
-        always >= 0.
-    """
-    if s < 0:
-        raise ValueError(f"reorder point must be >= 0, got {s}")
-    m = np.asarray(mean_segments, dtype=float)
-    out = np.array(_segment_shortages(s, m.reshape(-1, 2).tolist())).reshape(m.shape[:-1])
-    return float(out) if out.ndim == 0 else out
-
-
-def expected_shortage_mixture(s: int, weights, mean_segments) -> float:
-    """Weighted sum of expected_shortage_uniform over (lo, hi) segments, in plain floats.
-
-    This is the shortage for a lead time that is a mixture of uniform
-    segments. Segments that share an end evaluate it once.
-    """
-    if s < 0:
-        raise ValueError(f"reorder point must be >= 0, got {s}")
-    return sum(w * x for w, x in zip(weights, _segment_shortages(s, mean_segments)))
+        for end in (lo, hi):
+            if end not in h:
+                h[end] = _antiderivative(s, end)
+    # Cancellation in H can leave a tiny negative residue where S_s is ~0.
+    return sum(
+        w * max((h[hi] - h[lo]) / (hi - lo), 0.0)
+        for w, (lo, hi) in zip(weights, mean_segments)
+    )
 
 
 def expected_shortage_geometric(s: int, mean_demand: float, geometric_mean: float) -> float:
@@ -207,33 +174,6 @@ def expected_shortage_geometric(s: int, mean_demand: float, geometric_mean: floa
     log_m = math.log(m)
     below = sum(math.exp(a * log_m - m - math.lgamma(a + 1)) * q ** (s - a) for a in range(s))
     return expected_shortage(s, m) + g * (_poisson_tails(s, m)[0] + below)
-
-
-def expected_shortage_series(s: int, mean_demand: float) -> float:
-    """Expected backorders per cycle by direct tail summation.
-
-    Reference route used to cross-check the closed form. Terms
-    (k - s) * P(D = k) are accumulated from k = s + 1 upward and the sum
-    stops once a term falls below 1e-15 of the running total, capped at
-    k <= s + 40*sqrt(m) + 40.
-    """
-    if s < 0 or mean_demand < 0:
-        raise ValueError("reorder point and mean demand must be nonnegative")
-    m = float(mean_demand)
-    if m == 0.0:
-        return 0.0
-    k_cap = int(s + 40.0 * math.sqrt(m) + 40.0)
-    # P(D = k) built iteratively to avoid factorial overflow.
-    log_pmf = -m + (s + 1) * math.log(m) - math.lgamma(s + 2)
-    pmf = math.exp(log_pmf)
-    total = 0.0
-    for k in range(s + 1, k_cap + 1):
-        term = (k - s) * pmf
-        total += term
-        if total > 0.0 and term < 1e-15 * total:
-            break
-        pmf *= m / (k + 1)
-    return total
 
 
 def fill_rate(es: float, q: int) -> float:

@@ -182,7 +182,6 @@ class OptimizationResult:
 
 # Genomes are plain lists [n_parking, h_parking, q, s, k_q, k_s]; only
 # h_parking is real-valued.
-_INT_GENES = (0, 2, 3, 4, 5)
 _H_GENE = 1
 
 

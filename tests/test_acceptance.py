@@ -25,7 +25,6 @@ from sparechain.chain import (
     parking_leadtime,
     plane_leadtime,
     supply_probabilities,
-    supply_probabilities_raw,
 )
 from sparechain.config import bundled_launch_dates_path
 from sparechain.costs import CostParams
@@ -38,6 +37,8 @@ from sparechain.optimizer import (
     sensitivity_sweep,
 )
 from sparechain.orbits import WGS84, CircularOrbit, hohmann_transfer
+
+from oracles import poisson_shortage, supply_probabilities_raw
 from sparechain.simulator import SimConfig, run_batch
 from sparechain.validation import (
     TradeSpace,
@@ -254,7 +255,7 @@ def test_criterion_5_model_identity_oracles(capsys):
     choice = rng.choice(len(plane_law.weights), size=n_mc, p=np.asarray(plane_law.weights))
     taus = rng.uniform(seg[choice, 0], seg[choice, 1])
     mc_plane = float(
-        np.mean(expected_shortage(strategy.s_plane, metrics.lambda_plane_per_day * taus))
+        np.mean(poisson_shortage(strategy.s_plane, metrics.lambda_plane_per_day * taus))
     )
     exact_plane = leadtime_expected_shortage(
         strategy.s_plane, metrics.lambda_plane_per_day, plane_law
@@ -263,7 +264,7 @@ def test_criterion_5_model_identity_oracles(capsys):
     taus = park_law.shift_days + rng.exponential(park_law.scale_days, size=n_mc)
     mc_park = float(
         np.mean(
-            expected_shortage(
+            poisson_shortage(
                 strategy.k_s_parking, metrics.lambda_parking_batches_per_day * taus
             )
         )

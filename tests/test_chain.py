@@ -20,10 +20,11 @@ from sparechain.chain import (
     plane_demand_rate,
     plane_leadtime,
     supply_probabilities,
-    supply_probabilities_raw,
 )
 from sparechain.inventory import SQPolicy, expected_shortage
 from sparechain.orbits import CircularOrbit, transfer_time
+
+from oracles import poisson_shortage, supply_probabilities_raw
 
 CFG = ConstellationConfig(
     h_plane_km=1200.0, inclination_deg=50.0, n_plane=40, n_sats=40, lambda_sat_per_year=0.05
@@ -119,7 +120,7 @@ def test_leadtime_shortage_against_monte_carlo():
 
     dist = parking_leadtime(LAUNCH)
     tau = 90.0 + rng.exponential(66.7, size=n)
-    mc = expected_shortage(8, 0.0182648401826484 * tau).mean()
+    mc = poisson_shortage(8, 0.0182648401826484 * tau).mean()
     exact = leadtime_expected_shortage(8, 0.0182648401826484, dist)
     assert exact == pytest.approx(mc, rel=0.01)
 
@@ -128,7 +129,7 @@ def test_leadtime_shortage_against_monte_carlo():
     ranks = rng.choice(len(mix.weights), size=n, p=np.array(mix.weights))
     u = rng.random(n)
     tau = segments[ranks, 0] + u * (segments[ranks, 1] - segments[ranks, 0])
-    mc = expected_shortage(3, 0.005479452054794521 * tau).mean()
+    mc = poisson_shortage(3, 0.005479452054794521 * tau).mean()
     exact = leadtime_expected_shortage(3, 0.005479452054794521, mix)
     assert exact == pytest.approx(mc, rel=0.01)
 

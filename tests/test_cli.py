@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,12 @@ import pytest
 
 import sparechain
 from sparechain.cli import command_seed, main
-from sparechain.config import bundled_case_study_path
+from sparechain.config import (
+    ConfigError,
+    ValidationSettings,
+    bundled_case_study_path,
+    load_run_config,
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +115,9 @@ def test_unknown_key_names_the_path(tmp_path, base_config, capsys):
             "validation.warmup_years",
         ),
         ("validate", "validation", {"n_cases": 0}, "validation.n_cases"),
+        ("simulate", "simulation", {"replications": 0}, "simulation.replications"),
+        ("simulate", "simulation", {"horizon_years": 0.0}, "simulation.horizon_years"),
+        ("evaluate", "costs", {"p_sat_musd": math.nan}, "costs.p_sat_musd"),
     ],
 )
 def test_out_of_range_settings_name_the_key_path(
@@ -135,6 +145,49 @@ def test_out_of_range_settings_name_the_key_path(
 def test_validate_flag_overrides_name_the_flag(tmp_path, capsys, flags, message):
     assert main(["validate", *flags, "--out", str(tmp_path / "o")]) == 1
     assert message in capsys.readouterr().err
+
+
+def _load_with(tmp_path, base_config, section, values):
+    cfg = json.loads(json.dumps(base_config))
+    cfg[section] = {**cfg.get(section, {}), **values}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    return load_run_config(path)
+
+
+@pytest.mark.parametrize(
+    ("pair", "keypath"),
+    [
+        (["1", 2], "optimization.bounds.n_parking[0]: expected an integer"),
+        ([True, 3], "optimization.bounds.n_parking[0]: expected an integer"),
+        ([1, 2.9], "optimization.bounds.n_parking[1]: expected an integer"),
+    ],
+)
+def test_integer_bounds_pair_checks_each_element(tmp_path, base_config, pair, keypath):
+    with pytest.raises(ConfigError, match=re.escape(keypath)):
+        _load_with(tmp_path, base_config, "optimization", {"bounds": {"n_parking": pair}})
+
+
+def test_integer_bounds_pair_loads_as_ints(tmp_path, base_config):
+    rc = _load_with(tmp_path, base_config, "optimization", {"bounds": {"n_parking": [1, 3]}})
+    assert rc.optimization.bounds.n_parking == (1, 3)
+    assert all(type(v) is int for v in rc.optimization.bounds.n_parking)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_numbers_are_rejected_at_load(tmp_path, base_config, value):
+    # json writes these as Infinity, -Infinity and NaN, and reads them back.
+    with pytest.raises(ConfigError, match=r"simulation\.horizon_years: expected a finite"):
+        _load_with(tmp_path, base_config, "simulation", {"horizon_years": value})
+    with pytest.raises(ConfigError, match=r"costs\.p_sat_musd: expected a finite"):
+        _load_with(tmp_path, base_config, "costs", {"p_sat_musd": value})
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("field,flag", [("horizon_years", "--horizon"), ("warmup_years", "--warmup")])
+def test_non_finite_validate_flags_name_the_flag(field, flag, value):
+    with pytest.raises(ConfigError, match=f"^{flag}: "):
+        ValidationSettings().with_flags(**{field: (flag, value)})
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -357,6 +410,9 @@ def test_sensitivity_rejects_bad_rates(tmp_path, fast_config, capsys):
     assert main(base + ["--rates", "abc"]) == 1
     assert main(base + ["--rates", ""]) == 1
     assert main(base + ["--rates", "-0.5"]) == 1
+    for rates in ("nan", "0.01,inf"):
+        assert main(base + ["--rates", rates]) == 1
+        assert "--rates: failure rates must be finite" in capsys.readouterr().err
 
 
 def test_fit_launch_data_bundled(tmp_path):

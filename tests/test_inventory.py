@@ -11,11 +11,11 @@ from sparechain.inventory import (
     expected_shortage,
     expected_shortage_geometric,
     expected_shortage_mixture,
-    expected_shortage_series,
-    expected_shortage_uniform,
     fill_rate,
     mean_stock,
 )
+
+from oracles import expected_shortage_series
 
 # Anchors from a 50-digit direct tail summation.
 ES_REFS = [
@@ -46,15 +46,6 @@ def test_closed_form_matches_series_on_grid():
             assert a == pytest.approx(b, rel=1e-10, abs=1e-10), (s, m)
 
 
-def test_expected_shortage_vectorized():
-    s = 3
-    ms = np.array([0.5, 1.0, 4.0])
-    out = expected_shortage(s, ms)
-    assert out.shape == (3,)
-    for i, m in enumerate(ms):
-        assert out[i] == pytest.approx(expected_shortage(s, float(m)), rel=0)
-
-
 def test_expected_shortage_scalar_type_and_edges():
     assert isinstance(expected_shortage(4, 2.0), float)
     assert expected_shortage(0, 3.7) == pytest.approx(3.7, rel=1e-14)
@@ -64,8 +55,6 @@ def test_expected_shortage_scalar_type_and_edges():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             expected_shortage(2, bad)
-        with pytest.raises(ValueError):
-            expected_shortage(2, np.array([1.0, bad]))
 
 
 def test_expected_shortage_monotonicity():
@@ -78,19 +67,18 @@ def test_expected_shortage_monotonicity():
         assert all(x <= y for x, y in zip(values, values[1:]))
 
 
-def test_expected_shortage_uniform_vectorized_and_edges():
-    segments = np.array([[0.0, 0.3], [0.4, 2.0], [3.0, 9.0], [20.0, 21.0]])
-    out = expected_shortage_uniform(4, segments)
-    assert out.shape == (4,)
-    for i, seg in enumerate(segments):
-        assert out[i] == pytest.approx(expected_shortage_uniform(4, seg), rel=1e-15)
-    assert isinstance(expected_shortage_uniform(4, (1.0, 2.0)), float)
-    assert expected_shortage_uniform(0, (1.0, 2.5)) == pytest.approx(1.75, rel=1e-15)
+def _uniform(s, seg):
+    return expected_shortage_mixture(s, (1.0,), [seg])
+
+
+def test_single_segment_mixture_edges():
+    assert isinstance(_uniform(4, (1.0, 2.0)), float)
+    assert _uniform(0, (1.0, 2.5)) == pytest.approx(1.75, rel=1e-15)
     # a narrow segment averages to the shortage at its midpoint
-    assert expected_shortage_uniform(3, (2.0, 2.0 + 1e-6)) == pytest.approx(
+    assert _uniform(3, (2.0, 2.0 + 1e-6)) == pytest.approx(
         expected_shortage(3, 2.0 + 5e-7), rel=1e-6
     )
-    assert expected_shortage_uniform(30, (0.0, 1e-3)) >= 0.0
+    assert _uniform(30, (0.0, 1e-3)) >= 0.0
     for s, seg in (
         (-1, (1.0, 2.0)),
         (2, (-0.1, 2.0)),
@@ -99,7 +87,7 @@ def test_expected_shortage_uniform_vectorized_and_edges():
         (2, (1.0, math.inf)),
     ):
         with pytest.raises(ValueError):
-            expected_shortage_uniform(s, seg)
+            _uniform(s, seg)
 
 
 def test_mixture_evaluates_each_shared_end_once(monkeypatch):
@@ -114,7 +102,7 @@ def test_mixture_evaluates_each_shared_end_once(monkeypatch):
     segments = [(0.5, 1.0), (1.0, 1.5), (1.5, 4.0)]
     got = expected_shortage_mixture(3, weights, segments)
     assert sorted(ends) == [0.5, 1.0, 1.5, 4.0]
-    parts = [expected_shortage_uniform(3, seg) for seg in segments]
+    parts = [_uniform(3, seg) for seg in segments]
     assert got == pytest.approx(sum(w * p for w, p in zip(weights, parts)), rel=1e-15)
 
 
