@@ -9,7 +9,6 @@ launches replenishing the parking echelon.
 from .chain import (
     ConstellationConfig,
     LaunchParams,
-    LeadTimeDistribution,
     PolicyMetrics,
     SatelliteParams,
     SpareStrategy,
@@ -17,7 +16,6 @@ from .chain import (
     evaluate_strategy,
     parking_availability,
     parking_demand_rate,
-    parking_leadtime,
     plane_demand_rate,
     plane_leadtime,
     supply_probabilities,
@@ -86,7 +84,6 @@ __all__ = [
     "ErrorReport",
     "GAParams",
     "LaunchParams",
-    "LeadTimeDistribution",
     "OptimizationProblem",
     "OptimizationResult",
     "ParameterRange",
@@ -118,7 +115,6 @@ __all__ = [
     "optimize_inplane_only",
     "parking_availability",
     "parking_demand_rate",
-    "parking_leadtime",
     "plane_demand_rate",
     "plane_leadtime",
     "raan_drift_rate",

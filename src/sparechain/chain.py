@@ -4,13 +4,17 @@ Three echelons: ground manufacturing feeds a ring of parking orbits by
 rocket launch, and parking orbits feed the constellation planes by
 drift-and-transfer maneuvers. Every stock location runs a continuous-review
 (s,Q) policy under Poisson demand; this module derives the demand rates,
-lead-time distributions, expected shortages, fill rates, and cycle-average
-stocks for both orbital echelons, plus the degenerate variant where planes
-are resupplied straight from the ground.
+lead-time laws, expected shortages, fill rates, and cycle-average stocks
+for both orbital echelons, plus the degenerate variant where planes are
+resupplied straight from the ground.
 
-Lead-time mixing maps each lead-time law to Poisson demand means and uses
-the exact compound-Poisson shortages from `inventory` (Hadley & Whitin
-1963; Axsater, Inventory Control, ch. 5); nothing is integrated numerically.
+The model has two lead-time laws, held as plain values. Ground resupply
+(processing time plus an exponential launch wait, from `LaunchParams`)
+serves the parking stock and the in-plane baseline; parking-to-plane
+resupply is a mixture of uniform segments, one per supplier rank. Each
+echelon calls its exact compound-Poisson shortage from `inventory`
+directly (Hadley & Whitin 1963; Axsater, Inventory Control, ch. 5);
+nothing is integrated numerically.
 """
 
 from __future__ import annotations
@@ -27,9 +31,6 @@ from .inventory import (
     mean_stock,
 )
 from .orbits import WGS84, CircularOrbit, EarthConstants, transfer_time
-
-MIXTURE_OF_UNIFORMS = "mixture_of_uniforms"
-SHIFTED_EXPONENTIAL = "shifted_exponential"
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,11 @@ class ConstellationConfig:
             raise ValueError(f"n_plane must be >= 1, got {self.n_plane}")
         if self.n_sats < 1:
             raise ValueError(f"n_sats must be >= 1, got {self.n_sats}")
-        if self.lambda_sat_per_year < 0:
-            raise ValueError("satellite failure rate must be nonnegative")
+        if not 0.0 <= self.lambda_sat_per_year < math.inf:
+            raise ValueError(
+                "satellite failure rate must be finite and nonnegative, "
+                f"got {self.lambda_sat_per_year}"
+            )
         if self.n_days_per_year <= 0:
             raise ValueError("days per year must be positive")
         # Delegate altitude and inclination checks.
@@ -165,77 +169,6 @@ class SatelliteParams:
 
 
 @dataclass(frozen=True)
-class LeadTimeDistribution:
-    """Replenishment lead-time law for one echelon.
-
-    Either a weighted mixture of uniform segments (drift-and-transfer from
-    whichever parking orbit serves the order) or a shifted exponential
-    (processing time plus launch-window wait).
-
-    Attributes:
-        kind: MIXTURE_OF_UNIFORMS or SHIFTED_EXPONENTIAL.
-        weights: Mixture weights, sum to 1; empty for the exponential kind.
-        segments_days: (lo, hi) per uniform segment, ordered, non-overlapping.
-        shift_days: Deterministic offset of the exponential kind.
-        scale_days: Mean of the exponential part.
-        neglected_mass: Probability mass dropped by conditioning the mixture
-            on at least one supplier being available (diagnostic).
-    """
-
-    kind: str
-    weights: tuple[float, ...] = ()
-    segments_days: tuple[tuple[float, float], ...] = ()
-    shift_days: float = 0.0
-    scale_days: float = 0.0
-    neglected_mass: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind == MIXTURE_OF_UNIFORMS:
-            if not self.weights or len(self.weights) != len(self.segments_days):
-                raise ValueError("mixture needs matching weights and segments")
-            if any(w < 0 for w in self.weights):
-                raise ValueError("mixture weights must be nonnegative")
-            if abs(sum(self.weights) - 1.0) > 1e-9:
-                raise ValueError(f"mixture weights must sum to 1, got {sum(self.weights)}")
-            prev_hi = -math.inf
-            for lo, hi in self.segments_days:
-                if not lo < hi:
-                    raise ValueError(f"segment bounds must increase, got ({lo}, {hi})")
-                if lo < prev_hi - 1e-12:
-                    raise ValueError("segments must not overlap")
-                prev_hi = hi
-        elif self.kind == SHIFTED_EXPONENTIAL:
-            if self.shift_days < 0 or self.scale_days <= 0:
-                raise ValueError("shift must be nonnegative and scale positive")
-        else:
-            raise ValueError(f"unknown lead-time kind: {self.kind!r}")
-
-    @classmethod
-    def uniform_mixture(
-        cls,
-        weights: tuple[float, ...],
-        segments_days: tuple[tuple[float, float], ...],
-        neglected_mass: float = 0.0,
-    ) -> "LeadTimeDistribution":
-        return cls(
-            kind=MIXTURE_OF_UNIFORMS,
-            weights=weights,
-            segments_days=segments_days,
-            neglected_mass=neglected_mass,
-        )
-
-    @classmethod
-    def shifted_exponential(cls, shift_days: float, scale_days: float) -> "LeadTimeDistribution":
-        return cls(kind=SHIFTED_EXPONENTIAL, shift_days=shift_days, scale_days=scale_days)
-
-    @property
-    def mean_days(self) -> float:
-        if self.kind == SHIFTED_EXPONENTIAL:
-            return self.shift_days + self.scale_days
-        return sum(w * (lo + hi) / 2.0 for w, (lo, hi) in zip(self.weights, self.segments_days))
-
-
-@dataclass(frozen=True)
 class PolicyMetrics:
     """Steady-state analytics of one strategy on one constellation.
 
@@ -285,31 +218,16 @@ def parking_demand_rate(cfg: ConstellationConfig, strategy: SpareStrategy) -> fl
     return cfg.n_plane * per_plane_batches / strategy.n_parking
 
 
-def parking_leadtime(lp: LaunchParams) -> LeadTimeDistribution:
-    """Ground-to-parking lead time: processing shift plus exponential wait."""
-    return LeadTimeDistribution.shifted_exponential(
-        shift_days=lp.pt_launch_days, scale_days=lp.mu_launch_days
-    )
+def leadtime_expected_shortage(s: int, rate_per_day: float, lp: LaunchParams) -> float:
+    """Expected backorders per cycle at a stock resupplied from the ground.
 
-
-def leadtime_expected_shortage(s: int, rate_per_day: float, dist: LeadTimeDistribution) -> float:
-    """Expected backorders per cycle with demand Poisson(rate * T) mixed over T.
-
-    Exact for both lead-time kinds. A uniform segment [lo, hi] of days is a
-    demand mean uniform on [rate*lo, rate*hi]; a shift c plus an exponential
-    wait of mean mu is Poisson(rate*c) demand plus a geometric count of mean
-    rate*mu.
+    The ground lead time is the processing time plus an exponential launch
+    wait, so demand over it is Poisson(rate * pt) plus an independent
+    geometric count of mean rate * mu, and the shortage is exact.
     """
-    if rate_per_day < 0:
-        raise ValueError("demand rate must be nonnegative")
-    if rate_per_day == 0.0:
-        return 0.0
-    if dist.kind == SHIFTED_EXPONENTIAL:
-        return expected_shortage_geometric(
-            s, rate_per_day * dist.shift_days, rate_per_day * dist.scale_days
-        )
-    segments = [(rate_per_day * lo, rate_per_day * hi) for lo, hi in dist.segments_days]
-    return expected_shortage_mixture(s, dist.weights, segments)
+    return expected_shortage_geometric(
+        s, rate_per_day * lp.pt_launch_days, rate_per_day * lp.mu_launch_days
+    )
 
 
 class UndefinedAvailabilityError(ValueError):
@@ -354,14 +272,15 @@ def plane_leadtime(
     cfg: ConstellationConfig,
     p_av: float,
     consts: EarthConstants = WGS84,
-) -> LeadTimeDistribution:
-    """Parking-to-plane lead-time law.
+) -> tuple[list[float], list[tuple[float, float]]]:
+    """Parking-to-plane lead-time law as (weights, segments_days).
 
     The i-th closest parking orbit sits between (i-1) and i ring spacings
     of nodal separation, uniformly for a randomly timed order, so each rank
-    contributes one uniform segment of drift-plus-flight times. The
-    transfer time is affine in the nodal gap (linear drift wait plus a fixed
-    flight), so two evaluations give every bound.
+    contributes one uniform segment (lo, hi) of drift-plus-flight days,
+    weighted by its supply probability. The transfer time is affine in the
+    nodal gap (linear drift wait plus a fixed flight), so two evaluations
+    give every bound.
     """
     parking = CircularOrbit(strategy.h_parking_km, cfg.inclination_deg)
     plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
@@ -369,10 +288,8 @@ def plane_leadtime(
     first = transfer_time(0.0, parking, plane, consts)
     step = transfer_time(spacing, parking, plane, consts) - first
     bounds = [first + i * step for i in range(strategy.n_parking + 1)]
-    segments = tuple(zip(bounds[:-1], bounds[1:]))
-    weights = tuple(supply_probabilities(p_av, strategy.n_parking))
-    neglected = (1.0 - p_av) ** strategy.n_parking
-    return LeadTimeDistribution.uniform_mixture(weights, segments, neglected_mass=neglected)
+    segments = list(zip(bounds[:-1], bounds[1:]))
+    return supply_probabilities(p_av, strategy.n_parking), segments
 
 
 def evaluate_strategy(
@@ -383,9 +300,9 @@ def evaluate_strategy(
 ) -> PolicyMetrics:
     """Full feed-forward evaluation of one strategy.
 
-    Order of computation: plane demand, parking demand, parking lead
-    time / shortage / availability, supplier-rank weights, plane lead
-    time / shortage, then fill rates and stocks for both echelons.
+    Order of computation: plane demand, parking demand, parking shortage /
+    availability, supplier-rank weights and plane lead-time segments,
+    plane shortage, then fill rates and stocks for both echelons.
 
     Raises:
         ValueError: If the parking orbit is not below the constellation.
@@ -400,16 +317,22 @@ def evaluate_strategy(
     lam_plane = plane_demand_rate(cfg)
     lam_parking = parking_demand_rate(cfg, strategy)
 
-    park_lt = parking_leadtime(lp)
-    es_parking = leadtime_expected_shortage(strategy.k_s_parking, lam_parking, park_lt)
+    es_parking = leadtime_expected_shortage(strategy.k_s_parking, lam_parking, lp)
     p_av = parking_availability(es_parking, strategy.k_q_parking)
     if p_av == 0.0:
         raise UndefinedAvailabilityError(
             "parking availability is zero: no supplier rank distribution"
         )
 
-    plane_lt = plane_leadtime(strategy, cfg, p_av, consts)
-    es_plane = leadtime_expected_shortage(strategy.s_plane, lam_plane, plane_lt)
+    weights, segments = plane_leadtime(strategy, cfg, p_av, consts)
+    # A uniform segment of days is a demand mean uniform on the rate-scaled
+    # segment; at a zero rate every segment collapses to a point.
+    es_plane = 0.0
+    if lam_plane > 0.0:
+        demand_segments = [(lam_plane * lo, lam_plane * hi) for lo, hi in segments]
+        es_plane = expected_shortage_mixture(strategy.s_plane, weights, demand_segments)
+    lt_plane = sum(w * (lo + hi) / 2.0 for w, (lo, hi) in zip(weights, segments))
+    lt_parking = lp.pt_launch_days + lp.mu_launch_days
 
     return PolicyMetrics(
         lambda_plane_per_day=lam_plane,
@@ -418,16 +341,16 @@ def evaluate_strategy(
         es_plane=es_plane,
         es_parking_batches=es_parking,
         rho_plane=fill_rate(es_plane, strategy.q_plane),
-        rho_parking=fill_rate(es_parking, strategy.k_q_parking),
+        rho_parking=p_av,
         mean_stock_plane=mean_stock(
-            SQPolicy(strategy.s_plane, strategy.q_plane), lam_plane * plane_lt.mean_days
+            SQPolicy(strategy.s_plane, strategy.q_plane), lam_plane * lt_plane
         ),
         mean_stock_parking_batches=mean_stock(
-            SQPolicy(strategy.k_s_parking, strategy.k_q_parking), lam_parking * park_lt.mean_days
+            SQPolicy(strategy.k_s_parking, strategy.k_q_parking), lam_parking * lt_parking
         ),
-        e_leadtime_plane_days=plane_lt.mean_days,
-        e_leadtime_parking_days=park_lt.mean_days,
-        neglected_supply_mass=plane_lt.neglected_mass,
+        e_leadtime_plane_days=lt_plane,
+        e_leadtime_parking_days=lt_parking,
+        neglected_supply_mass=(1.0 - p_av) ** strategy.n_parking,
     )
 
 
@@ -449,8 +372,8 @@ def evaluate_inplane_only(
             f"capacity {lp.cap_launch}"
         )
     lam_plane = plane_demand_rate(cfg)
-    lt = parking_leadtime(lp)
-    es = leadtime_expected_shortage(policy.reorder_point_s, lam_plane, lt)
+    lt = lp.pt_launch_days + lp.mu_launch_days
+    es = leadtime_expected_shortage(policy.reorder_point_s, lam_plane, lp)
     return PolicyMetrics(
         lambda_plane_per_day=lam_plane,
         lambda_parking_batches_per_day=0.0,
@@ -459,9 +382,9 @@ def evaluate_inplane_only(
         es_parking_batches=0.0,
         rho_plane=fill_rate(es, policy.order_quantity_q),
         rho_parking=1.0,
-        mean_stock_plane=mean_stock(policy, lam_plane * lt.mean_days),
+        mean_stock_plane=mean_stock(policy, lam_plane * lt),
         mean_stock_parking_batches=0.0,
-        e_leadtime_plane_days=lt.mean_days,
+        e_leadtime_plane_days=lt,
         e_leadtime_parking_days=0.0,
         neglected_supply_mass=0.0,
     )

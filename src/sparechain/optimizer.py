@@ -241,18 +241,13 @@ def _sort_key(genome: list, fit: FitnessResult) -> tuple:
     return (fit.penalized, tuple(genome))
 
 
-def optimize(
-    prob: OptimizationProblem,
-    seed: int,
-    seed_candidates: Sequence[SpareStrategy] = (),
-) -> OptimizationResult:
+def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
     """Genetic search over the full strategy space.
 
     Runs the configured number of independent restarts (restart r draws
     its stream from SeedSequence(seed, spawn_key=(r,))) and returns the
     best feasible candidate found, with exact ties broken toward the
-    lexicographically smallest variable vector. ``seed_candidates`` are
-    injected into every restart's initial population.
+    lexicographically smallest variable vector.
 
     Returns:
         OptimizationResult; ``feasible`` is False when no candidate ever
@@ -270,7 +265,6 @@ def optimize(
             cache[key] = hit
         return hit
 
-    injected = [list(s.as_vector()) for s in seed_candidates]
     trace: list[tuple[int, int, float, float]] = []
     best_genome: list | None = None
     best_fit: FitnessResult | None = None
@@ -278,8 +272,6 @@ def optimize(
     for restart in range(ga.restarts):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(restart,))))
         population = [_random_genome(rng, bounds) for _ in range(ga.population)]
-        for slot, genome in enumerate(injected[: ga.population]):
-            population[slot] = list(genome)
 
         for generation in range(ga.generations):
             fits = [evaluate(g) for g in population]

@@ -68,8 +68,8 @@ class SimConfig:
     consts: EarthConstants = WGS84
 
     def __post_init__(self) -> None:
-        if self.horizon_years <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon_years < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon_years}")
         if not 0.0 <= self.warmup_years < self.horizon_years:
             raise ValueError("warm-up must be nonnegative and shorter than the horizon")
         if self.replications < 1:

@@ -47,13 +47,16 @@ OUTPUT_NAMES = (
 )
 
 
+# Trade-space dimensions that take whole values only; their samples are rounded.
+INTEGER_DIMENSIONS = ("n_plane", "n_parking", "n_sats", "q_plane", "k_q_parking")
+
+
 @dataclass(frozen=True)
 class ParameterRange:
-    """Closed sampling interval, optionally restricted to integers."""
+    """Closed sampling interval."""
 
     lo: float
     hi: float
-    integer: bool = False
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
@@ -70,11 +73,20 @@ class TradeSpace:
     inclination_deg: ParameterRange = ParameterRange(30.0, 70.0)
     lambda_sat_per_year: ParameterRange = ParameterRange(0.001, 0.1)
     mu_launch_days: ParameterRange = ParameterRange(30.0, 90.0)
-    n_plane: ParameterRange = ParameterRange(20, 40, integer=True)
-    n_parking: ParameterRange = ParameterRange(1, 20, integer=True)
-    n_sats: ParameterRange = ParameterRange(20, 60, integer=True)
-    q_plane: ParameterRange = ParameterRange(1, 10, integer=True)
-    k_q_parking: ParameterRange = ParameterRange(1, 10, integer=True)
+    n_plane: ParameterRange = ParameterRange(20, 40)
+    n_parking: ParameterRange = ParameterRange(1, 20)
+    n_sats: ParameterRange = ParameterRange(20, 60)
+    q_plane: ParameterRange = ParameterRange(1, 10)
+    k_q_parking: ParameterRange = ParameterRange(1, 10)
+
+    def __post_init__(self) -> None:
+        for name in INTEGER_DIMENSIONS:
+            bounds = getattr(self, name)
+            if not (float(bounds.lo).is_integer() and float(bounds.hi).is_integer()):
+                raise ValueError(
+                    f"{name} is an integer dimension and needs whole-number "
+                    f"bounds, got [{bounds.lo}, {bounds.hi}]"
+                )
 
     def items(self) -> list[tuple[str, ParameterRange]]:
         return [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
@@ -84,9 +96,9 @@ def lhs_sample(space: TradeSpace, n: int, seed: int) -> list[dict[str, float | i
     """Latin hypercube sample of ``n`` cases over the trade space.
 
     One draw per stratum per dimension, paired by random permutations.
-    Integer dimensions are rounded to the nearest in-bounds integer, which
-    can collide; colliding sample sets are redrawn up to 10 times and then
-    accepted as-is.
+    The dimensions in INTEGER_DIMENSIONS are rounded to the nearest
+    in-bounds integer, which can collide; colliding sample sets are redrawn
+    up to 10 times and then accepted as-is.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -99,7 +111,7 @@ def lhs_sample(space: TradeSpace, n: int, seed: int) -> list[dict[str, float | i
             u = rng.random(n)
             for i in range(n):
                 x = rng_spec.lo + (rng_spec.hi - rng_spec.lo) * (perm[i] + u[i]) / n
-                if rng_spec.integer:
+                if name in INTEGER_DIMENSIONS:
                     xi = int(round(x))
                     xi = min(max(xi, int(rng_spec.lo)), int(rng_spec.hi))
                     cases[i][name] = xi

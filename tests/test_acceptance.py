@@ -22,13 +22,12 @@ from sparechain.chain import (
     SpareStrategy,
     evaluate_strategy,
     leadtime_expected_shortage,
-    parking_leadtime,
     plane_leadtime,
     supply_probabilities,
 )
 from sparechain.config import bundled_launch_dates_path
 from sparechain.costs import CostParams
-from sparechain.inventory import expected_shortage
+from sparechain.inventory import expected_shortage, expected_shortage_mixture
 from sparechain.optimizer import (
     GAParams,
     OptimizationProblem,
@@ -250,18 +249,16 @@ def test_criterion_5_model_identity_oracles(capsys):
         n_parking=3, h_parking_km=792.3, q_plane=4, s_plane=3, k_q_parking=8, k_s_parking=8
     )
     metrics = evaluate_strategy(CASE_CFG, strategy, CASE_LAUNCH)
-    plane_law = plane_leadtime(strategy, CASE_CFG, metrics.p_av)
-    seg = np.asarray(plane_law.segments_days)
-    choice = rng.choice(len(plane_law.weights), size=n_mc, p=np.asarray(plane_law.weights))
+    weights, segments = plane_leadtime(strategy, CASE_CFG, metrics.p_av)
+    seg = np.asarray(segments)
+    choice = rng.choice(len(weights), size=n_mc, p=np.asarray(weights))
     taus = rng.uniform(seg[choice, 0], seg[choice, 1])
-    mc_plane = float(
-        np.mean(poisson_shortage(strategy.s_plane, metrics.lambda_plane_per_day * taus))
+    lam_plane = metrics.lambda_plane_per_day
+    mc_plane = float(np.mean(poisson_shortage(strategy.s_plane, lam_plane * taus)))
+    exact_plane = expected_shortage_mixture(
+        strategy.s_plane, weights, [(lam_plane * lo, lam_plane * hi) for lo, hi in segments]
     )
-    exact_plane = leadtime_expected_shortage(
-        strategy.s_plane, metrics.lambda_plane_per_day, plane_law
-    )
-    park_law = parking_leadtime(CASE_LAUNCH)
-    taus = park_law.shift_days + rng.exponential(park_law.scale_days, size=n_mc)
+    taus = CASE_LAUNCH.pt_launch_days + rng.exponential(CASE_LAUNCH.mu_launch_days, size=n_mc)
     mc_park = float(
         np.mean(
             poisson_shortage(
@@ -270,7 +267,7 @@ def test_criterion_5_model_identity_oracles(capsys):
         )
     )
     exact_park = leadtime_expected_shortage(
-        strategy.k_s_parking, metrics.lambda_parking_batches_per_day, park_law
+        strategy.k_s_parking, metrics.lambda_parking_batches_per_day, CASE_LAUNCH
     )
     mc_plane_err = abs(exact_plane - mc_plane) / mc_plane
     mc_park_err = abs(exact_park - mc_park) / mc_park

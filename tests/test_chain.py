@@ -8,7 +8,6 @@ from scipy import integrate
 from sparechain.chain import (
     ConstellationConfig,
     LaunchParams,
-    LeadTimeDistribution,
     SpareStrategy,
     UndefinedAvailabilityError,
     evaluate_inplane_only,
@@ -16,12 +15,11 @@ from sparechain.chain import (
     leadtime_expected_shortage,
     parking_availability,
     parking_demand_rate,
-    parking_leadtime,
     plane_demand_rate,
     plane_leadtime,
     supply_probabilities,
 )
-from sparechain.inventory import SQPolicy, expected_shortage
+from sparechain.inventory import SQPolicy, expected_shortage, expected_shortage_mixture
 from sparechain.orbits import CircularOrbit, transfer_time
 
 from oracles import poisson_shortage, supply_probabilities_raw
@@ -57,6 +55,14 @@ REF_INPLANE = {
     "rho_plane": 0.9996410333616953,
     "mean_stock_plane": 13.641369863013699,
 }
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan, -0.01])
+def test_failure_rate_must_be_finite_and_nonnegative(rate):
+    with pytest.raises(ValueError, match="failure rate must be finite and nonnegative"):
+        ConstellationConfig(
+            h_plane_km=1200.0, inclination_deg=50.0, n_plane=40, n_sats=40, lambda_sat_per_year=rate
+        )
 
 
 def test_demand_rates():
@@ -107,30 +113,26 @@ def test_zero_failure_rate_is_perfect_service():
     assert metrics.mean_stock_parking_batches == pytest.approx(8 / 2 + 8 + 0.5, rel=0)
 
 
-def test_parking_leadtime_mean():
-    dist = parking_leadtime(LAUNCH)
-    assert dist.mean_days == pytest.approx(90.0 + 66.7, rel=0)
-
-
 def test_leadtime_shortage_against_monte_carlo():
     # Rao-Blackwellized: sample the lead time, average the conditional
     # Poisson shortage; 1e6 draws pins the integral to well under 1%.
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(20260815)))
     n = 1_000_000
 
-    dist = parking_leadtime(LAUNCH)
     tau = 90.0 + rng.exponential(66.7, size=n)
     mc = poisson_shortage(8, 0.0182648401826484 * tau).mean()
-    exact = leadtime_expected_shortage(8, 0.0182648401826484, dist)
+    exact = leadtime_expected_shortage(8, 0.0182648401826484, LAUNCH)
     assert exact == pytest.approx(mc, rel=0.01)
 
-    mix = plane_leadtime(STRATEGY, CFG, 0.9951431731426084)
-    segments = np.array(mix.segments_days)
-    ranks = rng.choice(len(mix.weights), size=n, p=np.array(mix.weights))
+    rate = 0.005479452054794521
+    weights, segments_days = plane_leadtime(STRATEGY, CFG, 0.9951431731426084)
+    segments = np.array(segments_days)
+    ranks = rng.choice(len(weights), size=n, p=np.array(weights))
     u = rng.random(n)
     tau = segments[ranks, 0] + u * (segments[ranks, 1] - segments[ranks, 0])
-    mc = poisson_shortage(3, 0.005479452054794521 * tau).mean()
-    exact = leadtime_expected_shortage(3, 0.005479452054794521, mix)
+    mc = poisson_shortage(3, rate * tau).mean()
+    demand_segments = [(rate * lo, rate * hi) for lo, hi in segments_days]
+    exact = expected_shortage_mixture(3, weights, demand_segments)
     assert exact == pytest.approx(mc, rel=0.01)
 
 
@@ -162,7 +164,6 @@ def _assert_matches_quadrature(got: float, ref: float) -> None:
 def test_uniform_segment_shortage_against_adaptive_quadrature(s):
     for lo, hi in UNIFORM_DEMAND_SEGMENTS:
         lo_days, hi_days = lo / RATE, hi / RATE
-        dist = LeadTimeDistribution.uniform_mixture((1.0,), ((lo_days, hi_days),))
         integral, _ = integrate.quad(
             lambda t: expected_shortage(s, RATE * t),
             lo_days,
@@ -172,14 +173,15 @@ def test_uniform_segment_shortage_against_adaptive_quadrature(s):
             limit=200,
         )
         ref = integral / (hi_days - lo_days)
-        _assert_matches_quadrature(leadtime_expected_shortage(s, RATE, dist), ref)
+        got = expected_shortage_mixture(s, (1.0,), [(RATE * lo_days, RATE * hi_days)])
+        _assert_matches_quadrature(got, ref)
 
 
 @pytest.mark.parametrize("s", range(21))
 def test_shifted_exponential_shortage_against_adaptive_quadrature(s):
     for shift, scale in itertools.product(SHIFT_DEMANDS, EXPONENTIAL_DEMANDS):
         shift_days, scale_days = shift / RATE, scale / RATE
-        dist = LeadTimeDistribution.shifted_exponential(shift_days, scale_days)
+        launch = LaunchParams(mu_launch_days=scale_days, pt_launch_days=shift_days, cap_launch=1)
         ref, _ = integrate.quad(
             lambda x: expected_shortage(s, RATE * (shift_days + scale_days * x)) * math.exp(-x),
             0.0,
@@ -188,24 +190,20 @@ def test_shifted_exponential_shortage_against_adaptive_quadrature(s):
             epsrel=1e-12,
             limit=200,
         )
-        _assert_matches_quadrature(leadtime_expected_shortage(s, RATE, dist), ref)
+        _assert_matches_quadrature(leadtime_expected_shortage(s, RATE, launch), ref)
 
 
 def test_mixture_shortage_is_weighted_sum_of_segments():
     weights = (0.5, 0.3, 0.2)
-    segments = ((10.0, 40.0), (40.0, 70.0), (70.0, 100.0))
-    mix = LeadTimeDistribution.uniform_mixture(weights, segments)
-    parts = [
-        leadtime_expected_shortage(2, 0.05, LeadTimeDistribution.uniform_mixture((1.0,), (seg,)))
-        for seg in segments
-    ]
-    assert leadtime_expected_shortage(2, 0.05, mix) == pytest.approx(
+    segments = [(0.05 * lo, 0.05 * hi) for lo, hi in ((10.0, 40.0), (40.0, 70.0), (70.0, 100.0))]
+    parts = [expected_shortage_mixture(2, (1.0,), [seg]) for seg in segments]
+    assert expected_shortage_mixture(2, weights, segments) == pytest.approx(
         sum(w * p for w, p in zip(weights, parts)), rel=1e-14
     )
 
 
 def test_leadtime_shortage_zero_rate():
-    assert leadtime_expected_shortage(3, 0.0, parking_leadtime(LAUNCH)) == 0.0
+    assert leadtime_expected_shortage(3, 0.0, LAUNCH) == 0.0
 
 
 def test_parking_availability_bounds():
@@ -267,13 +265,13 @@ def test_supply_probabilities_rejects_zero():
 
 
 def test_plane_leadtime_segments_cover_full_ring():
-    mix = plane_leadtime(STRATEGY, CFG, 0.9951431731426084)
-    assert len(mix.segments_days) == 3
+    weights, segments = plane_leadtime(STRATEGY, CFG, 0.9951431731426084)
+    assert len(weights) == len(segments) == 3
     # contiguous segments from flight-only up to a full sweep plus flight
-    for (a_lo, a_hi), (b_lo, b_hi) in zip(mix.segments_days, mix.segments_days[1:]):
+    for (a_lo, a_hi), (b_lo, b_hi) in zip(segments, segments[1:]):
         assert a_hi == pytest.approx(b_lo, rel=0)
     rel_rate = 0.013057110323877463
-    assert mix.segments_days[-1][1] - mix.segments_days[0][0] == pytest.approx(
+    assert segments[-1][1] - segments[0][0] == pytest.approx(
         2 * math.pi / rel_rate, rel=1e-9
     )
 
@@ -297,8 +295,8 @@ def test_plane_leadtime_bounds_match_transfer_time(n_parking, h_parking_km, incl
         k_q_parking=8,
         k_s_parking=8,
     )
-    mix = plane_leadtime(strategy, cfg, 0.9)
-    bounds = [lo for lo, _ in mix.segments_days] + [mix.segments_days[-1][1]]
+    _, segments = plane_leadtime(strategy, cfg, 0.9)
+    bounds = [lo for lo, _ in segments] + [segments[-1][1]]
     parking = CircularOrbit(h_parking_km, inclination_deg)
     plane = CircularOrbit(1200.0, inclination_deg)
     spacing = 2.0 * math.pi / n_parking
@@ -334,13 +332,3 @@ def test_evaluate_rejects_parking_above_plane():
     with pytest.raises(ValueError):
         evaluate_strategy(low, high_parking, LAUNCH)
 
-
-def test_leadtime_distribution_validation():
-    with pytest.raises(ValueError):
-        LeadTimeDistribution.uniform_mixture((0.5, 0.4), ((0.0, 1.0), (1.0, 2.0)))
-    with pytest.raises(ValueError):
-        LeadTimeDistribution.uniform_mixture((0.5, 0.5), ((1.0, 0.5), (1.0, 2.0)))
-    with pytest.raises(ValueError):
-        LeadTimeDistribution.uniform_mixture((0.5, 0.5), ((0.0, 2.0), (1.0, 3.0)))
-    dist = LeadTimeDistribution.uniform_mixture((0.25, 0.75), ((0.0, 2.0), (2.0, 4.0)))
-    assert dist.mean_days == pytest.approx(0.25 * 1.0 + 0.75 * 3.0, rel=0)

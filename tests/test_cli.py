@@ -17,6 +17,7 @@ from sparechain.config import (
     bundled_case_study_path,
     load_run_config,
 )
+from sparechain.validation import lhs_sample
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +173,26 @@ def test_integer_bounds_pair_loads_as_ints(tmp_path, base_config):
     rc = _load_with(tmp_path, base_config, "optimization", {"bounds": {"n_parking": [1, 3]}})
     assert rc.optimization.bounds.n_parking == (1, 3)
     assert all(type(v) is int for v in rc.optimization.bounds.n_parking)
+
+
+def test_narrowed_integer_dimension_loads_and_samples_ints(tmp_path, base_config):
+    space = {"n_plane": {"lo": 25, "hi": 30}}
+    rc = _load_with(tmp_path, base_config, "validation", {"space": space})
+    cases = lhs_sample(rc.validation.space, 16, seed=0)
+    assert {type(case["n_plane"]) for case in cases} == {int}
+    assert {case["n_plane"] for case in cases} <= set(range(25, 31))
+
+
+@pytest.mark.parametrize(
+    ("n_plane", "message"),
+    [
+        ({"lo": 20.5, "hi": 40}, "validation.space: n_plane is an integer dimension"),
+        ({"lo": 20, "hi": 40, "integer": True}, "validation.space.n_plane.integer: unknown key"),
+    ],
+)
+def test_integer_trade_space_dimensions_are_fixed(tmp_path, base_config, n_plane, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _load_with(tmp_path, base_config, "validation", {"space": {"n_plane": n_plane}})
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -178,18 +178,6 @@ def test_ga_trajectory_is_pinned_on_bundled_case_study():
     assert result.best_cost == pytest.approx(308.99838307882777, rel=1e-9)
 
 
-def test_seed_candidates_are_injected():
-    tiny = dataclasses.replace(
-        CASE_PROBLEM, ga=GAParams(population=4, generations=1, restarts=1)
-    )
-    without = optimize(tiny, seed=123)
-    assert not without.feasible  # 4 random draws miss the feasible region
-    with_seed = optimize(tiny, seed=123, seed_candidates=[CASE_STRATEGY])
-    assert with_seed.feasible
-    assert with_seed.best_strategy == CASE_STRATEGY
-    assert with_seed.best_cost == pytest.approx(CASE_TESSAC, rel=1e-12)
-
-
 def test_optimize_reports_infeasible_space():
     # a one-satellite launch cap leaves no evaluable strategy feasible
     prob = dataclasses.replace(

@@ -450,6 +450,13 @@ def test_warmup_window_counters():
     assert rep.transfers_window <= rep.transfers
 
 
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_non_finite_horizon_is_rejected(horizon):
+    # Construction only: a replication over an infinite horizon never ends.
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        _toy_config(horizon_years=horizon)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _toy_config(horizon_years=0.0)

@@ -14,15 +14,15 @@ from sparechain.chain import (
     leadtime_expected_shortage,
     parking_availability,
     parking_demand_rate,
-    parking_leadtime,
     plane_demand_rate,
     plane_leadtime,
 )
 from sparechain.config import bundled_launch_dates_path
 from sparechain.costs import CostParams, evaluate_design
-from sparechain.inventory import fill_rate
+from sparechain.inventory import expected_shortage_mixture, fill_rate
 from sparechain.orbits import WGS84
 from sparechain.validation import (
+    INTEGER_DIMENSIONS,
     OUTPUT_NAMES,
     ParameterRange,
     SizingInfeasibleError,
@@ -53,7 +53,7 @@ def test_lhs_continuous_dimensions_hit_every_stratum():
     space = TradeSpace()
     cases = lhs_sample(space, n, seed=0)
     for name, rng in space.items():
-        if rng.integer:
+        if name in INTEGER_DIMENSIONS:
             continue
         strata = sorted(
             int((case[name] - rng.lo) / (rng.hi - rng.lo) * n) for case in cases
@@ -64,12 +64,19 @@ def test_lhs_continuous_dimensions_hit_every_stratum():
 def test_lhs_integer_dimensions_stay_in_bounds():
     space = TradeSpace()
     cases = lhs_sample(space, 25, seed=0)
-    for name, rng in space.items():
-        if not rng.integer:
-            continue
+    for name in INTEGER_DIMENSIONS:
+        rng = getattr(space, name)
         for case in cases:
             assert isinstance(case[name], int)
             assert rng.lo <= case[name] <= rng.hi
+
+
+@pytest.mark.parametrize("name", INTEGER_DIMENSIONS)
+def test_integer_dimension_rejects_fractional_bounds(name):
+    with pytest.raises(ValueError, match=f"{name} is an integer dimension"):
+        dataclasses.replace(TradeSpace(), **{name: ParameterRange(1.5, 3.0)})
+    with pytest.raises(ValueError, match=f"{name} is an integer dimension"):
+        dataclasses.replace(TradeSpace(), **{name: ParameterRange(1.0, 3.5)})
 
 
 def test_lhs_sample_is_seeded_and_distinct():
@@ -108,21 +115,21 @@ def test_sizing_returns_minimal_reorder_points():
     assert (s_plane, k_s) == (3, 6)
 
     lam_parking = parking_demand_rate(CASE_CFG, CASE_TEMPLATE)
-    park_lt = parking_leadtime(CASE_LAUNCH)
     rho_at = lambda k: fill_rate(
-        leadtime_expected_shortage(k, lam_parking, park_lt), CASE_TEMPLATE.k_q_parking
+        leadtime_expected_shortage(k, lam_parking, CASE_LAUNCH), CASE_TEMPLATE.k_q_parking
     )
     assert rho_at(k_s) ** CASE_TEMPLATE.n_parking >= 0.95
     assert rho_at(k_s - 1) ** CASE_TEMPLATE.n_parking < 0.95
 
     p_av = parking_availability(
-        leadtime_expected_shortage(k_s, lam_parking, park_lt), CASE_TEMPLATE.k_q_parking
+        leadtime_expected_shortage(k_s, lam_parking, CASE_LAUNCH), CASE_TEMPLATE.k_q_parking
     )
     sized = dataclasses.replace(CASE_TEMPLATE, k_s_parking=k_s)
-    plane_lt = plane_leadtime(sized, CASE_CFG, p_av)
+    weights, segments = plane_leadtime(sized, CASE_CFG, p_av)
     lam_plane = plane_demand_rate(CASE_CFG)
+    demand_segments = [(lam_plane * lo, lam_plane * hi) for lo, hi in segments]
     rho_plane_at = lambda s: fill_rate(
-        leadtime_expected_shortage(s, lam_plane, plane_lt), CASE_TEMPLATE.q_plane
+        expected_shortage_mixture(s, weights, demand_segments), CASE_TEMPLATE.q_plane
     )
     assert rho_plane_at(s_plane) ** CASE_CFG.n_plane >= 0.95
     assert rho_plane_at(s_plane - 1) ** CASE_CFG.n_plane < 0.95
