@@ -32,6 +32,9 @@ from .inventory import (
 )
 from .orbits import WGS84, CircularOrbit, EarthConstants, transfer_time
 
+# Days used to annualize rates.
+DAYS_PER_YEAR = 365.0
+
 
 @dataclass(frozen=True)
 class ConstellationConfig:
@@ -43,7 +46,6 @@ class ConstellationConfig:
         n_plane: Number of orbital planes.
         n_sats: Operational satellites per plane.
         lambda_sat_per_year: Failure rate of one satellite, per year.
-        n_days_per_year: Days used to annualize rates.
     """
 
     h_plane_km: float
@@ -51,7 +53,6 @@ class ConstellationConfig:
     n_plane: int
     n_sats: int
     lambda_sat_per_year: float
-    n_days_per_year: float = 365.0
 
     def __post_init__(self) -> None:
         if self.n_plane < 1:
@@ -63,19 +64,21 @@ class ConstellationConfig:
                 "satellite failure rate must be finite and nonnegative, "
                 f"got {self.lambda_sat_per_year}"
             )
-        if self.n_days_per_year <= 0:
-            raise ValueError("days per year must be positive")
         # Delegate altitude and inclination checks.
         CircularOrbit(self.h_plane_km, self.inclination_deg)
 
 
-# Search-space bounds for a spare strategy; enforced at construction.
-N_PARKING_BOUNDS = (1, 20)
-H_PARKING_BOUNDS_KM = (700.0, 1000.0)
-Q_PLANE_BOUNDS = (1, 10)
-S_PLANE_BOUNDS = (1, 10)
-K_Q_BOUNDS = (1, 10)
-K_S_BOUNDS = (1, 10)
+# Search space of a spare strategy: (lo, hi) per SpareStrategy field, in
+# field order, enforced at construction. Float bounds mark the one
+# real-valued variable.
+STRATEGY_BOUNDS = {
+    "n_parking": (1, 20),
+    "h_parking_km": (700.0, 1000.0),
+    "q_plane": (1, 10),
+    "s_plane": (1, 10),
+    "k_q_parking": (1, 10),
+    "k_s_parking": (1, 10),
+}
 
 
 @dataclass(frozen=True)
@@ -102,15 +105,8 @@ class SpareStrategy:
     k_s_parking: int
 
     def __post_init__(self) -> None:
-        checks = (
-            ("n_parking", self.n_parking, N_PARKING_BOUNDS),
-            ("h_parking_km", self.h_parking_km, H_PARKING_BOUNDS_KM),
-            ("q_plane", self.q_plane, Q_PLANE_BOUNDS),
-            ("s_plane", self.s_plane, S_PLANE_BOUNDS),
-            ("k_q_parking", self.k_q_parking, K_Q_BOUNDS),
-            ("k_s_parking", self.k_s_parking, K_S_BOUNDS),
-        )
-        for name, value, (lo, hi) in checks:
+        for name, (lo, hi) in STRATEGY_BOUNDS.items():
+            value = getattr(self, name)
             if not lo <= value <= hi:
                 raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
 
@@ -123,16 +119,6 @@ class SpareStrategy:
     def s_parking(self) -> int:
         """Parking reorder point in satellites."""
         return self.k_s_parking * self.q_plane
-
-    def as_vector(self) -> tuple[int, float, int, int, int, int]:
-        return (
-            self.n_parking,
-            self.h_parking_km,
-            self.q_plane,
-            self.s_plane,
-            self.k_q_parking,
-            self.k_s_parking,
-        )
 
 
 @dataclass(frozen=True)
@@ -198,7 +184,7 @@ class PolicyMetrics:
 
 def plane_demand_rate(cfg: ConstellationConfig) -> float:
     """Spare demand of one plane, satellites/day: n_sats * lambda_sat / days."""
-    return cfg.n_sats * cfg.lambda_sat_per_year / cfg.n_days_per_year
+    return cfg.n_sats * cfg.lambda_sat_per_year / DAYS_PER_YEAR
 
 
 def parking_demand_rate(cfg: ConstellationConfig, strategy: SpareStrategy) -> float:

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import evaluate_inplane_only
+from .chain import STRATEGY_BOUNDS, evaluate_inplane_only
 from .config import (
     ConfigError,
     RunConfig,
@@ -96,7 +96,7 @@ def _emit(fmt: str, header: list[str], rows: list[list]) -> None:
 
 
 def _strategy_fields(strategy) -> tuple[list[str], list]:
-    names = ["n_parking", "h_parking_km", "q_plane", "s_plane", "k_q_parking", "k_s_parking"]
+    names = list(STRATEGY_BOUNDS)
     return names, [getattr(strategy, n) for n in names]
 
 
@@ -306,7 +306,7 @@ def cmd_optimize(rc: RunConfig, args, out: Path, master: int) -> int:
         return 2
     names, values = _strategy_fields(res.best_strategy)
     header = names + ["q_parking", "tessac", "fill_rate_product"]
-    rows = [values + [res.q_parking, res.best_cost, res.fill_rate_product]]
+    rows = [values + [res.best_strategy.q_parking, res.best_cost, res.fill_rate_product]]
     _write_csv(out / "optimize_result.csv", header, rows)
     trace_rows = [[r, g, best, mean] for (r, g, best, mean) in res.trace]
     _write_csv(
@@ -334,12 +334,7 @@ def cmd_sensitivity(rc: RunConfig, args, out: Path, master: int) -> int:
         "tessac_multi",
         "tessac_inplane",
         "savings_pct",
-        "n_parking",
-        "h_parking_km",
-        "q_plane",
-        "s_plane",
-        "k_q_parking",
-        "k_s_parking",
+        *STRATEGY_BOUNDS,
         "q_inplane",
         "s_inplane",
         "error",
@@ -347,9 +342,9 @@ def cmd_sensitivity(rc: RunConfig, args, out: Path, master: int) -> int:
     rows = []
     for p in points:
         if p.error is not None:
-            rows.append([p.lambda_sat_per_year] + [None] * 11 + [p.error])
+            rows.append([p.lambda_sat_per_year] + [None] * (len(header) - 2) + [p.error])
             continue
-        names, values = _strategy_fields(p.best_strategy)
+        _, values = _strategy_fields(p.best_strategy)
         rows.append(
             [p.lambda_sat_per_year, p.tessac_multi, p.tessac_inplane, p.savings_pct]
             + values

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import (
+    DAYS_PER_YEAR,
     ConstellationConfig,
     LaunchParams,
     PolicyMetrics,
@@ -107,7 +108,7 @@ def tessac(
     Returns:
         CostBreakdown with the four annual parts.
     """
-    days = cfg.n_days_per_year
+    days = DAYS_PER_YEAR
     replacements_per_year = metrics.lambda_plane_per_day * cfg.n_plane * days
     manufacturing = cp.p_sat_musd * replacements_per_year
 
@@ -179,7 +180,7 @@ def tessac_inplane_only(
     q = policy.order_quantity_q
     if q > lp.cap_launch:
         raise ValueError(f"batch of {q} exceeds launch capacity {lp.cap_launch}")
-    days = cfg.n_days_per_year
+    days = DAYS_PER_YEAR
     replacements_per_year = metrics.lambda_plane_per_day * cfg.n_plane * days
     manufacturing = cp.p_sat_musd * replacements_per_year
     holding = cp.p_holding_musd_per_sat_year * metrics.mean_stock_plane * cfg.n_plane

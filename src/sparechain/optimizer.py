@@ -18,12 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import (
-    H_PARKING_BOUNDS_KM,
-    K_Q_BOUNDS,
-    K_S_BOUNDS,
-    N_PARKING_BOUNDS,
-    Q_PLANE_BOUNDS,
-    S_PLANE_BOUNDS,
+    STRATEGY_BOUNDS,
     ConstellationConfig,
     LaunchParams,
     SatelliteParams,
@@ -39,28 +34,30 @@ ERROR_PENALTY = 1e9
 # Largest in-plane reorder point the exhaustive baseline tries.
 INPLANE_S_MAX = 20
 
+# Fixed genetic operators: elite genomes copied unchanged into each next
+# generation, candidates per parent tournament, probability that a pair of
+# parents is recombined, per-gene mutation probability, and the standard
+# deviation of an altitude mutation.
+ELITISM = 2
+TOURNAMENT_SIZE = 3
+CROSSOVER_RATE = 0.8
+MUTATION_RATE = 0.1
+MUTATION_SIGMA_KM = 30.0
+
 
 @dataclass(frozen=True)
 class VariableBounds:
     """Search bounds per design variable; must fit the strategy type bounds."""
 
-    n_parking: tuple[int, int] = N_PARKING_BOUNDS
-    h_parking_km: tuple[float, float] = H_PARKING_BOUNDS_KM
-    q_plane: tuple[int, int] = Q_PLANE_BOUNDS
-    s_plane: tuple[int, int] = S_PLANE_BOUNDS
-    k_q_parking: tuple[int, int] = K_Q_BOUNDS
-    k_s_parking: tuple[int, int] = K_S_BOUNDS
+    n_parking: tuple[int, int] = STRATEGY_BOUNDS["n_parking"]
+    h_parking_km: tuple[float, float] = STRATEGY_BOUNDS["h_parking_km"]
+    q_plane: tuple[int, int] = STRATEGY_BOUNDS["q_plane"]
+    s_plane: tuple[int, int] = STRATEGY_BOUNDS["s_plane"]
+    k_q_parking: tuple[int, int] = STRATEGY_BOUNDS["k_q_parking"]
+    k_s_parking: tuple[int, int] = STRATEGY_BOUNDS["k_s_parking"]
 
     def __post_init__(self) -> None:
-        outer = {
-            "n_parking": N_PARKING_BOUNDS,
-            "h_parking_km": H_PARKING_BOUNDS_KM,
-            "q_plane": Q_PLANE_BOUNDS,
-            "s_plane": S_PLANE_BOUNDS,
-            "k_q_parking": K_Q_BOUNDS,
-            "k_s_parking": K_S_BOUNDS,
-        }
-        for name, (outer_lo, outer_hi) in outer.items():
+        for name, (outer_lo, outer_hi) in STRATEGY_BOUNDS.items():
             lo, hi = getattr(self, name)
             if lo > hi or lo < outer_lo or hi > outer_hi:
                 raise ValueError(
@@ -71,27 +68,15 @@ class VariableBounds:
 
 @dataclass(frozen=True)
 class GAParams:
-    """Genetic-algorithm hyperparameters."""
+    """Genetic-algorithm run size; the operators are the module constants."""
 
     population: int = 60
     generations: int = 150
-    elitism: int = 2
-    tournament_size: int = 3
-    crossover_rate: float = 0.8
-    mutation_rate: float = 0.1
-    mutation_sigma_km: float = 30.0
     restarts: int = 5
 
     def __post_init__(self) -> None:
-        if self.population < 2 or self.generations < 1 or self.restarts < 1:
-            raise ValueError("population >= 2, generations >= 1, restarts >= 1 required")
-        if not 0 <= self.elitism < self.population:
-            raise ValueError("elitism must be smaller than the population")
-        if self.tournament_size < 1:
-            raise ValueError("tournament size must be >= 1")
-        for name in ("crossover_rate", "mutation_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+        if self.population <= ELITISM or self.generations < 1 or self.restarts < 1:
+            raise ValueError(f"population > {ELITISM}, generations >= 1, restarts >= 1 required")
 
 
 @dataclass(frozen=True)
@@ -175,61 +160,41 @@ class OptimizationResult:
     best_cost: float | None
     breakdown: CostBreakdown | None
     fill_rate_product: float | None
-    q_parking: int | None
     trace: tuple[tuple[int, int, float, float], ...]  # restart, generation, best, mean
     seed: int
 
 
-# Genomes are plain lists [n_parking, h_parking, q, s, k_q, k_s]; only
-# h_parking is real-valued.
-_H_GENE = 1
-
-
-def _genome_bounds(b: VariableBounds) -> list[tuple[float, float]]:
-    return [
-        b.n_parking,
-        b.h_parking_km,
-        b.q_plane,
-        b.s_plane,
-        b.k_q_parking,
-        b.k_s_parking,
-    ]
-
-
-def _to_strategy(genome: list) -> SpareStrategy:
-    return SpareStrategy(
-        n_parking=int(genome[0]),
-        h_parking_km=float(genome[1]),
-        q_plane=int(genome[2]),
-        s_plane=int(genome[3]),
-        k_q_parking=int(genome[4]),
-        k_s_parking=int(genome[5]),
-    )
+# Genomes are plain lists of SpareStrategy's fields in field order, so
+# SpareStrategy(*genome) is the candidate. Genes with float bounds in
+# STRATEGY_BOUNDS are real-valued; the others are integers.
+_FLOAT_GENES = frozenset(
+    g for g, (lo, _) in enumerate(STRATEGY_BOUNDS.values()) if isinstance(lo, float)
+)
 
 
 def _random_genome(rng, bounds: list[tuple[float, float]]) -> list:
     genome = []
     for g, (lo, hi) in enumerate(bounds):
-        if g == _H_GENE:
+        if g in _FLOAT_GENES:
             genome.append(float(rng.uniform(lo, hi)))
         else:
             genome.append(int(rng.integers(int(lo), int(hi) + 1)))
     return genome
 
 
-def _mutate(genome: list, rng, bounds: list[tuple[float, float]], ga: GAParams) -> None:
+def _mutate(genome: list, rng, bounds: list[tuple[float, float]]) -> None:
     for g, (lo, hi) in enumerate(bounds):
-        if rng.random() >= ga.mutation_rate:
+        if rng.random() >= MUTATION_RATE:
             continue
-        if g == _H_GENE:
-            genome[g] = float(min(max(genome[g] + rng.normal(0.0, ga.mutation_sigma_km), lo), hi))
+        if g in _FLOAT_GENES:
+            genome[g] = float(min(max(genome[g] + rng.normal(0.0, MUTATION_SIGMA_KM), lo), hi))
         else:
             genome[g] = int(rng.integers(int(lo), int(hi) + 1))
 
 
-def _crossover(a: list, b: list, rng, ga: GAParams) -> tuple[list, list]:
+def _crossover(a: list, b: list, rng) -> tuple[list, list]:
     child_a, child_b = list(a), list(b)
-    if rng.random() < ga.crossover_rate:
+    if rng.random() < CROSSOVER_RATE:
         for g in range(len(a)):
             if rng.random() < 0.5:
                 child_a[g], child_b[g] = child_b[g], child_a[g]
@@ -254,14 +219,14 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
         satisfied both constraints.
     """
     ga = prob.ga
-    bounds = _genome_bounds(prob.bounds)
+    bounds = [getattr(prob.bounds, name) for name in STRATEGY_BOUNDS]
     cache: dict[tuple, FitnessResult] = {}
 
     def evaluate(genome: list) -> FitnessResult:
         key = tuple(genome)
         hit = cache.get(key)
         if hit is None:
-            hit = fitness(_to_strategy(genome), prob)
+            hit = fitness(SpareStrategy(*genome), prob)
             cache[key] = hit
         return hit
 
@@ -292,7 +257,7 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
 
             if generation == ga.generations - 1:
                 break
-            next_population = [list(population[i]) for i in order[: ga.elitism]]
+            next_population = [list(population[i]) for i in order[:ELITISM]]
             # Candidates with equal sort keys are equal genomes, so the
             # stable sort's rank picks the same parent as comparing keys.
             rank = [0] * ga.population
@@ -301,12 +266,12 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
             while len(next_population) < ga.population:
                 parents = []
                 for _ in range(2):
-                    idxs = rng.integers(0, ga.population, size=ga.tournament_size)
+                    idxs = rng.integers(0, ga.population, size=TOURNAMENT_SIZE)
                     winner = min(idxs.tolist(), key=rank.__getitem__)
                     parents.append(population[winner])
-                child_a, child_b = _crossover(parents[0], parents[1], rng, ga)
-                _mutate(child_a, rng, bounds, ga)
-                _mutate(child_b, rng, bounds, ga)
+                child_a, child_b = _crossover(parents[0], parents[1], rng)
+                _mutate(child_a, rng, bounds)
+                _mutate(child_b, rng, bounds)
                 next_population.append(child_a)
                 if len(next_population) < ga.population:
                     next_population.append(child_b)
@@ -320,18 +285,15 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
             best_cost=None,
             breakdown=None,
             fill_rate_product=None,
-            q_parking=None,
             trace=tuple(trace),
             seed=seed,
         )
-    strategy = _to_strategy(best_genome)
     return OptimizationResult(
         feasible=True,
-        best_strategy=strategy,
+        best_strategy=SpareStrategy(*best_genome),
         best_cost=best_fit.cost.tessac,
         breakdown=best_fit.cost,
         fill_rate_product=best_fit.fill_rate_product,
-        q_parking=strategy.q_parking,
         trace=tuple(trace),
         seed=seed,
     )

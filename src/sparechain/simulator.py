@@ -37,7 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ConstellationConfig, LaunchParams, SatelliteParams, SpareStrategy, plane_demand_rate
+from .chain import (
+    DAYS_PER_YEAR,
+    ConstellationConfig,
+    LaunchParams,
+    SatelliteParams,
+    SpareStrategy,
+    plane_demand_rate,
+)
 from .costs import CostParams, launch_price
 from .orbits import WGS84, CircularOrbit, EarthConstants, hohmann_transfer, raan_drift_rate
 
@@ -204,7 +211,7 @@ def run_replication(sc: SimConfig, seed: int) -> ReplicationResult:
         np.random.Generator(np.random.Philox(failure_ss)),
         plane_demand_rate(cfg) * cfg.n_plane,
         cfg.n_plane,
-        sc.horizon_years * cfg.n_days_per_year,
+        sc.horizon_years * DAYS_PER_YEAR,
     )
     launch_rng = np.random.Generator(np.random.Philox(launch_ss))
     return _run_with_rng(sc, times, planes, launch_rng)
@@ -224,8 +231,8 @@ def _run_with_rng(
     k_q, k_s = st.k_q_parking, st.k_s_parking
     q_parking = st.q_parking
 
-    horizon = sc.horizon_years * cfg.n_days_per_year
-    warmup = sc.warmup_years * cfg.n_days_per_year
+    horizon = sc.horizon_years * DAYS_PER_YEAR
+    warmup = sc.warmup_years * DAYS_PER_YEAR
     window = horizon - warmup
 
     parking_orbit = CircularOrbit(st.h_parking_km, cfg.inclination_deg)
@@ -432,7 +439,7 @@ def _run_with_rng(
         else 1.0
     )
 
-    years = window / cfg.n_days_per_year
+    years = window / DAYS_PER_YEAR
     manufacturing = sc.costs.p_sat_musd * failures_window / years
     holding = sc.costs.p_holding_musd_per_sat_year * (
         int_plane / window + q_plane * int_park / window

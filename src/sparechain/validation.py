@@ -10,6 +10,7 @@ exponential launch-gap model from a list of historical launch dates.
 from __future__ import annotations
 
 import dataclasses
+import math
 import statistics
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -53,12 +54,14 @@ INTEGER_DIMENSIONS = ("n_plane", "n_parking", "n_sats", "q_plane", "k_q_parking"
 
 @dataclass(frozen=True)
 class ParameterRange:
-    """Closed sampling interval."""
+    """Closed, finite sampling interval."""
 
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"bounds must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"lower bound {self.lo} above upper bound {self.hi}")
 
@@ -299,19 +302,19 @@ def _run_case(
     jobs: int | None,
     simulate: Callable[[SimConfig, int | None], SimulationResult],
 ) -> CaseOutcome:
-    cfg = ConstellationConfig(
-        h_plane_km=float(params["h_plane_km"]),
-        inclination_deg=float(params["inclination_deg"]),
-        n_plane=int(params["n_plane"]),
-        n_sats=int(params["n_sats"]),
-        lambda_sat_per_year=float(params["lambda_sat_per_year"]),
-    )
-    lp = LaunchParams(
-        mu_launch_days=float(params["mu_launch_days"]),
-        pt_launch_days=float(params["pt_launch_days"]),
-        cap_launch=_UNREAD_CAP_LAUNCH,
-    )
     try:
+        cfg = ConstellationConfig(
+            h_plane_km=float(params["h_plane_km"]),
+            inclination_deg=float(params["inclination_deg"]),
+            n_plane=int(params["n_plane"]),
+            n_sats=int(params["n_sats"]),
+            lambda_sat_per_year=float(params["lambda_sat_per_year"]),
+        )
+        lp = LaunchParams(
+            mu_launch_days=float(params["mu_launch_days"]),
+            pt_launch_days=float(params["pt_launch_days"]),
+            cap_launch=_UNREAD_CAP_LAUNCH,
+        )
         strategy = SpareStrategy(
             n_parking=int(params["n_parking"]),
             h_parking_km=float(params["h_parking_km"]),

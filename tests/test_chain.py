@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 import math
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from sparechain.chain import (
+    STRATEGY_BOUNDS,
     ConstellationConfig,
     LaunchParams,
     SpareStrategy,
@@ -307,7 +310,7 @@ def test_plane_leadtime_bounds_match_transfer_time(n_parking, h_parking_km, incl
 def test_strategy_validation_and_derived_quantities():
     assert STRATEGY.q_parking == 32
     assert STRATEGY.s_parking == 32
-    assert STRATEGY.as_vector() == (3, 792.3, 4, 3, 8, 8)
+    assert dataclasses.astuple(STRATEGY) == (3, 792.3, 4, 3, 8, 8)
     with pytest.raises(ValueError):
         SpareStrategy(
             n_parking=0, h_parking_km=792.3, q_plane=4, s_plane=3, k_q_parking=8, k_s_parking=8
@@ -320,6 +323,13 @@ def test_strategy_validation_and_derived_quantities():
         SpareStrategy(
             n_parking=3, h_parking_km=792.3, q_plane=11, s_plane=3, k_q_parking=8, k_s_parking=8
         )
+
+
+def test_strategy_bounds_follow_the_strategy_fields():
+    hints = get_type_hints(SpareStrategy)
+    assert list(STRATEGY_BOUNDS) == [f.name for f in dataclasses.fields(SpareStrategy)]
+    for name, (lo, hi) in STRATEGY_BOUNDS.items():
+        assert type(lo) is type(hi) is hints[name], name
 
 
 def test_evaluate_rejects_parking_above_plane():

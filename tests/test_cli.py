@@ -44,8 +44,35 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def read_table(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+STRATEGY_COLUMNS = ["n_parking", "h_parking_km", "q_plane", "s_plane", "k_q_parking", "k_s_parking"]
+
+
 def test_evaluate_bundled_default(tmp_path, capsys):
     assert main(["evaluate", "--out", str(tmp_path / "o")]) == 0
+    assert read_table(tmp_path / "o" / "evaluate.csv")[0] == STRATEGY_COLUMNS + [
+        "lambda_plane_per_day",
+        "lambda_parking_batches_per_day",
+        "p_av",
+        "es_plane",
+        "es_parking_batches",
+        "rho_plane",
+        "rho_parking",
+        "mean_stock_plane",
+        "mean_stock_parking_batches",
+        "e_leadtime_plane_days",
+        "e_leadtime_parking_days",
+        "neglected_supply_mass",
+        "manufacturing",
+        "holding",
+        "launch",
+        "maneuvering",
+        "tessac",
+    ]
     (row,) = read_rows(tmp_path / "o" / "evaluate.csv")
     assert float(row["tessac"]) == pytest.approx(319.1326941382908, rel=1e-15)
     assert float(row["manufacturing"]) == 40.0
@@ -90,12 +117,14 @@ def test_missing_section_is_a_config_error(tmp_path, base_config, capsys):
 
 
 def test_unknown_key_names_the_path(tmp_path, base_config, capsys):
-    cfg = json.loads(json.dumps(base_config))
-    cfg["constellation"]["bogus"] = 1
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-    assert "constellation.bogus" in capsys.readouterr().err
+    # n_days_per_year is the fixed DAYS_PER_YEAR, not a setting.
+    for key in ("bogus", "n_days_per_year"):
+        cfg = json.loads(json.dumps(base_config))
+        cfg["constellation"][key] = 1
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"constellation.{key}: unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -119,6 +148,17 @@ def test_unknown_key_names_the_path(tmp_path, base_config, capsys):
         ("simulate", "simulation", {"replications": 0}, "simulation.replications"),
         ("simulate", "simulation", {"horizon_years": 0.0}, "simulation.horizon_years"),
         ("evaluate", "costs", {"p_sat_musd": math.nan}, "costs.p_sat_musd"),
+        # The genetic operators are fixed constants, not settings.
+        *(
+            ("optimize", "optimization", {"ga": {key: 1}}, f"optimization.ga.{key}: unknown key")
+            for key in (
+                "elitism",
+                "tournament_size",
+                "crossover_rate",
+                "mutation_rate",
+                "mutation_sigma_km",
+            )
+        ),
     ],
 )
 def test_out_of_range_settings_name_the_key_path(
@@ -376,6 +416,11 @@ def test_validate_needs_no_launch_section(tmp_path, base_config):
 def test_optimize_smoke(tmp_path, fast_config):
     out = tmp_path / "o"
     assert main(["optimize", "--config", str(fast_config), "--out", str(out)]) == 0
+    assert read_table(out / "optimize_result.csv")[0] == STRATEGY_COLUMNS + [
+        "q_parking",
+        "tessac",
+        "fill_rate_product",
+    ]
     (row,) = read_rows(out / "optimize_result.csv")
     assert float(row["fill_rate_product"]) >= 0.95
     assert int(row["q_parking"]) <= 34
@@ -415,15 +460,35 @@ def test_optimize_infeasible_space_exits_2(tmp_path, base_config, capsys):
     assert "no feasible" in capsys.readouterr().err
 
 
+SENSITIVITY_HEADER = (
+    ["lambda_sat_per_year", "tessac_multi", "tessac_inplane", "savings_pct"]
+    + STRATEGY_COLUMNS
+    + ["q_inplane", "s_inplane", "error"]
+)
+
+
 def test_sensitivity_single_rate(tmp_path, fast_config):
     out = tmp_path / "o"
     rc = main(["sensitivity", "--config", str(fast_config), "--rates", "0.05", "--out", str(out)])
     assert rc == 0
+    assert read_table(out / "sensitivity.csv")[0] == SENSITIVITY_HEADER
     (row,) = read_rows(out / "sensitivity.csv")
     assert float(row["lambda_sat_per_year"]) == 0.05
     assert row["error"] == ""
     multi, inplane = float(row["tessac_multi"]), float(row["tessac_inplane"])
     assert float(row["savings_pct"]) == pytest.approx((inplane - multi) / inplane * 100.0, rel=1e-12)
+
+
+def test_sensitivity_error_row_fills_every_column(tmp_path, fast_config, capsys):
+    out = tmp_path / "o"
+    rc = main(["sensitivity", "--config", str(fast_config), "--rates", "5", "--out", str(out)])
+    assert rc == 2
+    header, row = read_table(out / "sensitivity.csv")
+    assert header == SENSITIVITY_HEADER
+    assert len(row) == len(header)
+    assert row[0] == "5.0"
+    assert set(row[1:-1]) == {""}
+    assert row[-1] == "no feasible strategy at this rate"
 
 
 def test_sensitivity_rejects_bad_rates(tmp_path, fast_config, capsys):

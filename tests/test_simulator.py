@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from sparechain.chain import (
+    DAYS_PER_YEAR,
     ConstellationConfig,
     LaunchParams,
     SatelliteParams,
@@ -215,7 +216,7 @@ def test_failure_sequence_depends_only_on_seed_rate_and_planes():
 
     # More failures than one block: the sequence runs on across block
     # boundaries exactly as a scalar walk over the failure stream.
-    horizon = 15.0 * CASE_CFG.n_days_per_year
+    horizon = 15.0 * DAYS_PER_YEAR
     rate = plane_demand_rate(CASE_CFG) * CASE_CFG.n_plane
     failure_ss, _ = np.random.SeedSequence(987654321).spawn(2)
     rng = np.random.Generator(np.random.Philox(failure_ss))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import statistics
 from datetime import date, datetime, timedelta
 from types import SimpleNamespace
@@ -39,6 +40,14 @@ from sparechain.validation import (
 def test_parameter_range_rejects_inverted_bounds():
     with pytest.raises(ValueError):
         ParameterRange(2.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    ("lo", "hi"), [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0)]
+)
+def test_parameter_range_rejects_non_finite_bounds(lo, hi):
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        ParameterRange(lo, hi)
 
 
 def test_trade_space_lists_all_dimensions():
@@ -189,6 +198,19 @@ def test_validation_reports_the_altitude_reason():
     assert report.infeasible_count == 3
     for case in report.cases:
         assert "must be below plane altitude" in case.reason
+
+
+def test_invalid_sampled_launch_law_marks_cases_infeasible():
+    # A zero launch wait is rejected by LaunchParams; each such case is
+    # infeasible with that reason and the study runs on.
+    space = TradeSpace(mu_launch_days=ParameterRange(0.0, 0.0))
+    report = run_validation(
+        space, 3, costs=COSTS, satellite=SAT, consts=WGS84, seed=0,
+        simulate_fn=_model_echo,
+    )
+    assert report.infeasible_count == 3
+    for case in report.cases:
+        assert case.reason == "launch wait must be positive and processing time nonnegative"
 
 
 def test_relative_error_definition():
