@@ -20,6 +20,7 @@ nothing is integrated numerically.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -81,6 +82,21 @@ STRATEGY_BOUNDS = {
 }
 
 
+def check_strategy_value(name: str, value) -> None:
+    """Raise ValueError unless ``value`` fits ``STRATEGY_BOUNDS[name]``.
+
+    A field with integer bounds takes only integers; a float or a bool
+    there is rejected, not truncated.
+    """
+    lo, hi = STRATEGY_BOUNDS[name]
+    if type(value) is not int and isinstance(lo, int):
+        # bool is an int subclass but no count; numpy integers pass.
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name}={value!r} must be an integer")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
+
+
 @dataclass(frozen=True)
 class SpareStrategy:
     """One complete spare-strategy design point.
@@ -105,10 +121,8 @@ class SpareStrategy:
     k_s_parking: int
 
     def __post_init__(self) -> None:
-        for name, (lo, hi) in STRATEGY_BOUNDS.items():
-            value = getattr(self, name)
-            if not lo <= value <= hi:
-                raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
+        for name in STRATEGY_BOUNDS:
+            check_strategy_value(name, getattr(self, name))
 
     @property
     def q_parking(self) -> int:

@@ -6,6 +6,12 @@ annual cost subject to a launch-capacity constraint and a constellation
 fill-rate requirement. The ground-only baseline has just two variables
 and is solved exactly by enumeration. A sweep utility reruns both per
 failure rate to map the savings of the orbital echelon.
+
+Each restart has its own Philox stream. It first draws the initial
+population genome by genome, then per generation six arrays in this
+order: tournament contenders, crossover coins, gene-swap coins, mutation
+coins, replacement integer genes and altitude steps. Every array is drawn
+whole, used or not, so the draws never depend on fitness values.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .chain import (
     LaunchParams,
     SatelliteParams,
     SpareStrategy,
+    check_strategy_value,
     evaluate_inplane_only,
 )
 from .costs import CostBreakdown, CostParams, evaluate_design, tessac_inplane_only
@@ -57,13 +64,12 @@ class VariableBounds:
     k_s_parking: tuple[int, int] = STRATEGY_BOUNDS["k_s_parking"]
 
     def __post_init__(self) -> None:
-        for name, (outer_lo, outer_hi) in STRATEGY_BOUNDS.items():
+        for name in STRATEGY_BOUNDS:
             lo, hi = getattr(self, name)
-            if lo > hi or lo < outer_lo or hi > outer_hi:
-                raise ValueError(
-                    f"{name} bounds ({lo}, {hi}) must be ordered and within "
-                    f"({outer_lo}, {outer_hi})"
-                )
+            check_strategy_value(name, lo)
+            check_strategy_value(name, hi)
+            if lo > hi:
+                raise ValueError(f"{name} bounds ({lo}, {hi}) must be ordered")
 
 
 @dataclass(frozen=True)
@@ -167,9 +173,10 @@ class OptimizationResult:
 # Genomes are plain lists of SpareStrategy's fields in field order, so
 # SpareStrategy(*genome) is the candidate. Genes with float bounds in
 # STRATEGY_BOUNDS are real-valued; the others are integers.
-_FLOAT_GENES = frozenset(
+_FLOAT_GENES = tuple(
     g for g, (lo, _) in enumerate(STRATEGY_BOUNDS.values()) if isinstance(lo, float)
 )
+_INT_GENES = tuple(g for g in range(len(STRATEGY_BOUNDS)) if g not in _FLOAT_GENES)
 
 
 def _random_genome(rng, bounds: list[tuple[float, float]]) -> list:
@@ -178,27 +185,49 @@ def _random_genome(rng, bounds: list[tuple[float, float]]) -> list:
         if g in _FLOAT_GENES:
             genome.append(float(rng.uniform(lo, hi)))
         else:
-            genome.append(int(rng.integers(int(lo), int(hi) + 1)))
+            genome.append(int(rng.integers(lo, hi + 1)))
     return genome
 
 
-def _mutate(genome: list, rng, bounds: list[tuple[float, float]]) -> None:
-    for g, (lo, hi) in enumerate(bounds):
-        if rng.random() >= MUTATION_RATE:
-            continue
-        if g in _FLOAT_GENES:
-            genome[g] = float(min(max(genome[g] + rng.normal(0.0, MUTATION_SIGMA_KM), lo), hi))
+def _breed(population: list, order: list[int], rng, bounds: list[tuple[float, float]]) -> list:
+    """The children of one generation, bred from six whole-array draws.
+
+    ``order`` is the stable sort of ``population`` by ``_sort_key``; a
+    tournament's winner is its contender of lowest rank in that order.
+    """
+    n_children = len(population) - ELITISM
+    n_pairs = (n_children + 1) // 2
+    n_genes = len(bounds)
+    # Candidates with equal sort keys are equal genomes, so the lowest
+    # stable-sort rank picks the same parent as comparing keys.
+    rank = np.argsort(order)
+    contenders = rng.integers(0, len(population), size=(n_pairs, 2, TOURNAMENT_SIZE))
+    parents = np.asarray(order)[rank[contenders].min(axis=2)].tolist()
+    crossed = (rng.random(n_pairs) < CROSSOVER_RATE).tolist()
+    swaps = (rng.random((n_pairs, n_genes)) < 0.5).tolist()
+    mutated = (rng.random((2 * n_pairs, n_genes)) < MUTATION_RATE).tolist()
+    int_lo, int_hi = np.array([bounds[g] for g in _INT_GENES]).T
+    new_ints = rng.integers(int_lo, int_hi + 1, size=(2 * n_pairs, len(_INT_GENES))).tolist()
+    steps = rng.normal(0.0, MUTATION_SIGMA_KM, size=(2 * n_pairs, len(_FLOAT_GENES))).tolist()
+
+    children = []
+    for (i, j), cross, swap in zip(parents, crossed, swaps):
+        a, b = population[i], population[j]
+        if cross:
+            children.append([y if s else x for x, y, s in zip(a, b, swap)])
+            children.append([x if s else y for x, y, s in zip(a, b, swap)])
         else:
-            genome[g] = int(rng.integers(int(lo), int(hi) + 1))
-
-
-def _crossover(a: list, b: list, rng) -> tuple[list, list]:
-    child_a, child_b = list(a), list(b)
-    if rng.random() < CROSSOVER_RATE:
-        for g in range(len(a)):
-            if rng.random() < 0.5:
-                child_a[g], child_b[g] = child_b[g], child_a[g]
-    return child_a, child_b
+            children.append(list(a))
+            children.append(list(b))
+    for child, hits, ints, step in zip(children, mutated, new_ints, steps):
+        for g, value in zip(_INT_GENES, ints):
+            if hits[g]:
+                child[g] = value
+        for g, dh in zip(_FLOAT_GENES, step):
+            if hits[g]:
+                lo, hi = bounds[g]
+                child[g] = float(min(max(child[g] + dh, lo), hi))
+    return children[:n_children]
 
 
 def _sort_key(genome: list, fit: FitnessResult) -> tuple:
@@ -257,25 +286,8 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
 
             if generation == ga.generations - 1:
                 break
-            next_population = [list(population[i]) for i in order[:ELITISM]]
-            # Candidates with equal sort keys are equal genomes, so the
-            # stable sort's rank picks the same parent as comparing keys.
-            rank = [0] * ga.population
-            for r, i in enumerate(order):
-                rank[i] = r
-            while len(next_population) < ga.population:
-                parents = []
-                for _ in range(2):
-                    idxs = rng.integers(0, ga.population, size=TOURNAMENT_SIZE)
-                    winner = min(idxs.tolist(), key=rank.__getitem__)
-                    parents.append(population[winner])
-                child_a, child_b = _crossover(parents[0], parents[1], rng)
-                _mutate(child_a, rng, bounds)
-                _mutate(child_b, rng, bounds)
-                next_population.append(child_a)
-                if len(next_population) < ga.population:
-                    next_population.append(child_b)
-            population = next_population
+            elites = [list(population[i]) for i in order[:ELITISM]]
+            population = elites + _breed(population, order, rng, bounds)
 
     assert best_genome is not None and best_fit is not None
     if not best_fit.feasible:

@@ -323,6 +323,12 @@ def test_strategy_validation_and_derived_quantities():
         SpareStrategy(
             n_parking=3, h_parking_km=792.3, q_plane=11, s_plane=3, k_q_parking=8, k_s_parking=8
         )
+    with pytest.raises(ValueError, match="n_parking"):
+        SpareStrategy(2.5, 800.0, 4, 3, 8, 8)
+    with pytest.raises(ValueError, match="n_parking"):
+        SpareStrategy(True, 800.0, 4, 3, 8, 8)
+    with pytest.raises(ValueError, match="k_s_parking"):
+        SpareStrategy(3, 800.0, 4, 3, 8, 8.0)
 
 
 def test_strategy_bounds_follow_the_strategy_fields():

@@ -2,9 +2,12 @@ import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+from sparechain import optimizer
 from sparechain.chain import (
+    STRATEGY_BOUNDS,
     ConstellationConfig,
     LaunchParams,
     SatelliteParams,
@@ -17,6 +20,7 @@ from sparechain.inventory import SQPolicy
 from sparechain.optimizer import (
     ERROR_PENALTY,
     PENALTY_SCALE,
+    FitnessResult,
     GAParams,
     OptimizationProblem,
     VariableBounds,
@@ -54,6 +58,9 @@ def test_variable_bounds_validation():
         VariableBounds(q_plane=(1, 50))
     with pytest.raises(ValueError):
         VariableBounds(h_parking_km=(500.0, 900.0))
+    for pair in ((1.5, 3), (1, 3.0), (True, 3)):
+        with pytest.raises(ValueError, match="n_parking"):
+            VariableBounds(n_parking=pair)
 
 
 def test_ga_params_validation():
@@ -170,8 +177,81 @@ def test_ga_trajectory_is_pinned_on_bundled_case_study():
     )
     result = optimize(prob, command_seed(0, "optimize"))
     assert result.feasible
-    assert dataclasses.astuple(result.best_strategy) == (3, 720.4790469755253, 3, 3, 10, 9)
-    assert result.best_cost == pytest.approx(308.99838307882777, rel=1e-9)
+    assert dataclasses.astuple(result.best_strategy) == (3, 745.0040573408563, 4, 3, 8, 7)
+    assert result.best_cost == pytest.approx(314.26466802965, rel=1e-9)
+
+
+def test_ga_candidates_stay_in_bounds_with_exact_types(monkeypatch):
+    # With four genomes, two elites and 300 generations, nearly every gene
+    # value is reached by a mutation draw, so a replacement range that
+    # dropped its upper end would leave a value unvisited.
+    box = VariableBounds(
+        n_parking=(4, 6),
+        h_parking_km=(750.0, 760.0),
+        q_plane=(2, 4),
+        s_plane=(5, 7),
+        k_q_parking=(1, 3),
+        k_s_parking=(8, 10),
+    )
+    seen = []
+
+    def record(candidate, prob):
+        genome = dataclasses.astuple(candidate)
+        seen.append(genome)
+        return FitnessResult(
+            tessac=None,
+            feasible=False,
+            capacity_violation=0.0,
+            fillrate_violation=0.0,
+            penalized=float(sum(genome)),
+            fill_rate_product=None,
+            cost=None,
+        )
+
+    monkeypatch.setattr(optimizer, "fitness", record)
+    prob = dataclasses.replace(
+        CASE_PROBLEM, bounds=box, ga=GAParams(population=4, generations=300, restarts=1)
+    )
+    optimize(prob, seed=3)
+    for g, name in enumerate(STRATEGY_BOUNDS):
+        lo, hi = getattr(box, name)
+        values = [genome[g] for genome in seen]
+        assert all(lo <= v <= hi for v in values), name
+        if isinstance(lo, float):
+            assert all(type(v) is float for v in values), name
+        else:
+            assert all(type(v) is int for v in values), name
+            assert set(values) == set(range(lo, hi + 1)), name
+
+
+def test_tessac_and_fill_rate_never_rise_with_parking_altitude():
+    # The exact search over h_parking relies on both falling (or staying
+    # flat) as the parking orbit rises, at every fixed integer design.
+    rng = np.random.default_rng(20261018)
+    int_bounds = [b for name, b in STRATEGY_BOUNDS.items() if name != "h_parking_km"]
+    combos = []
+    while len(combos) < 100:
+        n, q, s, kq, ks = (int(rng.integers(lo, hi + 1)) for lo, hi in int_bounds)
+        if kq * q <= CASE_LAUNCH.cap_launch:
+            combos.append((n, q, s, kq, ks))
+    altitudes = [700.0 + 10.0 * i for i in range(31)]
+    checked = 0
+    for rate in (0.01, 0.05, 0.1):
+        prob = dataclasses.replace(
+            CASE_PROBLEM, constellation=dataclasses.replace(CASE_CFG, lambda_sat_per_year=rate)
+        )
+        for n, q, s, kq, ks in combos:
+            fits = [fitness(SpareStrategy(n, h, q, s, kq, ks), prob) for h in altitudes]
+            # The parking stage does not depend on the altitude, so a design
+            # the model cannot evaluate fails at every altitude.
+            if fits[0].tessac is None:
+                assert all(f.tessac is None for f in fits)
+                continue
+            for low, high in zip(fits, fits[1:]):
+                assert high.tessac <= low.tessac, (rate, n, q, s, kq, ks)
+                assert high.fill_rate_product <= low.fill_rate_product, (rate, n, q, s, kq, ks)
+            checked += 1
+    assert checked >= 250
 
 
 def test_optimize_reports_infeasible_space():
