@@ -25,11 +25,20 @@ The event loop takes the failures as a sorted list and keeps only plane
 and parking arrivals on its heap. A failure at exactly the same time as
 an arrival is handled first; arrivals at the same time are handled in the
 order they were scheduled.
+
+The loop is shaped so that the common event makes no Python call. One
+block at its top advances the stock integrals to the event's time;
+failures and plane arrivals are then handled inline. Helpers run only on
+the order path, once per batch: placing a plane order, assigning a
+transfer, placing a ground order and restocking a parking orbit. The
+per-event-closure loop it replaced is kept in tests/oracles.py as the
+reference it must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -50,7 +59,8 @@ from .orbits import WGS84, CircularOrbit, EarthConstants, hohmann_transfer, raan
 
 _TWO_PI = 2.0 * math.pi
 
-# Heap event kinds; failures never enter the heap.
+# Event kinds. Failures never enter the heap, which holds only arrivals.
+_FAILURE = 0
 _PARKING_ARRIVAL = 1
 _PLANE_ARRIVAL = 2
 
@@ -271,31 +281,10 @@ def _run_with_rng(
     leadtimes: list[float] = []
     events: list[tuple[float, str, int, int]] | None = [] if sc.capture_events else None
 
+    # Heap entries are (time, scheduling sequence number, kind, location),
+    # so equal-time arrivals pop in the order they were scheduled.
     heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-
-    def push(t: float, kind: int, loc: int) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, loc))
-        seq += 1
-
-    def log(t: float, what: str, loc: int, stock: int) -> None:
-        if events is not None:
-            events.append((t, what, loc, stock))
-
-    def advance(t: float) -> None:
-        nonlocal int_plane, int_park, last_t
-        overlap = min(t, horizon) - max(last_t, warmup)
-        if overlap > 0.0:
-            int_plane += agg_plane * overlap
-            int_park += agg_park * overlap
-        last_t = t
-
-    def in_window(t: float) -> bool:
-        return warmup <= t <= horizon
-
-    def closest_parking(t: float, j: int, stocked_only: bool) -> tuple[float, int] | None:
-        return _closest_parking(t, plane_raan[j], relative, parking_stock, stocked_only)
+    sequence = itertools.count()
 
     def place_ground_order_if_due(p: int, t: float) -> None:
         nonlocal ground_orders
@@ -303,8 +292,9 @@ def _run_with_rng(
             parking_in_transit[p] = True
             ground_orders += 1
             delay = lp.pt_launch_days + launch_rng.exponential(lp.mu_launch_days)
-            push(t + delay, _PARKING_ARRIVAL, p)
-            log(t, "ground_order", p, parking_stock[p])
+            heapq.heappush(heap, (t + delay, next(sequence), _PARKING_ARRIVAL, p))
+            if events is not None:
+                events.append((t, "ground_order", p, parking_stock[p]))
 
     def assign_transfer(j: int, t: float, choice: tuple[float, int]) -> None:
         """Send one batch toward plane j from parking orbit p, choice = (wait, p)."""
@@ -312,66 +302,37 @@ def _run_with_rng(
         wait, p = choice
         parking_stock[p] -= 1
         agg_park -= 1.0
-        push(t + wait + tof, _PLANE_ARRIVAL, j)
+        heapq.heappush(heap, (t + wait + tof, next(sequence), _PLANE_ARRIVAL, j))
         transfers += 1
-        if in_window(t):
+        if warmup <= t:
             transfers_window += 1
             leadtimes.append(wait + tof)
-        log(t, "transfer_start", p, parking_stock[p])
+        if events is not None:
+            events.append((t, "transfer_start", p, parking_stock[p]))
         place_ground_order_if_due(p, t)
 
-    def place_plane_order_if_due(j: int, t: float) -> None:
+    def place_plane_order(j: int, t: float) -> None:
+        """Order a batch for plane j, which is at or below s_plane with none in transit."""
         nonlocal plane_orders, parking_backorders_window
-        if plane_stock[j] <= s_plane and not plane_in_transit[j]:
-            plane_in_transit[j] = True
-            plane_orders += 1
-            log(t, "plane_order", j, plane_stock[j])
-            # Demand accounting: the order targets the geometrically closest
-            # parking orbit; finding it empty is a parking backorder even if
-            # another orbit ends up serving the transfer. When it is stocked,
-            # it is also the closest stocked orbit.
-            choice = closest_parking(t, j, stocked_only=False)
-            if parking_stock[choice[1]] < 1:
-                if in_window(t):
-                    parking_backorders_window += 1
-                choice = closest_parking(t, j, stocked_only=True)
-            if choice is None:
-                waiting_orders.append(j)
-                log(t, "order_queued", j, 0)
-            else:
-                assign_transfer(j, t, choice)
-
-    def handle_failure(j: int, t: float) -> None:
-        nonlocal agg_plane, failures, failures_window, served, backorder_events_window
-        failures += 1
-        if in_window(t):
-            failures_window += 1
-        if plane_stock[j] > 0:
-            plane_stock[j] -= 1
-            agg_plane -= 1.0
-            served += 1
+        plane_in_transit[j] = True
+        plane_orders += 1
+        if events is not None:
+            events.append((t, "plane_order", j, plane_stock[j]))
+        # Demand accounting: the order targets the geometrically closest
+        # parking orbit; finding it empty is a parking backorder even if
+        # another orbit ends up serving the transfer. When it is stocked,
+        # it is also the closest stocked orbit.
+        choice = _closest_parking(t, plane_raan[j], relative, parking_stock, False)
+        if parking_stock[choice[1]] < 1:
+            if warmup <= t:
+                parking_backorders_window += 1
+            choice = _closest_parking(t, plane_raan[j], relative, parking_stock, True)
+        if choice is None:
+            waiting_orders.append(j)
+            if events is not None:
+                events.append((t, "order_queued", j, 0))
         else:
-            plane_backorders[j] += 1
-            if in_window(t):
-                backorder_events_window += 1
-        log(t, "failure", j, plane_stock[j])
-        place_plane_order_if_due(j, t)
-
-    def handle_plane_arrival(j: int, t: float) -> None:
-        nonlocal agg_plane, served, plane_arrivals, plane_cycles_window
-        plane_arrivals += 1
-        if in_window(t):
-            plane_cycles_window += 1
-        assert plane_in_transit[j], "arrival without an outstanding order"
-        plane_in_transit[j] = False
-        delivered = q_plane
-        backlog = min(delivered, plane_backorders[j])
-        plane_backorders[j] -= backlog
-        served += backlog
-        plane_stock[j] += delivered - backlog
-        agg_plane += float(delivered - backlog)
-        log(t, "plane_arrival", j, plane_stock[j])
-        place_plane_order_if_due(j, t)
+            assign_transfer(j, t, choice)
 
     def handle_parking_arrival(p: int, t: float) -> None:
         nonlocal agg_park, ground_arrivals, ground_arrivals_window, parking_cycles_window
@@ -380,40 +341,83 @@ def _run_with_rng(
         parking_in_transit[p] = False
         parking_stock[p] += k_q
         agg_park += float(k_q)
-        if in_window(t):
+        if warmup <= t:
             ground_arrivals_window += 1
             parking_cycles_window += 1
-        log(t, "parking_arrival", p, parking_stock[p])
+        if events is not None:
+            events.append((t, "parking_arrival", p, parking_stock[p]))
         # Queued plane orders re-pick the closest stocked orbit now.
         while waiting_orders and any(s > 0 for s in parking_stock):
             j = waiting_orders.popleft()
-            assign_transfer(j, t, closest_parking(t, j, stocked_only=True))
+            assign_transfer(j, t, _closest_parking(t, plane_raan[j], relative, parking_stock, True))
         place_ground_order_if_due(p, t)
 
     # Failures come from their sorted list, arrivals from the heap; a
-    # failure at the same time as an arrival is handled first.
+    # failure at the same time as an arrival is handled first. Every event
+    # handled lies at or before the horizon, so it is in the window once
+    # it is past the warm-up.
     n_failures = len(failure_times)
     next_failure = 0
     t_failure = failure_times[0] if n_failures else math.inf
     while True:
         if heap and heap[0][0] < t_failure:
             t, _, kind, loc = heapq.heappop(heap)
-            if t > horizon:
-                break
-            advance(t)
-            if kind == _PLANE_ARRIVAL:
-                handle_plane_arrival(loc, t)
-            else:
-                handle_parking_arrival(loc, t)
         else:
-            t = t_failure
-            if t > horizon:
-                break
-            advance(t)
-            handle_failure(failure_planes[next_failure], t)
+            t, kind = t_failure, _FAILURE
+        if t > horizon:
+            break
+        # max(last_t, warmup), without a call on every event.
+        overlap = t - (warmup if warmup > last_t else last_t)
+        if overlap > 0.0:
+            int_plane += agg_plane * overlap
+            int_park += agg_park * overlap
+        last_t = t
+
+        if kind == _FAILURE:
+            j = failure_planes[next_failure]
             next_failure += 1
             t_failure = failure_times[next_failure] if next_failure < n_failures else math.inf
-    advance(horizon)
+            failures += 1
+            in_window = warmup <= t
+            if in_window:
+                failures_window += 1
+            stock = plane_stock[j]
+            if stock > 0:
+                stock -= 1
+                plane_stock[j] = stock
+                agg_plane -= 1.0
+                served += 1
+            else:
+                plane_backorders[j] += 1
+                if in_window:
+                    backorder_events_window += 1
+            if events is not None:
+                events.append((t, "failure", j, stock))
+            if stock <= s_plane and not plane_in_transit[j]:
+                place_plane_order(j, t)
+        elif kind == _PLANE_ARRIVAL:
+            plane_arrivals += 1
+            if warmup <= t:
+                plane_cycles_window += 1
+            assert plane_in_transit[loc], "arrival without an outstanding order"
+            plane_in_transit[loc] = False
+            backlog = min(q_plane, plane_backorders[loc])
+            plane_backorders[loc] -= backlog
+            served += backlog
+            stock = plane_stock[loc] + q_plane - backlog
+            plane_stock[loc] = stock
+            agg_plane += float(q_plane - backlog)
+            if events is not None:
+                events.append((t, "plane_arrival", loc, stock))
+            if stock <= s_plane:  # and no batch is in transit any more
+                place_plane_order(loc, t)
+        else:
+            handle_parking_arrival(loc, t)
+
+    overlap = horizon - max(last_t, warmup)
+    if overlap > 0.0:
+        int_plane += agg_plane * overlap
+        int_park += agg_park * overlap
 
     final_on_hand = sum(plane_stock) + q_plane * sum(parking_stock)
     final_in_transit = q_parking * (ground_orders - ground_arrivals) + q_plane * (

@@ -15,10 +15,12 @@ from sparechain.chain import (
 )
 from sparechain.costs import CostParams
 from sparechain.orbits import CircularOrbit, hohmann_transfer, raan_drift_rate
+from oracles import run_with_rng_reference
 from sparechain.simulator import (
     _FAILURE_BLOCK,
     SimConfig,
     _closest_parking,
+    _draw_failures,
     _run_with_rng,
     replication_seed,
     run_batch,
@@ -141,6 +143,170 @@ def test_hand_traced_replication():
     launch = 10.0 * 2 / 2.0  # one-satellite batches price per unit
     maneuvering = 0.001 * FUEL_700_1200 * 2 / 2.0
     assert rep.tessac == pytest.approx(manufacturing + holding + launch + maneuvering, rel=1e-12)
+
+
+def _toy_plane_arrival(t):
+    """When a batch ordered at time t reaches the toy config's single plane."""
+    parking, plane = CircularOrbit(700.0, 50.0), CircularOrbit(1200.0, 50.0)
+    relative = raan_drift_rate(parking) - raan_drift_rate(plane)
+    tof = hohmann_transfer(parking, plane, SAT.m_dry_kg, SAT.v_exhaust_km_s).time_of_flight_days
+    wait, _ = _closest_parking(t, 0.0, relative, [2], False)
+    return t + wait + tof
+
+
+def _nudge_until(f, target, x):
+    """Step x one ulp at a time until f(x) == target exactly; None if it skips it."""
+    for _ in range(64):
+        y = f(x)
+        if y == target:
+            return x
+        x = math.nextafter(x, math.inf if y < target else -math.inf)
+    return None
+
+
+def test_failure_at_an_arrival_time_is_handled_first():
+    # The ground order placed at 50 lands at 50 + (20 + 10) = 80, the
+    # time of the second failure; the batch sent at 50 is still in flight.
+    # Its arrival reorders, and that transfer's ground order waits 1000.
+    sc = _toy_config()
+    rep = _run_with_rng(sc, [50.0, 80.0], [0, 0], ScriptedLaunchRng([10.0, 1000.0]))
+    at_80 = [e for e in rep.events if e[0] == 80.0]
+    assert at_80 == [(80.0, "failure", 0, 0), (80.0, "parking_arrival", 0, 2)]
+    assert _toy_plane_arrival(50.0) > 80.0
+
+
+def test_equal_time_arrivals_are_handled_in_scheduling_order():
+    # A plane and a parking arrival at one time: the transfer is
+    # scheduled before its parking orbit's ground order.
+    sc = _toy_config()
+    arrival = _toy_plane_arrival(50.0)
+    wait = _nudge_until(lambda w: 50.0 + (20.0 + w), arrival, arrival - 70.0)
+    assert wait is not None
+    rep = _run_with_rng(sc, [50.0], [0], ScriptedLaunchRng([wait]))
+    tied = [e[1:] for e in rep.events if e[0] == arrival]
+    assert tied == [("plane_arrival", 0, 2), ("parking_arrival", 0, 2)]
+
+    # Two parking arrivals at 500: orbit 1's ground order (placed at 50)
+    # before orbit 0's (placed at 250), so orbit 1 is restocked first.
+    two = SpareStrategy(
+        n_parking=2, h_parking_km=700.0, q_plane=1, s_plane=1, k_q_parking=1, k_s_parking=1
+    )
+    sc = _toy_config(strategy=two)
+    rep = _run_with_rng(sc, [50.0, 250.0], [0, 0], ScriptedLaunchRng([430.0, 230.0]))
+    starts = [e[2] for e in rep.events if e[1] == "transfer_start"]
+    assert starts == [1, 0]
+    tied = [e[1:] for e in rep.events if e[0] == 500.0]
+    assert tied == [("parking_arrival", 1, 2), ("parking_arrival", 0, 2)]
+
+
+def test_failure_at_the_horizon_counts_and_one_past_it_does_not():
+    sc = _toy_config(warmup_years=1.0)
+    horizon = 2.0 * DAYS_PER_YEAR
+    at = _run_with_rng(sc, [horizon], [0], ScriptedLaunchRng([1000.0]))
+    assert (at.failures, at.failures_window, at.plane_orders) == (1, 1, 1)
+    assert at.events[0] == (horizon, "failure", 0, 1)
+    past = _run_with_rng(
+        sc, [math.nextafter(horizon, math.inf)], [0], ScriptedLaunchRng([1000.0])
+    )
+    assert (past.failures, past.failures_window, past.plane_orders) == (0, 0, 0)
+    assert past.events == ()
+
+
+def test_failure_at_the_end_of_the_warmup_is_in_the_window():
+    sc = _toy_config(warmup_years=1.0)
+    warmup = 1.0 * DAYS_PER_YEAR
+    at = _run_with_rng(sc, [warmup], [0], ScriptedLaunchRng([1000.0]))
+    assert (at.failures, at.failures_window, at.transfers_window) == (1, 1, 1)
+    before = _run_with_rng(sc, [math.nextafter(warmup, 0.0)], [0], ScriptedLaunchRng([1000.0]))
+    assert (before.failures, before.failures_window, before.transfers_window) == (1, 0, 0)
+
+
+def test_arrivals_at_the_horizon_are_handled():
+    # Ground order at 50 landing at 50 + (20 + 660) = 730, the horizon.
+    sc = _toy_config()
+    rep = _run_with_rng(sc, [50.0], [0], ScriptedLaunchRng([660.0]))
+    assert (rep.ground_arrivals, rep.ground_arrivals_window) == (1, 1)
+    assert rep.events[-1] == (730.0, "parking_arrival", 0, 2)
+
+    # A horizon that ends exactly at a batch's plane arrival. Not every
+    # arrival time is some float horizon_years * DAYS_PER_YEAR, so the
+    # failure that orders the batch moves until one is.
+    for t in range(50, 80):
+        arrival = _toy_plane_arrival(float(t))
+        years = _nudge_until(lambda y: y * DAYS_PER_YEAR, arrival, arrival / DAYS_PER_YEAR)
+        if years is not None:
+            break
+    assert years is not None
+    sc = _toy_config(horizon_years=years)
+    rep = _run_with_rng(sc, [float(t)], [0], ScriptedLaunchRng([1000.0]))
+    assert rep.plane_arrivals == 1
+    assert rep.events[-1] == (arrival, "plane_arrival", 0, 2)
+    assert rep.final_in_transit == 1  # the ground batch only
+
+
+def _random_oracle_config(rng):
+    """A short random simulation that reaches backorders and queued orders."""
+    hi = 4 if rng.random() < 0.7 else 11  # mostly small stocks, so orders queue
+    cfg = ConstellationConfig(
+        h_plane_km=1200.0,
+        inclination_deg=50.0,
+        n_plane=int(rng.integers(1, 41)),
+        n_sats=int(rng.integers(1, 21)),
+        lambda_sat_per_year=float(rng.uniform(0.0, 0.4)),
+    )
+    strategy = SpareStrategy(
+        n_parking=int(rng.integers(1, 21)),
+        h_parking_km=float(rng.uniform(700.0, 1000.0)),
+        q_plane=1 if rng.random() < 0.3 else int(rng.integers(1, hi)),
+        s_plane=int(rng.integers(1, hi)),
+        k_q_parking=int(rng.integers(1, hi)),
+        k_s_parking=int(rng.integers(1, hi)),
+    )
+    launch = LaunchParams(
+        mu_launch_days=float(rng.uniform(1.0, 200.0)),
+        pt_launch_days=float(rng.uniform(0.0, 200.0)),
+        cap_launch=200,
+    )
+    horizon = float(rng.uniform(0.05, 3.0))
+    return SimConfig(
+        constellation=cfg,
+        strategy=strategy,
+        launch=launch,
+        costs=COSTS,
+        satellite=SAT,
+        horizon_years=horizon,
+        replications=1,
+        seed=0,
+        warmup_years=0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, horizon)),
+        capture_events=bool(rng.random() < 0.5),
+    )
+
+
+def test_event_loop_matches_the_reference_loop_exactly():
+    rng = np.random.default_rng(1807)
+    backordered = queued = 0
+    for case in range(240):
+        sc = _random_oracle_config(rng)
+        cfg = sc.constellation
+        for seed in range(3):
+            failure_rng = np.random.Generator(np.random.Philox(1000 * case + seed))
+            times, planes = _draw_failures(
+                failure_rng,
+                plane_demand_rate(cfg) * cfg.n_plane,
+                cfg.n_plane,
+                sc.horizon_years * DAYS_PER_YEAR,
+            )
+            launch_a = np.random.Generator(np.random.Philox(10**6 + 1000 * case + seed))
+            launch_b = np.random.Generator(np.random.Philox(10**6 + 1000 * case + seed))
+            got = _run_with_rng(sc, times, planes, launch_a)
+            want = run_with_rng_reference(sc, times, planes, launch_b)
+            assert got == want, (case, seed, sc)
+            assert launch_a.random() == launch_b.random()  # equal draws consumed
+            backordered += got.rho_plane < 1.0
+            queued += got.events is not None and ("order_queued" in {e[1] for e in got.events})
+    # The stockout paths ran: plane backorders and queued plane orders.
+    assert backordered > 20
+    assert queued > 20
 
 
 def _scan_closest_parking(t, omega, relative, stock, stocked_only):
