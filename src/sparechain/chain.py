@@ -15,10 +15,16 @@ resupply is a mixture of uniform segments, one per supplier rank. Each
 echelon calls its exact compound-Poisson shortage from `inventory`
 directly (Hadley & Whitin 1963; Axsater, Inventory Control, ch. 5);
 nothing is integrated numerically.
+
+`evaluate_strategy` runs two pure stages: the parking stage depends only
+on the parking policy and its demand rate, the plane stage only on the
+parking ring and the plane reorder point. A search that visits many
+strategies passes a `StageMemo`, which reuses each stage's recent results.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -27,9 +33,9 @@ from dataclasses import dataclass
 from .inventory import (
     SQPolicy,
     expected_shortage_geometric,
-    expected_shortage_mixture,
     fill_rate,
     mean_stock,
+    segment_shortages,
 )
 from .orbits import WGS84, CircularOrbit, EarthConstants, transfer_time
 
@@ -267,6 +273,29 @@ def supply_probabilities(p_av: float, n_parking: int) -> list[float]:
     return [p_av * miss ** (i - 1) / norm for i in range(1, n_parking + 1)]
 
 
+def plane_segments(
+    n_parking: int,
+    h_parking_km: float,
+    cfg: ConstellationConfig,
+    consts: EarthConstants = WGS84,
+) -> list[tuple[float, float]]:
+    """Drift-plus-flight days (lo, hi) of each supplier rank, closest first.
+
+    The i-th closest parking orbit sits between (i-1) and i ring spacings
+    of nodal separation, uniformly for a randomly timed order, so each rank
+    contributes one uniform segment. The transfer time is affine in the
+    nodal gap (linear drift wait plus a fixed flight), so two evaluations
+    give every bound.
+    """
+    parking = CircularOrbit(h_parking_km, cfg.inclination_deg)
+    plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
+    spacing = 2.0 * math.pi / n_parking
+    first = transfer_time(0.0, parking, plane, consts)
+    step = transfer_time(spacing, parking, plane, consts) - first
+    bounds = [first + i * step for i in range(n_parking + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def plane_leadtime(
     strategy: SpareStrategy,
     cfg: ConstellationConfig,
@@ -275,21 +304,76 @@ def plane_leadtime(
 ) -> tuple[list[float], list[tuple[float, float]]]:
     """Parking-to-plane lead-time law as (weights, segments_days).
 
-    The i-th closest parking orbit sits between (i-1) and i ring spacings
-    of nodal separation, uniformly for a randomly timed order, so each rank
-    contributes one uniform segment (lo, hi) of drift-plus-flight days,
-    weighted by its supply probability. The transfer time is affine in the
-    nodal gap (linear drift wait plus a fixed flight), so two evaluations
-    give every bound.
+    Each supplier rank contributes its `plane_segments` segment, weighted
+    by its `supply_probabilities` probability.
     """
-    parking = CircularOrbit(strategy.h_parking_km, cfg.inclination_deg)
-    plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
-    spacing = 2.0 * math.pi / strategy.n_parking
-    first = transfer_time(0.0, parking, plane, consts)
-    step = transfer_time(spacing, parking, plane, consts) - first
-    bounds = [first + i * step for i in range(strategy.n_parking + 1)]
-    segments = list(zip(bounds[:-1], bounds[1:]))
-    return supply_probabilities(p_av, strategy.n_parking), segments
+    return supply_probabilities(p_av, strategy.n_parking), plane_segments(
+        strategy.n_parking, strategy.h_parking_km, cfg, consts
+    )
+
+
+def parking_stage(
+    k_s: int, k_q: int, lam_parking: float, lp: LaunchParams
+) -> tuple[float, float]:
+    """Parking echelon of `evaluate_strategy`: (shortage in batches, availability).
+
+    Raises:
+        UndefinedAvailabilityError: If the parking policy is so undersized
+            that availability is undefined or zero.
+    """
+    es_parking = leadtime_expected_shortage(k_s, lam_parking, lp)
+    p_av = parking_availability(es_parking, k_q)
+    if p_av == 0.0:
+        raise UndefinedAvailabilityError(
+            "parking availability is zero: no supplier rank distribution"
+        )
+    return es_parking, p_av
+
+
+def plane_stage(
+    s_plane: int,
+    n_parking: int,
+    h_parking_km: float,
+    cfg: ConstellationConfig,
+    consts: EarthConstants,
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Plane echelon of `evaluate_strategy`, per supplier rank.
+
+    Returns (shortages, spans): the plane's expected shortage over each
+    rank's lead-time segment, and lo + hi of that segment in days. The
+    availability-dependent rank weights are applied by the caller.
+    """
+    segments = plane_segments(n_parking, h_parking_km, cfg, consts)
+    lam_plane = plane_demand_rate(cfg)
+    # A uniform segment of days is a demand mean uniform on the rate-scaled
+    # segment; at a zero rate every segment collapses to a point.
+    if lam_plane > 0.0:
+        shortages = tuple(
+            segment_shortages(s_plane, [(lam_plane * lo, lam_plane * hi) for lo, hi in segments])
+        )
+    else:
+        shortages = (0.0,) * n_parking
+    return shortages, tuple(lo + hi for lo, hi in segments)
+
+
+# Entries per stage table. A GA's reuse is mostly recent: on the bundled
+# search, 256 entries catch nearly all the hits an unbounded table does.
+STAGE_MEMO_SIZE = 256
+
+
+class StageMemo:
+    """Recent results of `evaluate_strategy`'s two stages, for one search.
+
+    Each stage keeps its last STAGE_MEMO_SIZE distinct argument tuples in a
+    least-recently-used table. The keys hold every argument of the stage,
+    so a memo never mixes problems up. A stage that raises stores nothing
+    and raises again on the next visit. Build one per search and drop it
+    with the search, so that no search reuses another's work.
+    """
+
+    def __init__(self) -> None:
+        self.parking = functools.lru_cache(STAGE_MEMO_SIZE)(parking_stage)
+        self.plane = functools.lru_cache(STAGE_MEMO_SIZE)(plane_stage)
 
 
 def evaluate_strategy(
@@ -297,12 +381,15 @@ def evaluate_strategy(
     strategy: SpareStrategy,
     lp: LaunchParams,
     consts: EarthConstants = WGS84,
+    memo: StageMemo | None = None,
 ) -> PolicyMetrics:
     """Full feed-forward evaluation of one strategy.
 
-    Order of computation: plane demand, parking demand, parking shortage /
-    availability, supplier-rank weights and plane lead-time segments,
-    plane shortage, then fill rates and stocks for both echelons.
+    Order of computation: plane demand, parking demand, the parking stage
+    (shortage and availability), supplier-rank weights, the plane stage
+    (per-rank shortages and lead-time segments), then fill rates and stocks
+    for both echelons. A ``memo`` serves both stages from its tables; the
+    results are the same with or without one.
 
     Raises:
         ValueError: If the parking orbit is not below the constellation.
@@ -314,24 +401,19 @@ def evaluate_strategy(
             f"parking altitude {strategy.h_parking_km} km must be below "
             f"plane altitude {cfg.h_plane_km} km"
         )
+    parking, plane = (parking_stage, plane_stage) if memo is None else (memo.parking, memo.plane)
     lam_plane = plane_demand_rate(cfg)
+    # Outside the parking stage, so that its few-planes warning is given on
+    # every evaluation.
     lam_parking = parking_demand_rate(cfg, strategy)
 
-    es_parking = leadtime_expected_shortage(strategy.k_s_parking, lam_parking, lp)
-    p_av = parking_availability(es_parking, strategy.k_q_parking)
-    if p_av == 0.0:
-        raise UndefinedAvailabilityError(
-            "parking availability is zero: no supplier rank distribution"
-        )
-
-    weights, segments = plane_leadtime(strategy, cfg, p_av, consts)
-    # A uniform segment of days is a demand mean uniform on the rate-scaled
-    # segment; at a zero rate every segment collapses to a point.
-    es_plane = 0.0
-    if lam_plane > 0.0:
-        demand_segments = [(lam_plane * lo, lam_plane * hi) for lo, hi in segments]
-        es_plane = expected_shortage_mixture(strategy.s_plane, weights, demand_segments)
-    lt_plane = sum(w * (lo + hi) / 2.0 for w, (lo, hi) in zip(weights, segments))
+    es_parking, p_av = parking(strategy.k_s_parking, strategy.k_q_parking, lam_parking, lp)
+    weights = supply_probabilities(p_av, strategy.n_parking)
+    shortages, spans = plane(
+        strategy.s_plane, strategy.n_parking, strategy.h_parking_km, cfg, consts
+    )
+    es_plane = sum(w * a for w, a in zip(weights, shortages))
+    lt_plane = sum(w * span / 2.0 for w, span in zip(weights, spans))
     lt_parking = lp.pt_launch_days + lp.mu_launch_days
 
     return PolicyMetrics(

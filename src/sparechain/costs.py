@@ -17,6 +17,7 @@ from .chain import (
     PolicyMetrics,
     SatelliteParams,
     SpareStrategy,
+    StageMemo,
     evaluate_strategy,
 )
 from .inventory import SQPolicy
@@ -141,17 +142,19 @@ def evaluate_design(
     costs: CostParams,
     satellite: SatelliteParams,
     consts: EarthConstants,
+    memo: StageMemo | None = None,
 ) -> tuple[PolicyMetrics, CostBreakdown]:
     """Metrics and annual cost of one multi-echelon strategy.
 
-    Evaluates the chain, prices the parking-to-plane Hohmann raise for the
-    given satellite, and assembles the TESSAC breakdown.
+    Evaluates the chain (through ``memo`` when given), prices the
+    parking-to-plane Hohmann raise for the given satellite, and assembles
+    the TESSAC breakdown.
 
     Raises:
         ValueError: If the chain cannot evaluate the strategy (see
             evaluate_strategy).
     """
-    metrics = evaluate_strategy(cfg, strategy, lp, consts)
+    metrics = evaluate_strategy(cfg, strategy, lp, consts, memo)
     transfer = hohmann_transfer(
         CircularOrbit(strategy.h_parking_km, cfg.inclination_deg),
         CircularOrbit(cfg.h_plane_km, cfg.inclination_deg),

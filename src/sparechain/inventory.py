@@ -105,18 +105,17 @@ def expected_shortage(s: int, mean_demand: float) -> float:
 
 
 def _antiderivative(s: int, m: float) -> float:
-    # H_s(m) of expected_shortage_mixture's docstring, for s >= 1.
+    # H_s(m) of segment_shortages' docstring, for s >= 1.
     tail0, tail1, tail2 = _poisson_tails(s, m)
     return 0.5 * (m * m * tail0 - 2 * s * m * tail1 + s * (s + 1) * tail2)
 
 
-def expected_shortage_mixture(s: int, weights, mean_segments) -> float:
-    """Expected backorders for a demand mean that is a mixture of uniforms.
+def segment_shortages(s: int, mean_segments) -> list[float]:
+    """Expected backorders for a demand mean uniform on each segment.
 
-    This is the shortage for a lead time that is a mixture of uniform
-    segments: the weighted sum, over the (lo, hi) demand-mean segments,
-    of the average of S_s(m) = E[(D - s)+], D ~ Poisson(m), for m uniform
-    on [lo, hi]. The antiderivative of S_s is
+    For each (lo, hi) demand-mean segment, the average of
+    S_s(m) = E[(D - s)+], D ~ Poisson(m), for m uniform on [lo, hi]. The
+    antiderivative of S_s is
     H_s(M) = (M^2 P(D >= s) - 2sM P(D >= s+1) + s(s+1) P(D >= s+2)) / 2 for
     D ~ Poisson(M), so each segment's average is
     (H_s(hi) - H_s(lo)) / (hi - lo). H_s is evaluated once per distinct
@@ -125,7 +124,6 @@ def expected_shortage_mixture(s: int, weights, mean_segments) -> float:
 
     Args:
         s: Reorder point (units), >= 0.
-        weights: Mixture weight of each segment.
         mean_segments: (lo, hi) demand means at the segment ends, with
             0 <= lo < hi < inf.
     """
@@ -135,17 +133,24 @@ def expected_shortage_mixture(s: int, weights, mean_segments) -> float:
         if not 0.0 <= lo < hi < math.inf:
             raise ValueError("demand segments must satisfy 0 <= lo < hi < inf")
     if s == 0:
-        return sum(w * (lo + 0.5 * (hi - lo)) for w, (lo, hi) in zip(weights, mean_segments))
+        return [lo + 0.5 * (hi - lo) for lo, hi in mean_segments]
     h: dict[float, float] = {}
     for lo, hi in mean_segments:
         for end in (lo, hi):
             if end not in h:
                 h[end] = _antiderivative(s, end)
     # Cancellation in H can leave a tiny negative residue where S_s is ~0.
-    return sum(
-        w * max((h[hi] - h[lo]) / (hi - lo), 0.0)
-        for w, (lo, hi) in zip(weights, mean_segments)
-    )
+    return [max((h[hi] - h[lo]) / (hi - lo), 0.0) for lo, hi in mean_segments]
+
+
+def expected_shortage_mixture(s: int, weights, mean_segments) -> float:
+    """Expected backorders for a demand mean that is a mixture of uniforms.
+
+    This is the shortage for a lead time that is a mixture of uniform
+    segments: the weighted sum of `segment_shortages` over the (lo, hi)
+    demand-mean segments.
+    """
+    return sum(w * a for w, a in zip(weights, segment_shortages(s, mean_segments)))
 
 
 def expected_shortage_geometric(s: int, mean_demand: float, geometric_mean: float) -> float:

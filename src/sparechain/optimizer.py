@@ -29,6 +29,7 @@ from .chain import (
     LaunchParams,
     SatelliteParams,
     SpareStrategy,
+    StageMemo,
     check_strategy_value,
     evaluate_inplane_only,
 )
@@ -116,16 +117,25 @@ class FitnessResult:
     cost: CostBreakdown | None
 
 
-def fitness(candidate: SpareStrategy, prob: OptimizationProblem) -> FitnessResult:
+def fitness(
+    candidate: SpareStrategy, prob: OptimizationProblem, memo: StageMemo | None = None
+) -> FitnessResult:
     """Evaluate one candidate: annual cost plus normalized constraint slacks.
 
     Infeasible candidates carry an additive penalty proportional to the
     violation so the search still senses direction; candidates the model
-    cannot evaluate at all get a flat maximal penalty.
+    cannot evaluate at all get a flat maximal penalty. A search passes its
+    ``memo`` to share chain stages between candidates.
     """
     try:
         metrics, cost = evaluate_design(
-            prob.constellation, candidate, prob.launch, prob.costs, prob.satellite, prob.consts
+            prob.constellation,
+            candidate,
+            prob.launch,
+            prob.costs,
+            prob.satellite,
+            prob.consts,
+            memo,
         )
     except ValueError:
         return FitnessResult(
@@ -230,9 +240,9 @@ def _breed(population: list, order: list[int], rng, bounds: list[tuple[float, fl
     return children[:n_children]
 
 
-def _sort_key(genome: list, fit: FitnessResult) -> tuple:
+def _sort_key(genome: list, penalized: float) -> tuple:
     # Lexicographic genome order breaks exact fitness ties deterministically.
-    return (fit.penalized, tuple(genome))
+    return (penalized, tuple(genome))
 
 
 def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
@@ -241,7 +251,10 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
     Runs the configured number of independent restarts (restart r draws
     its stream from SeedSequence(seed, spawn_key=(r,))) and returns the
     best feasible candidate found, with exact ties broken toward the
-    lexicographically smallest variable vector.
+    lexicographically smallest variable vector. The search keeps only the
+    penalized fitness of each genome it has scored, shares one `StageMemo`
+    between its fitness calls, and scores the winner once more at the end
+    for its full result.
 
     Returns:
         OptimizationResult; ``feasible`` is False when no candidate ever
@@ -249,47 +262,40 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
     """
     ga = prob.ga
     bounds = [getattr(prob.bounds, name) for name in STRATEGY_BOUNDS]
-    cache: dict[tuple, FitnessResult] = {}
+    memo = StageMemo()
+    scores: dict[tuple, float] = {}
 
-    def evaluate(genome: list) -> FitnessResult:
+    def score(genome: list) -> float:
         key = tuple(genome)
-        hit = cache.get(key)
-        if hit is None:
-            hit = fitness(SpareStrategy(*genome), prob)
-            cache[key] = hit
-        return hit
+        penalized = scores.get(key)
+        if penalized is None:
+            penalized = scores[key] = fitness(SpareStrategy(*genome), prob, memo).penalized
+        return penalized
 
     trace: list[tuple[int, int, float, float]] = []
-    best_genome: list | None = None
-    best_fit: FitnessResult | None = None
+    best_key: tuple | None = None
 
     for restart in range(ga.restarts):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(restart,))))
         population = [_random_genome(rng, bounds) for _ in range(ga.population)]
 
         for generation in range(ga.generations):
-            fits = [evaluate(g) for g in population]
-            order = sorted(range(ga.population), key=lambda i: _sort_key(population[i], fits[i]))
-            gen_best = fits[order[0]]
-            trace.append(
-                (
-                    restart,
-                    generation,
-                    gen_best.penalized,
-                    float(np.mean([f.penalized for f in fits])),
-                )
-            )
+            scored = [score(g) for g in population]
+            order = sorted(range(ga.population), key=lambda i: _sort_key(population[i], scored[i]))
+            gen_best = scored[order[0]]
+            trace.append((restart, generation, gen_best, float(np.mean(scored))))
             candidate_key = _sort_key(population[order[0]], gen_best)
-            if best_fit is None or candidate_key < _sort_key(best_genome, best_fit):
-                best_genome = list(population[order[0]])
-                best_fit = gen_best
+            if best_key is None or candidate_key < best_key:
+                best_key = candidate_key
 
             if generation == ga.generations - 1:
                 break
             elites = [list(population[i]) for i in order[:ELITISM]]
             population = elites + _breed(population, order, rng, bounds)
 
-    assert best_genome is not None and best_fit is not None
+    assert best_key is not None
+    best_genome = best_key[1]
+    best_fit = fitness(SpareStrategy(*best_genome), prob, memo)
     if not best_fit.feasible:
         return OptimizationResult(
             feasible=False,

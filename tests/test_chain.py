@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from typing import get_type_hints
 
 import numpy as np
@@ -12,6 +13,7 @@ from sparechain.chain import (
     ConstellationConfig,
     LaunchParams,
     SpareStrategy,
+    StageMemo,
     UndefinedAvailabilityError,
     evaluate_inplane_only,
     evaluate_strategy,
@@ -23,7 +25,7 @@ from sparechain.chain import (
     supply_probabilities,
 )
 from sparechain.inventory import SQPolicy, expected_shortage, expected_shortage_mixture
-from sparechain.orbits import CircularOrbit, transfer_time
+from sparechain.orbits import WGS84, CircularOrbit, transfer_time
 
 from oracles import poisson_shortage, supply_probabilities_raw
 
@@ -82,12 +84,51 @@ def test_small_constellation_warns():
     )
     with pytest.warns(UserWarning):
         parking_demand_rate(small, STRATEGY)
+    # The demand rate stays outside the memoized parking stage, so the
+    # warning comes on a memo hit too.
+    memo = StageMemo()
+    for _ in range(2):
+        with pytest.warns(UserWarning):
+            evaluate_strategy(small, STRATEGY, LAUNCH, WGS84, memo)
+    assert memo.parking.cache_info().hits == 1
 
 
 def test_case_study_metrics_match_independent_pipeline():
     metrics = evaluate_strategy(CFG, STRATEGY, LAUNCH)
     for name, ref in REF.items():
         assert getattr(metrics, name) == pytest.approx(ref, rel=1e-9), name
+
+
+def test_stage_memo_matches_one_shot_evaluation():
+    # One memo serves a seeded sequence of strategies on a loaded and a
+    # zero-failure constellation. Small value pools repeat both stage keys.
+    # Every result must equal a memo-free evaluation, and a strategy whose
+    # parking stage fails must fail on every visit, since failures are not
+    # stored.
+    rng = np.random.default_rng(20261018)
+    configs = (CFG, dataclasses.replace(CFG, lambda_sat_per_year=0.0))
+    memo = StageMemo()
+    undefined = Counter()
+    for _ in range(600):
+        cfg = configs[int(rng.integers(2))]
+        strategy = SpareStrategy(
+            n_parking=int(rng.choice([1, 3, 7])),
+            h_parking_km=float(rng.choice([700.0, 792.3, 999.0])),
+            q_plane=int(rng.choice([1, 4])),
+            s_plane=int(rng.choice([1, 3, 10])),
+            k_q_parking=int(rng.choice([1, 8])),
+            k_s_parking=int(rng.choice([1, 8])),
+        )
+        try:
+            expected = evaluate_strategy(cfg, strategy, LAUNCH)
+        except UndefinedAvailabilityError:
+            with pytest.raises(UndefinedAvailabilityError):
+                evaluate_strategy(cfg, strategy, LAUNCH, WGS84, memo)
+            undefined[cfg, strategy] += 1
+            continue
+        assert evaluate_strategy(cfg, strategy, LAUNCH, WGS84, memo) == expected
+    assert max(undefined.values()) >= 2
+    assert memo.parking.cache_info().hits > 0 and memo.plane.cache_info().hits > 0
 
 
 def test_inplane_metrics_match_independent_pipeline():

@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from sparechain import optimizer
+from sparechain import inventory, optimizer
 from sparechain.chain import (
     STRATEGY_BOUNDS,
     ConstellationConfig,
@@ -161,6 +162,47 @@ def test_optimize_is_deterministic_per_seed():
     assert restarts == {0, 1}
 
 
+def test_ga_result_matches_a_fresh_fitness_call():
+    # The search keeps only each genome's penalized fitness; the reported
+    # cost, breakdown and fill rate come from the winner alone.
+    prob = dataclasses.replace(CASE_PROBLEM, ga=GAParams(population=20, generations=15, restarts=2))
+    result = optimize(prob, seed=5)
+    assert result.feasible
+    fresh = fitness(result.best_strategy, prob)
+    assert result.best_cost == fresh.tessac
+    assert result.breakdown == fresh.cost
+    assert result.fill_rate_product == fresh.fill_rate_product
+    assert min(row[2] for row in result.trace) == fresh.penalized
+
+
+def test_searches_share_no_work(monkeypatch):
+    # The benchmark requires the work counts of a search to repeat exactly
+    # at one seed; a cache that outlived a search would lower the next
+    # search's counts.
+    real_fitness, real_tails = optimizer.fitness, inventory._poisson_tails
+    calls = Counter()
+
+    def counted_fitness(*args):
+        calls["fitness"] += 1
+        return real_fitness(*args)
+
+    def counted_tails(*args):
+        calls["poisson_tails"] += 1
+        return real_tails(*args)
+
+    monkeypatch.setattr(optimizer, "fitness", counted_fitness)
+    monkeypatch.setattr(inventory, "_poisson_tails", counted_tails)
+    prob = dataclasses.replace(CASE_PROBLEM, ga=GAParams(population=20, generations=15, restarts=2))
+    counts, results = [], []
+    for _ in range(2):
+        calls.clear()
+        results.append(optimize(prob, seed=11))
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["fitness"] > 0 and counts[0]["poisson_tails"] > 0
+    assert results[0] == results[1]
+
+
 def test_ga_trajectory_is_pinned_on_bundled_case_study():
     # Any change to the chain's numbers or the search's RNG use shows here
     # as a different best strategy.
@@ -195,7 +237,7 @@ def test_ga_candidates_stay_in_bounds_with_exact_types(monkeypatch):
     )
     seen = []
 
-    def record(candidate, prob):
+    def record(candidate, prob, memo=None):
         genome = dataclasses.astuple(candidate)
         seen.append(genome)
         return FitnessResult(
