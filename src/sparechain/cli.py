@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .chain import STRATEGY_BOUNDS, evaluate_inplane_only
+from .chain import STRATEGY_BOUNDS, PolicyMetrics, evaluate_inplane_only
 from .config import (
     ConfigError,
     RunConfig,
@@ -44,7 +45,7 @@ from .config import (
     bundled_launch_dates_path,
     load_run_config,
 )
-from .costs import evaluate_design, tessac_inplane_only
+from .costs import CostBreakdown, evaluate_design, tessac_inplane_only
 from .optimizer import (
     OptimizationProblem,
     optimize,
@@ -100,23 +101,24 @@ def _strategy_fields(strategy) -> tuple[list[str], list]:
     return names, [getattr(strategy, n) for n in names]
 
 
-_METRIC_FIELDS = [
-    "lambda_plane_per_day",
-    "lambda_parking_batches_per_day",
-    "p_av",
-    "es_plane",
-    "es_parking_batches",
-    "rho_plane",
-    "rho_parking",
+_METRIC_COLUMNS = [f.name for f in dataclasses.fields(PolicyMetrics)]
+_COST_COLUMNS = [f.name for f in dataclasses.fields(CostBreakdown)] + ["tessac"]
+# ReplicationResult attributes, one column each after the index, in simulation_replications.csv.
+_REPLICATION_COLUMNS = (
     "mean_stock_plane",
     "mean_stock_parking_batches",
-    "e_leadtime_plane_days",
-    "e_leadtime_parking_days",
-    "neglected_supply_mass",
-]
+    "rho_plane",
+    "rho_parking",
+    "tessac",
+    "failures",
+    "served",
+    "backorders_end",
+    "transfers",
+    "ground_orders",
+)
 
 
-def cmd_evaluate(rc: RunConfig, args, out: Path) -> int:
+def cmd_evaluate(rc: RunConfig, args, out: Path, master: int) -> int:
     rc.require("constellation", "launch", "costs", "satellite")
     cfg = rc.constellation
     if args.inplane_only:
@@ -131,16 +133,9 @@ def cmd_evaluate(rc: RunConfig, args, out: Path) -> int:
             cfg, rc.strategy, rc.launch, rc.costs, rc.satellite, rc.earth
         )
         header, row = _strategy_fields(rc.strategy)
-    header += _METRIC_FIELDS
-    row += [getattr(metrics, n) for n in _METRIC_FIELDS]
-    header += ["manufacturing", "holding", "launch", "maneuvering", "tessac"]
-    row += [
-        breakdown.manufacturing,
-        breakdown.holding,
-        breakdown.launch,
-        breakdown.maneuvering,
-        breakdown.tessac,
-    ]
+    header += _METRIC_COLUMNS + _COST_COLUMNS
+    row += [getattr(metrics, n) for n in _METRIC_COLUMNS]
+    row += [getattr(breakdown, n) for n in _COST_COLUMNS]
     _write_csv(out / "evaluate.csv", header, [row])
     _emit(args.format, header, [row])
     return 0
@@ -171,36 +166,13 @@ def cmd_simulate(rc: RunConfig, args, out: Path, master: int) -> int:
         ["tessac", res.tessac, res.se_tessac],
     ]
     _write_csv(out / "simulation_summary.csv", header, rows)
-    rep_header = [
-        "replication",
-        "mean_stock_plane",
-        "mean_stock_parking_batches",
-        "rho_plane",
-        "rho_parking",
-        "tessac",
-        "failures",
-        "served",
-        "backorders_end",
-        "transfers",
-        "ground_orders",
-    ]
     rep_rows = [
-        [
-            i,
-            r.mean_stock_plane,
-            r.mean_stock_parking_batches,
-            r.rho_plane,
-            r.rho_parking,
-            r.tessac,
-            r.failures,
-            r.served,
-            r.backorders_end,
-            r.transfers,
-            r.ground_orders,
-        ]
+        [i, *(getattr(r, n) for n in _REPLICATION_COLUMNS)]
         for i, r in enumerate(res.per_replication)
     ]
-    _write_csv(out / "simulation_replications.csv", rep_header, rep_rows)
+    _write_csv(
+        out / "simulation_replications.csv", ["replication", *_REPLICATION_COLUMNS], rep_rows
+    )
     if args.event_log:
         ev_rows = [
             [i, t, what, loc, stock]
@@ -326,8 +298,10 @@ def cmd_sensitivity(rc: RunConfig, args, out: Path, master: int) -> int:
         raise ConfigError(f"--rates: {exc}") from exc
     if not rates:
         raise ConfigError("--rates: need at least one failure rate")
-    if not all(math.isfinite(rate) for rate in rates):
-        raise ConfigError(f"--rates: failure rates must be finite, got {args.rates}")
+    if not all(0.0 <= rate < math.inf for rate in rates):
+        raise ConfigError(
+            f"--rates: failure rates must be finite and nonnegative, got {args.rates}"
+        )
     points = sensitivity_sweep(prob, rates, seed=command_seed(master, "sensitivity"))
     header = [
         "lambda_sat_per_year",
@@ -357,7 +331,7 @@ def cmd_sensitivity(rc: RunConfig, args, out: Path, master: int) -> int:
     return 0
 
 
-def cmd_fit_launch_data(rc: RunConfig, args, out: Path) -> int:
+def cmd_fit_launch_data(rc: RunConfig, args, out: Path, master: int) -> int:
     path = args.dates if args.dates is not None else bundled_launch_dates_path()
     dates = read_launch_dates(path)
     mean_gap = fit_launch_gaps(dates)
@@ -388,21 +362,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", parents=[shared], help="analytic metrics and cost")
     p.add_argument("--inplane-only", action="store_true", help="single-echelon policy")
+    p.set_defaults(run=cmd_evaluate)
 
     p = sub.add_parser("simulate", parents=[shared], help="Monte Carlo replications")
     p.add_argument("--event-log", action="store_true", help="also write events.csv")
+    p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("validate", parents=[shared], help="model-vs-simulation errors")
     p.add_argument("--n-cases", type=int, default=None)
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--horizon", type=float, default=None, help="years per replication")
     p.add_argument("--warmup", type=float, default=None, help="discarded years")
+    p.set_defaults(run=cmd_validate)
 
     p = sub.add_parser("optimize", parents=[shared], help="search for cheapest strategy")
     p.add_argument("--inplane-only", action="store_true", help="exhaustive (s,Q) baseline")
+    p.set_defaults(run=cmd_optimize)
 
     p = sub.add_parser("sensitivity", parents=[shared], help="savings vs failure rate")
     p.add_argument("--rates", default="0.001,0.005,0.01,0.05,0.1", help="comma separated")
+    p.set_defaults(run=cmd_sensitivity)
 
     p = sub.add_parser("fit-launch-data", parents=[shared], help="mean launch gap")
     p.add_argument(
@@ -410,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="file with one ISO date per line (default: bundled launch history)",
     )
+    p.set_defaults(run=cmd_fit_launch_data)
 
     return parser
 
@@ -426,23 +406,8 @@ def main(argv=None) -> int:
             raise ConfigError("--jobs: must be >= 1")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "evaluate":
-            return cmd_evaluate(rc, args, out)
-        if args.command == "simulate":
-            return cmd_simulate(rc, args, out, master)
-        if args.command == "validate":
-            return cmd_validate(rc, args, out, master)
-        if args.command == "optimize":
-            return cmd_optimize(rc, args, out, master)
-        if args.command == "sensitivity":
-            return cmd_sensitivity(rc, args, out, master)
-        if args.command == "fit-launch-data":
-            return cmd_fit_launch_data(rc, args, out)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        return args.run(rc, args, out, master)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,8 @@
 One file carries every section a command might need: constellation
 layout, a spare strategy, launch and cost parameters, simulation,
 optimization and validation settings, and optional Earth-constant
-overrides. Sections are validated strictly: unknown keys are rejected
+overrides. Every object in the file, the top level included, is built
+from the fields of the dataclass it describes: unknown keys are rejected
 and every value passes the domain checks of its dataclass.
 """
 
@@ -15,27 +16,46 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, get_type_hints
+from typing import Any, get_args, get_type_hints
 
 from .chain import ConstellationConfig, LaunchParams, SatelliteParams, SpareStrategy
 from .costs import CostParams
 from .inventory import SQPolicy
 from .optimizer import GAParams, VariableBounds
 from .orbits import WGS84, EarthConstants
-from .validation import ParameterRange, TradeSpace
+from .validation import TradeSpace
 
 
 class ConfigError(ValueError):
     """A configuration problem, with the offending key path in the message."""
 
 
-def _check_warmup(
-    warmup_name: str, horizon_name: str, warmup_years: float, horizon_years: float
-) -> None:
-    if not 0.0 <= warmup_years < horizon_years:
+def _check_run_size(section: str, values: dict[str, Any], flags: dict[str, str]) -> None:
+    """The run-size rules of simulation and validation settings on ``values``.
+
+    ``n_cases`` is checked only where ``values`` has it. An error names
+    ``flags[field]`` where given, else ``section.field``.
+    """
+
+    def name(field: str) -> str:
+        return flags.get(field, f"{section}.{field}")
+
+    if values.get("n_cases", 1) < 1:
+        raise ConfigError(f"{name('n_cases')}: need at least one case, got {values['n_cases']}")
+    if values["replications"] < 1:
         raise ConfigError(
-            f"{warmup_name}: must be nonnegative and shorter than "
-            f"{horizon_name} ({horizon_years}), got {warmup_years}"
+            f"{name('replications')}: need at least one replication, "
+            f"got {values['replications']}"
+        )
+    if not 0 < values["horizon_years"] < math.inf:
+        raise ConfigError(
+            f"{name('horizon_years')}: must be positive and finite, "
+            f"got {values['horizon_years']}"
+        )
+    if not 0.0 <= values["warmup_years"] < values["horizon_years"]:
+        raise ConfigError(
+            f"{name('warmup_years')}: must be nonnegative and shorter than "
+            f"{name('horizon_years')} ({values['horizon_years']}), got {values['warmup_years']}"
         )
 
 
@@ -46,21 +66,7 @@ class SimulationSettings:
     warmup_years: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.horizon_years <= 0:
-            raise ConfigError(
-                f"simulation.horizon_years: must be positive, got {self.horizon_years}"
-            )
-        if self.replications < 1:
-            raise ConfigError(
-                f"simulation.replications: need at least one replication, "
-                f"got {self.replications}"
-            )
-        _check_warmup(
-            "simulation.warmup_years",
-            "simulation.horizon_years",
-            self.warmup_years,
-            self.horizon_years,
-        )
+        _check_run_size("simulation", vars(self), {})
 
 
 @dataclass(frozen=True)
@@ -76,33 +82,6 @@ class OptimizationSettings:
             )
 
 
-def _check_validation(values: dict[str, Any], names: dict[str, str]) -> None:
-    """ValidationSettings' rules on the run-size fields in ``values``.
-
-    An error names ``names[field]`` where given, else the field's config
-    key path.
-    """
-
-    def name(field: str) -> str:
-        return names.get(field, f"validation.{field}")
-
-    if values["n_cases"] < 1:
-        raise ConfigError(f"{name('n_cases')}: need at least one case, got {values['n_cases']}")
-    if values["replications"] < 1:
-        raise ConfigError(
-            f"{name('replications')}: need at least one replication, "
-            f"got {values['replications']}"
-        )
-    if not 0 < values["horizon_years"] < math.inf:
-        raise ConfigError(
-            f"{name('horizon_years')}: must be positive and finite, "
-            f"got {values['horizon_years']}"
-        )
-    _check_warmup(
-        name("warmup_years"), name("horizon_years"), values["warmup_years"], values["horizon_years"]
-    )
-
-
 @dataclass(frozen=True)
 class ValidationSettings:
     n_cases: int = 25
@@ -112,7 +91,7 @@ class ValidationSettings:
     space: TradeSpace = TradeSpace()
 
     def __post_init__(self) -> None:
-        _check_validation(vars(self), {})
+        _check_run_size("validation", vars(self), {})
 
     def with_flags(self, **flags: tuple[str, Any]) -> "ValidationSettings":
         """A copy with command-line overrides, checked by the same rules.
@@ -123,7 +102,8 @@ class ValidationSettings:
         """
         given = {field: fv for field, fv in flags.items() if fv[1] is not None}
         values = {field: value for field, (_, value) in given.items()}
-        _check_validation({**vars(self), **values}, {f: flag for f, (flag, _) in given.items()})
+        flag_names = {field: flag for field, (flag, _) in given.items()}
+        _check_run_size("validation", {**vars(self), **values}, flag_names)
         return dataclasses.replace(self, **values)
 
 
@@ -142,6 +122,10 @@ class RunConfig:
     validation: ValidationSettings = ValidationSettings()
     earth: EarthConstants = WGS84
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed: must be nonnegative")
 
     def require(self, *sections: str) -> None:
         """Raise ConfigError naming the first missing section."""
@@ -175,21 +159,25 @@ def _coerce(value: Any, hint: Any, keypath: str) -> Any:
     raise ConfigError(f"{keypath}: unsupported value {value!r}")
 
 
-def _build(cls, data: Any, keypath: str, nested: dict[str, Any] | None = None):
-    """Construct a dataclass from a JSON mapping, strictly."""
+def _build(cls, data: Any, keypath: str):
+    """Construct a dataclass from a JSON mapping, strictly.
+
+    A field whose type is a dataclass is built from its nested object the
+    same way. ``keypath`` is the mapping's own key path, empty at the top
+    level.
+    """
     if not isinstance(data, dict):
-        raise ConfigError(f"{keypath}: expected an object")
-    nested = nested or {}
+        raise ConfigError(f"{keypath or 'top level of the config'}: expected an object")
     hints = get_type_hints(cls)
     field_names = {f.name for f in dataclasses.fields(cls)}
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
+        path = f"{keypath}.{key}" if keypath else key
         if key not in field_names:
-            raise ConfigError(f"{keypath}.{key}: unknown key")
-        if key in nested:
-            kwargs[key] = nested[key](value, f"{keypath}.{key}")
-        else:
-            kwargs[key] = _coerce(value, hints[key], f"{keypath}.{key}")
+            raise ConfigError(f"{path}: unknown key")
+        hint = hints[key]
+        nested = next((t for t in (hint, *get_args(hint)) if dataclasses.is_dataclass(t)), None)
+        kwargs[key] = _build(nested, value, path) if nested else _coerce(value, hint, path)
     required = {
         f.name
         for f in dataclasses.fields(cls)
@@ -206,43 +194,6 @@ def _build(cls, data: Any, keypath: str, nested: dict[str, Any] | None = None):
         raise ConfigError(f"{keypath}: {exc}") from exc
 
 
-def _build_parameter_range(data: Any, keypath: str) -> ParameterRange:
-    return _build(ParameterRange, data, keypath)
-
-
-def _build_trade_space(data: Any, keypath: str) -> TradeSpace:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{keypath}: expected an object")
-    nested = {f.name: _build_parameter_range for f in dataclasses.fields(TradeSpace)}
-    return _build(TradeSpace, data, keypath, nested=nested)
-
-
-def _build_optimization(data: Any, keypath: str) -> OptimizationSettings:
-    nested = {
-        "bounds": lambda d, kp: _build(VariableBounds, d, kp),
-        "ga": lambda d, kp: _build(GAParams, d, kp),
-    }
-    return _build(OptimizationSettings, data, keypath, nested=nested)
-
-
-def _build_validation(data: Any, keypath: str) -> ValidationSettings:
-    return _build(ValidationSettings, data, keypath, nested={"space": _build_trade_space})
-
-
-_SECTION_BUILDERS = {
-    "constellation": lambda d, kp: _build(ConstellationConfig, d, kp),
-    "strategy": lambda d, kp: _build(SpareStrategy, d, kp),
-    "inplane_policy": lambda d, kp: _build(SQPolicy, d, kp),
-    "launch": lambda d, kp: _build(LaunchParams, d, kp),
-    "costs": lambda d, kp: _build(CostParams, d, kp),
-    "satellite": lambda d, kp: _build(SatelliteParams, d, kp),
-    "simulation": lambda d, kp: _build(SimulationSettings, d, kp),
-    "optimization": _build_optimization,
-    "validation": _build_validation,
-    "earth": lambda d, kp: _build(EarthConstants, d, kp),
-}
-
-
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate a JSON config file.
 
@@ -257,19 +208,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("top level of the config must be an object")
-    kwargs: dict[str, Any] = {}
-    for key, value in data.items():
-        if key == "seed":
-            kwargs["seed"] = _coerce(value, int, "seed")
-            if kwargs["seed"] < 0:
-                raise ConfigError("seed: must be nonnegative")
-        elif key in _SECTION_BUILDERS:
-            kwargs[key] = _SECTION_BUILDERS[key](value, key)
-        else:
-            raise ConfigError(f"{key}: unknown section")
-    return RunConfig(**kwargs)
+    return _build(RunConfig, data, "")
 
 
 def bundled_case_study_path() -> Path:

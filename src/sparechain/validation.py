@@ -393,12 +393,28 @@ def fit_launch_gaps(dates: Sequence[date | datetime]) -> float:
 
 
 def read_launch_dates(path: str | Path) -> list[date]:
-    """Read one ISO date per line; a single non-date header line is skipped."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    """Read one ISO date per line; a single non-date header line is skipped.
+
+    Raises:
+        ValueError: If the file has no nonblank line, or a nonblank line
+            after the first is not an ISO date; the message names the file
+            and the 1-based line number.
+    """
+    lines = [
+        (number, ln.strip())
+        for number, ln in enumerate(Path(path).read_text().splitlines(), start=1)
+        if ln.strip()
+    ]
     if not lines:
         raise ValueError(f"no dates in {path}")
     try:
-        date.fromisoformat(lines[0])
+        date.fromisoformat(lines[0][1])
     except ValueError:
         lines = lines[1:]
-    return [date.fromisoformat(ln) for ln in lines]
+    dates = []
+    for number, text in lines:
+        try:
+            dates.append(date.fromisoformat(text))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {text!r} is not a date: {exc}") from exc
+    return dates

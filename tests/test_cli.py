@@ -128,6 +128,55 @@ def test_unknown_key_names_the_path(tmp_path, base_config, capsys):
 
 
 @pytest.mark.parametrize(
+    "keys",
+    [
+        ("constellation",),
+        ("strategy",),
+        ("inplane_policy",),
+        ("launch",),
+        ("costs",),
+        ("satellite",),
+        ("earth",),
+        ("simulation",),
+        ("optimization",),
+        ("optimization", "bounds"),
+        ("optimization", "ga"),
+        ("validation",),
+        ("validation", "space"),
+        ("validation", "space", "pt_launch_days"),
+    ],
+    ids=".".join,
+)
+def test_unknown_key_in_any_section_names_its_full_path(tmp_path, base_config, keys):
+    cfg = json.loads(json.dumps(base_config))
+    section = cfg
+    for key in keys:
+        section = section.setdefault(key, {})
+    section["bogus"] = 1
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    keypath = ".".join(keys) + ".bogus"
+    with pytest.raises(ConfigError, match=f"^{re.escape(keypath)}: unknown key$"):
+        load_run_config(path)
+
+
+@pytest.mark.parametrize(
+    ("data", "message"),
+    [
+        ({"bogus": {}}, "bogus: unknown key"),
+        ([], "top level of the config: expected an object"),
+        ({"seed": -1}, "seed: must be nonnegative"),
+    ],
+    ids=["unknown-section", "not-an-object", "negative-seed"],
+)
+def test_top_level_errors(tmp_path, data, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_run_config(path)
+
+
+@pytest.mark.parametrize(
     ("command", "section", "values", "keypath"),
     [
         ("optimize", "optimization", {"rho_target": 1.5}, "optimization.rho_target"),
@@ -312,9 +361,29 @@ def test_simulate_smoke_with_event_log(tmp_path, fast_config):
     ]
     for r in summary:
         float(r["mean"]), float(r["se"])
+    assert read_table(out / "simulation_replications.csv")[0] == [
+        "replication",
+        "mean_stock_plane",
+        "mean_stock_parking_batches",
+        "rho_plane",
+        "rho_parking",
+        "tessac",
+        "failures",
+        "served",
+        "backorders_end",
+        "transfers",
+        "ground_orders",
+    ]
     reps = read_rows(out / "simulation_replications.csv")
     assert len(reps) == 4
     assert [r["replication"] for r in reps] == ["0", "1", "2", "3"]
+    assert read_table(out / "events.csv")[0] == [
+        "replication",
+        "time_days",
+        "event",
+        "location",
+        "stock_after",
+    ]
     events = read_rows(out / "events.csv")
     assert events
     assert {r["event"] for r in events} >= {"failure", "plane_order"}
@@ -495,10 +564,11 @@ def test_sensitivity_rejects_bad_rates(tmp_path, fast_config, capsys):
     base = ["sensitivity", "--config", str(fast_config), "--out", str(tmp_path / "o")]
     assert main(base + ["--rates", "abc"]) == 1
     assert main(base + ["--rates", ""]) == 1
-    assert main(base + ["--rates", "-0.5"]) == 1
-    for rates in ("nan", "0.01,inf"):
+    capsys.readouterr()
+    for rates in ("nan", "0.01,inf", "-0.5"):
         assert main(base + ["--rates", rates]) == 1
-        assert "--rates: failure rates must be finite" in capsys.readouterr().err
+        message = f"--rates: failure rates must be finite and nonnegative, got {rates}"
+        assert message in capsys.readouterr().err
 
 
 def test_fit_launch_data_bundled(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import statistics
 from datetime import date, datetime, timedelta
 from types import SimpleNamespace
@@ -314,6 +315,15 @@ def test_read_launch_dates_skips_header(tmp_path):
     h.write_text("\n")
     with pytest.raises(ValueError):
         read_launch_dates(h)
+
+
+def test_read_launch_dates_names_the_file_and_line_of_a_bad_date(tmp_path):
+    # The blank line counts: the number is the line in the file.
+    f = tmp_path / "dates.csv"
+    f.write_text("launch_date\n2020-01-01\n\n2020-13-04\n")
+    message = f"{f}, line 4: '2020-13-04' is not a date: month must be in 1..12"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_launch_dates(f)
 
 
 def test_bundled_launch_history_mean_gap():
