@@ -257,9 +257,6 @@ def cmd_optimize(rc: RunConfig, args, out: Path, master: int) -> int:
     prob = _problem(rc)
     if args.inplane_only:
         res = optimize_inplane_only(prob)
-        if not res.feasible:
-            print("no feasible single-echelon policy", file=sys.stderr)
-            return 2
         header = ["q_plane", "s_plane", "tessac", "fill_rate_product"]
         rows = [
             [
@@ -376,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_validate)
 
     p = sub.add_parser("optimize", parents=[shared], help="search for cheapest strategy")
-    p.add_argument("--inplane-only", action="store_true", help="exhaustive (s,Q) baseline")
+    p.add_argument(
+        "--inplane-only", action="store_true", help="exact (s,Q) baseline: least feasible s per Q"
+    )
     p.set_defaults(run=cmd_optimize)
 
     p = sub.add_parser("sensitivity", parents=[shared], help="savings vs failure rate")

@@ -4,8 +4,9 @@ A mixed-integer genetic algorithm searches the six-variable strategy
 space (five integers plus the continuous parking altitude) for the lowest
 annual cost subject to a launch-capacity constraint and a constellation
 fill-rate requirement. The ground-only baseline has just two variables
-and is solved exactly by enumeration. A sweep utility reruns both per
-failure rate to map the savings of the orbital echelon.
+and is solved exactly: per order quantity, the reorder point steps up to
+the first one that meets the fill-rate target. A sweep utility reruns
+both per failure rate to map the savings of the orbital echelon.
 
 Each restart has its own Philox stream. It first draws the initial
 population genome by genome, then per generation six arrays in this
@@ -17,6 +18,7 @@ whole, used or not, so the draws never depend on fitness values.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,8 +41,6 @@ from .orbits import WGS84, EarthConstants
 
 PENALTY_SCALE = 1e6
 ERROR_PENALTY = 1e9
-# Largest in-plane reorder point the exhaustive baseline tries.
-INPLANE_S_MAX = 20
 
 # Fixed genetic operators: elite genomes copied unchanged into each next
 # generation, candidates per parent tournament, probability that a pair of
@@ -321,43 +321,36 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
 class InplaneOptimizationResult:
     """Exact optimum of the ground-to-plane baseline."""
 
-    feasible: bool
-    best_policy: SQPolicy | None
-    best_cost: float | None
-    fill_rate_product: float | None
+    best_policy: SQPolicy
+    best_cost: float
+    fill_rate_product: float
 
 
 def optimize_inplane_only(prob: OptimizationProblem) -> InplaneOptimizationResult:
-    """Exhaustive baseline search over order quantity and reorder point.
+    """Exact baseline optimum over order quantity and reorder point.
 
-    The space is tiny (Q up to the launch capacity, s up to
-    INPLANE_S_MAX), so the optimum is exact.
+    For a fixed Q, TESSAC rises with s by p_holding * n_plane per unit and
+    the expected shortage never does, so the cheapest feasible s is the
+    smallest one: s steps up from 0 until the fill-rate product meets the
+    target (Federgruen & Zheng's monotonicity in the reorder point). The
+    fill rate tends to 1 as s grows, so every Q up to the launch capacity
+    has a feasible s and the baseline is always feasible. An exact cost tie
+    goes to the smaller Q.
     """
     cfg, lp = prob.constellation, prob.launch
-    best: tuple[float, int, int] | None = None
-    best_product: float | None = None
+    best: InplaneOptimizationResult | None = None
     for q in range(1, lp.cap_launch + 1):
-        for s in range(0, INPLANE_S_MAX + 1):
+        for s in itertools.count():
             policy = SQPolicy(reorder_point_s=s, order_quantity_q=q)
             metrics = evaluate_inplane_only(cfg, policy, lp)
             product = metrics.rho_plane**cfg.n_plane
-            if product < prob.rho_target:
-                continue
-            cost = tessac_inplane_only(cfg, policy, metrics, prob.costs, lp)
-            key = (cost.tessac, q, s)
-            if best is None or key < best:
-                best = key
-                best_product = product
-    if best is None:
-        return InplaneOptimizationResult(
-            feasible=False, best_policy=None, best_cost=None, fill_rate_product=None
-        )
-    return InplaneOptimizationResult(
-        feasible=True,
-        best_policy=SQPolicy(reorder_point_s=best[2], order_quantity_q=best[1]),
-        best_cost=best[0],
-        fill_rate_product=best_product,
-    )
+            if product >= prob.rho_target:
+                break
+        cost = tessac_inplane_only(cfg, policy, metrics, prob.costs, lp).tessac
+        if best is None or cost < best.best_cost:
+            best = InplaneOptimizationResult(policy, cost, product)
+    assert best is not None
+    return best
 
 
 @dataclass(frozen=True)
@@ -389,9 +382,9 @@ def sensitivity_sweep(
         sub_prob = dataclasses.replace(prob, constellation=cfg)
         try:
             multi = optimize(sub_prob, sub_seed)
-            base = optimize_inplane_only(sub_prob)
-            if not multi.feasible or not base.feasible:
+            if not multi.feasible:
                 raise ValueError("no feasible strategy at this rate")
+            base = optimize_inplane_only(sub_prob)
             savings = (base.best_cost - multi.best_cost) / base.best_cost * 100.0
             points.append(
                 SweepPoint(

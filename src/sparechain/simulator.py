@@ -277,7 +277,7 @@ def _run_with_rng(
     plane_orders = transfers = plane_arrivals = 0
     plane_cycles_window = transfers_window = 0
     ground_orders = ground_arrivals = ground_arrivals_window = 0
-    parking_cycles_window = parking_backorders_window = 0
+    parking_backorders_window = 0
     leadtimes: list[float] = []
     events: list[tuple[float, str, int, int]] | None = [] if sc.capture_events else None
 
@@ -335,7 +335,7 @@ def _run_with_rng(
             assign_transfer(j, t, choice)
 
     def handle_parking_arrival(p: int, t: float) -> None:
-        nonlocal agg_park, ground_arrivals, ground_arrivals_window, parking_cycles_window
+        nonlocal agg_park, ground_arrivals, ground_arrivals_window
         ground_arrivals += 1
         assert parking_in_transit[p], "arrival without an outstanding order"
         parking_in_transit[p] = False
@@ -343,7 +343,6 @@ def _run_with_rng(
         agg_park += float(k_q)
         if warmup <= t:
             ground_arrivals_window += 1
-            parking_cycles_window += 1
         if events is not None:
             events.append((t, "parking_arrival", p, parking_stock[p]))
         # Queued plane orders re-pick the closest stocked orbit now.
@@ -438,8 +437,8 @@ def _run_with_rng(
         else 1.0
     )
     rho_parking = (
-        1.0 - (parking_backorders_window / parking_cycles_window) / k_q
-        if parking_cycles_window
+        1.0 - (parking_backorders_window / ground_arrivals_window) / k_q
+        if ground_arrivals_window
         else 1.0
     )
 

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import (
+    STRATEGY_BOUNDS,
     ConstellationConfig,
     LaunchParams,
     SatelliteParams,
@@ -72,15 +73,15 @@ class TradeSpace:
 
     pt_launch_days: ParameterRange = ParameterRange(30.0, 120.0)
     h_plane_km: ParameterRange = ParameterRange(1000.0, 2000.0)
-    h_parking_km: ParameterRange = ParameterRange(700.0, 1000.0)
+    h_parking_km: ParameterRange = ParameterRange(*STRATEGY_BOUNDS["h_parking_km"])
     inclination_deg: ParameterRange = ParameterRange(30.0, 70.0)
     lambda_sat_per_year: ParameterRange = ParameterRange(0.001, 0.1)
     mu_launch_days: ParameterRange = ParameterRange(30.0, 90.0)
     n_plane: ParameterRange = ParameterRange(20, 40)
-    n_parking: ParameterRange = ParameterRange(1, 20)
+    n_parking: ParameterRange = ParameterRange(*STRATEGY_BOUNDS["n_parking"])
     n_sats: ParameterRange = ParameterRange(20, 60)
-    q_plane: ParameterRange = ParameterRange(1, 10)
-    k_q_parking: ParameterRange = ParameterRange(1, 10)
+    q_plane: ParameterRange = ParameterRange(*STRATEGY_BOUNDS["q_plane"])
+    k_q_parking: ParameterRange = ParameterRange(*STRATEGY_BOUNDS["k_q_parking"])
 
     def __post_init__(self) -> None:
         for name in INTEGER_DIMENSIONS:
@@ -153,8 +154,10 @@ def size_reorder_points(
             reason other than a too small parking stock, e.g. a parking
             orbit that is not below the planes.
     """
-    for k_s in range(1, 11):
-        trial = dataclasses.replace(strategy, s_plane=1, k_s_parking=k_s)
+    k_s_lo, k_s_hi = STRATEGY_BOUNDS["k_s_parking"]
+    s_lo, s_hi = STRATEGY_BOUNDS["s_plane"]
+    for k_s in range(k_s_lo, k_s_hi + 1):
+        trial = dataclasses.replace(strategy, s_plane=s_lo, k_s_parking=k_s)
         try:
             metrics = evaluate_strategy(cfg, trial, lp, consts)
         except UndefinedAvailabilityError:
@@ -165,16 +168,16 @@ def size_reorder_points(
             break
     else:
         raise SizingInfeasibleError(
-            f"no parking reorder point in [1, 10] reaches "
+            f"no parking reorder point in [{k_s_lo}, {k_s_hi}] reaches "
             f"{rho_requirement} with k_q={strategy.k_q_parking}"
         )
 
-    for s in range(1, 11):
+    for s in range(s_lo, s_hi + 1):
         metrics = evaluate_strategy(cfg, dataclasses.replace(trial, s_plane=s), lp, consts)
         if metrics.rho_plane**cfg.n_plane >= rho_requirement:
             return s, k_s
     raise SizingInfeasibleError(
-        f"no plane reorder point in [1, 10] reaches {rho_requirement} "
+        f"no plane reorder point in [{s_lo}, {s_hi}] reaches {rho_requirement} "
         f"with q={strategy.q_plane}"
     )
 
@@ -393,12 +396,15 @@ def fit_launch_gaps(dates: Sequence[date | datetime]) -> float:
 
 
 def read_launch_dates(path: str | Path) -> list[date]:
-    """Read one ISO date per line; a single non-date header line is skipped.
+    """Read one ISO date per line after an optional header line.
+
+    The first nonblank line is a header, and skipped, only when it does not
+    start with a digit; a line that does is read as a date.
 
     Raises:
         ValueError: If the file has no nonblank line, or a nonblank line
-            after the first is not an ISO date; the message names the file
-            and the 1-based line number.
+            that is not a header is not an ISO date; the message names the
+            file and the 1-based line number.
     """
     lines = [
         (number, ln.strip())
@@ -407,9 +413,7 @@ def read_launch_dates(path: str | Path) -> list[date]:
     ]
     if not lines:
         raise ValueError(f"no dates in {path}")
-    try:
-        date.fromisoformat(lines[0][1])
-    except ValueError:
+    if not lines[0][1][0].isdigit():
         lines = lines[1:]
     dates = []
     for number, text in lines:

@@ -508,6 +508,21 @@ def test_optimize_inplane_smoke(tmp_path, fast_config):
     assert float(row["tessac"]) == pytest.approx(484.16073059360735, rel=1e-12)
 
 
+def test_optimize_inplane_has_no_reorder_point_cap(tmp_path, base_config):
+    # At 0.5 failures per satellite-year the optimum needs s = 24, above
+    # any fixed small scan range.
+    cfg = json.loads(json.dumps(base_config))
+    cfg["constellation"]["lambda_sat_per_year"] = 0.5
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["optimize", "--config", str(path), "--inplane-only", "--out", str(out)]) == 0
+    (row,) = read_rows(out / "optimize_inplane.csv")
+    assert (row["q_plane"], row["s_plane"]) == ("34", "24")
+    assert float(row["tessac"]) == 2178.27397260274
+    assert float(row["fill_rate_product"]) >= 0.95
+
+
 def test_optimize_infeasible_space_exits_2(tmp_path, base_config, capsys):
     cfg = json.loads(json.dumps(base_config))
     cfg["launch"]["cap_launch"] = 1
@@ -587,6 +602,14 @@ def test_fit_launch_data_custom_file(tmp_path):
     assert main(["fit-launch-data", "--dates", str(dates), "--out", str(out)]) == 0
     (row,) = read_rows(out / "launch_fit.csv")
     assert float(row["mean_gap_days"]) == 5.0
+
+
+def test_fit_launch_data_rejects_a_bad_first_date(tmp_path, capsys):
+    # A headerless file: its malformed first date is an error, not a header.
+    dates = tmp_path / "d.csv"
+    dates.write_text("2020-13-04\n2020-01-01\n2020-01-04\n")
+    assert main(["fit-launch-data", "--dates", str(dates), "--out", str(tmp_path / "o")]) == 1
+    assert f"{dates}, line 1: '2020-13-04' is not a date" in capsys.readouterr().err
 
 
 def test_command_seeds_are_decorrelated():

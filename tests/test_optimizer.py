@@ -13,10 +13,11 @@ from sparechain.chain import (
     LaunchParams,
     SatelliteParams,
     SpareStrategy,
+    evaluate_inplane_only,
 )
 from sparechain.cli import command_seed
 from sparechain.config import bundled_case_study_path, load_run_config
-from sparechain.costs import CostParams
+from sparechain.costs import CostParams, tessac_inplane_only
 from sparechain.inventory import SQPolicy
 from sparechain.optimizer import (
     ERROR_PENALTY,
@@ -321,23 +322,35 @@ def test_optimize_reports_infeasible_space():
 
 def test_inplane_exhaustive_optimum():
     result = optimize_inplane_only(CASE_PROBLEM)
-    assert result.feasible
     assert result.best_policy == SQPolicy(reorder_point_s=3, order_quantity_q=21)
     assert result.best_cost == pytest.approx(484.16073059360735, rel=1e-12)
     assert result.fill_rate_product == pytest.approx(0.951032161874933, rel=1e-9)
     assert result.fill_rate_product >= 0.95
 
 
-def test_inplane_reports_infeasible():
-    # At 5 failures per satellite-year no reorder point up to INPLANE_S_MAX
-    # reaches the fill-rate target.
-    prob = dataclasses.replace(
-        CASE_PROBLEM,
-        constellation=dataclasses.replace(CASE_CFG, lambda_sat_per_year=5.0),
-    )
+@pytest.mark.parametrize("rate", [0.05, 0.5, 1.0])
+def test_inplane_step_up_matches_a_wide_scan(rate):
+    # Brute force over every Q up to the launch capacity and s up to 200,
+    # ties to the smaller (Q, s); the step-up must land on the same policy
+    # with the same floats.
+    cfg = dataclasses.replace(CASE_CFG, lambda_sat_per_year=rate)
+    prob = dataclasses.replace(CASE_PROBLEM, constellation=cfg)
+    best = None
+    for q in range(1, CASE_LAUNCH.cap_launch + 1):
+        for s in range(0, 201):
+            policy = SQPolicy(reorder_point_s=s, order_quantity_q=q)
+            metrics = evaluate_inplane_only(cfg, policy, CASE_LAUNCH)
+            product = metrics.rho_plane**cfg.n_plane
+            if product < prob.rho_target:
+                continue
+            cost = tessac_inplane_only(cfg, policy, metrics, COSTS, CASE_LAUNCH).tessac
+            if best is None or (cost, q, s) < best[:3]:
+                best = (cost, q, s, product)
+    assert best is not None and best[2] < 200  # the scan reached past the optimum
     result = optimize_inplane_only(prob)
-    assert not result.feasible
-    assert result.best_policy is None
+    assert result.best_policy == SQPolicy(reorder_point_s=best[2], order_quantity_q=best[1])
+    assert result.best_cost == best[0]
+    assert result.fill_rate_product == best[3]
 
 
 def test_sweep_records_errors_and_continues():
