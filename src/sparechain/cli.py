@@ -156,7 +156,7 @@ def cmd_simulate(rc: RunConfig, args, out: Path, master: int) -> int:
         capture_events=args.event_log,
         consts=rc.earth,
     )
-    res = run_batch(sc, jobs=args.jobs)
+    res = run_batch(sc)
     header = ["metric", "mean", "se"]
     rows = [
         ["mean_stock_plane", res.mean_stock_plane, res.se_stock_plane],
@@ -206,7 +206,6 @@ def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
         horizon_years=vs.horizon_years,
         warmup_years=vs.warmup_years,
         seed=command_seed(master, "validate"),
-        jobs=args.jobs,
     )
     param_names = [name for name, _ in vs.space.items()]
     case_header = (
@@ -347,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON config file (default: bundled case-study example)",
     )
     shared.add_argument("--seed", type=int, default=None, help="master seed override")
-    shared.add_argument("--jobs", type=int, default=None, help="worker threads")
+    shared.add_argument(
+        "--jobs", type=int, default=None, help="accepted for compatibility; has no effect"
+    )
     shared.add_argument("--out", default="out", help="directory for CSV outputs")
     shared.add_argument("--format", choices=("text", "csv"), default="text")
 

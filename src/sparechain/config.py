@@ -146,10 +146,6 @@ def _coerce(value: Any, hint: Any, keypath: str) -> Any:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{keypath}: expected an integer, got {value!r}")
         return value
-    if hint is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{keypath}: expected a boolean, got {value!r}")
-        return value
     # Bounds pairs arrive as two-element lists.
     if hint in (tuple[int, int], tuple[float, float]):
         if not isinstance(value, list) or len(value) != 2:

@@ -9,9 +9,9 @@ after a fixed processing time plus an exponential launch-window wait.
 
 Randomness comes from counter-based Philox generators. Replication i of
 a batch takes its seed from SeedSequence(master_seed, spawn_key=(i,))
-(``replication_seed``), so batches are reproducible across platforms and
-worker counts. ``SeedSequence(seed).spawn(2)`` splits that seed into two
-independent streams, one per purpose:
+(``replication_seed``), so batches are reproducible across platforms.
+``SeedSequence(seed).spawn(2)`` splits that seed into two independent
+streams, one per purpose:
 
 * failures: blocks of _FAILURE_BLOCK exponential interarrival gaps of the
   merged failure process, each followed by as many failed-plane indices,
@@ -41,7 +41,6 @@ import heapq
 import itertools
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -490,16 +489,12 @@ def replication_seed(master_seed: int, index: int) -> int:
 def run_batch(sc: SimConfig, jobs: int | None = None) -> SimulationResult:
     """Run all replications and aggregate means and standard errors.
 
-    Replications are independent; ``jobs`` only sets the worker count and
-    never changes the result, because every replication is a pure function
-    of its derived seed and aggregation follows replication order.
+    Replications run in order on the calling thread; each is a pure
+    function of its derived seed, and aggregation follows replication order.
+    ``jobs`` is not read; it stays because the benchmark (``bench/``)
+    still passes it.
     """
-    seeds = [replication_seed(sc.seed, i) for i in range(sc.replications)]
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reps = list(pool.map(lambda s: run_replication(sc, s), seeds))
-    else:
-        reps = [run_replication(sc, s) for s in seeds]
+    reps = [run_replication(sc, replication_seed(sc.seed, i)) for i in range(sc.replications)]
 
     def mean_se(values: list[float]) -> tuple[float, float]:
         arr = np.asarray(values)

@@ -233,8 +233,7 @@ def run_validation(
     horizon_years: float = 15.0,
     warmup_years: float = 1.0,
     seed: int = 0,
-    jobs: int | None = None,
-    simulate_fn: Callable[[SimConfig, int | None], SimulationResult] | None = None,
+    simulate_fn: Callable[[SimConfig], SimulationResult] | None = None,
 ) -> ErrorReport:
     """Run the full model-vs-simulation accuracy study.
 
@@ -253,9 +252,8 @@ def run_validation(
         warmup_years: Discarded start-up span per replication.
         seed: Master seed; the sampler uses it directly and case i
             simulates with a seed derived via spawn key (1, i).
-        jobs: Worker threads for the simulator.
         simulate_fn: Replacement for the simulation step (testing hook);
-            must accept (SimConfig, jobs) and return aggregate metrics.
+            must accept a SimConfig and return aggregate metrics.
 
     Returns:
         ErrorReport with per-case outcomes and averaged errors.
@@ -275,7 +273,6 @@ def run_validation(
                 horizon_years=horizon_years,
                 warmup_years=warmup_years,
                 seed=_case_seed(seed, i),
-                jobs=jobs,
                 simulate=simulate,
             )
         )
@@ -302,8 +299,7 @@ def _run_case(
     horizon_years: float,
     warmup_years: float,
     seed: int,
-    jobs: int | None,
-    simulate: Callable[[SimConfig, int | None], SimulationResult],
+    simulate: Callable[[SimConfig], SimulationResult],
 ) -> CaseOutcome:
     try:
         cfg = ConstellationConfig(
@@ -344,7 +340,7 @@ def _run_case(
         warmup_years=warmup_years,
         consts=consts,
     )
-    sim = simulate(sim_config, jobs)
+    sim = simulate(sim_config)
     model_values = {
         "mean_stock_plane": metrics.mean_stock_plane,
         "mean_stock_parking": metrics.mean_stock_parking_batches,
@@ -359,11 +355,7 @@ def _run_case(
         "rho_parking": sim.rho_parking,
         "tessac": sim.tessac,
     }
-    errors = {
-        name: relative_error(sim_values[name], model_values[name])
-        for name in OUTPUT_NAMES
-    }
-    return CaseOutcome(
+    outcome = CaseOutcome(
         index=index,
         params=params,
         feasible=True,
@@ -371,8 +363,17 @@ def _run_case(
         k_s_parking=strategy.k_s_parking,
         model_values=model_values,
         sim_values=sim_values,
-        errors_pct=errors,
     )
+    try:
+        errors = {
+            name: relative_error(sim_values[name], model_values[name])
+            for name in OUTPUT_NAMES
+        }
+    except ValueError as exc:
+        # A zero simulated value leaves its error undefined: the case keeps
+        # its values, counts as infeasible, and the study goes on.
+        return dataclasses.replace(outcome, feasible=False, reason=str(exc))
+    return dataclasses.replace(outcome, errors_pct=errors)
 
 
 def fit_launch_gaps(dates: Sequence[date | datetime]) -> float:

@@ -142,7 +142,6 @@ def test_criterion_3_model_accuracy_study(capsys):
         horizon_years=15.0,
         warmup_years=1.0,
         seed=20,
-        jobs=8,
     )
     elapsed = time.perf_counter() - start
     errors = report.averaged_errors_pct

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,8 @@ from sparechain.config import (
     bundled_case_study_path,
     load_run_config,
 )
-from sparechain.validation import lhs_sample
+from sparechain.simulator import SimConfig, run_batch
+from sparechain.validation import OUTPUT_NAMES, lhs_sample
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +447,58 @@ def test_validate_smoke(tmp_path, fast_config, capsys):
             float(case["err_pct_tessac"])
         else:
             assert case["reason"]
+
+
+def test_validate_reports_zero_simulated_values_per_case(tmp_path, base_config, capsys):
+    # With every price 0 the simulated TESSAC is 0, so no case has a
+    # defined relative error; each is still written, with its reason.
+    cfg = dict(base_config)
+    cfg["costs"] = {name: 0.0 for name in base_config["costs"]}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    argv = ["validate", "--config", str(path), "--n-cases", "3", "--reps", "2", "--horizon", "3"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "0 feasible, 3 infeasible" in capsys.readouterr().err
+    cases = read_rows(out / "validation_cases.csv")
+    assert len(cases) == 3
+    for case in cases:
+        assert case["feasible"] == "0"
+        assert case["reason"]
+    sized = [case for case in cases if case["s_plane"]]
+    assert sized
+    for case in sized:
+        assert case["reason"] == "relative error undefined for a zero simulated value"
+        assert float(case["model_tessac"]) == float(case["sim_tessac"]) == 0.0
+        assert all(case[f"err_pct_{name}"] == "" for name in OUTPUT_NAMES)
+
+
+def test_simulator_starts_no_thread(tmp_path, fast_config, monkeypatch):
+    # run_batch and validate run on the calling thread whatever the job
+    # count, and give the same results as without it.
+    rc = load_run_config(fast_config)
+    sc = SimConfig(
+        constellation=rc.constellation,
+        strategy=rc.strategy,
+        launch=rc.launch,
+        costs=rc.costs,
+        satellite=rc.satellite,
+        horizon_years=3.0,
+        replications=4,
+        seed=5,
+    )
+    validate = ["validate", "--config", str(fast_config), "--n-cases", "3", "--reps", "2"]
+    expected = run_batch(sc)
+    assert main(validate + ["--out", str(tmp_path / "a")]) == 0
+
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert run_batch(sc, jobs=4) == expected
+    assert main(validate + ["--jobs", "2", "--out", str(tmp_path / "b")]) == 0
+    for name in ("validation_cases.csv", "validation_summary.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_validate_prices_with_the_config_costs(tmp_path, base_config):

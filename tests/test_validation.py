@@ -222,7 +222,7 @@ def test_relative_error_definition():
         relative_error(0.0, 1.0)
 
 
-def _model_echo(sim_config, jobs):
+def _model_echo(sim_config):
     """Simulation stand-in that returns the analytic values themselves."""
     metrics, cost = evaluate_design(
         sim_config.constellation,
@@ -244,11 +244,11 @@ def _model_echo(sim_config, jobs):
 def test_perfect_simulator_yields_zero_errors():
     seen_seeds = []
 
-    def hook(sim_config, jobs):
+    def hook(sim_config):
         seen_seeds.append(sim_config.seed)
         assert sim_config.replications == 7
         assert sim_config.horizon_years == 4.0
-        return _model_echo(sim_config, jobs)
+        return _model_echo(sim_config)
 
     report = run_validation(
         TradeSpace(),
@@ -276,6 +276,37 @@ def test_perfect_simulator_yields_zero_errors():
             assert c.reason
     assert all(v == 0.0 for v in report.averaged_errors_pct.values())
     assert len(set(seen_seeds)) == len(seen_seeds)
+
+
+def test_zero_simulated_value_marks_only_its_case_infeasible():
+    # relative_error is undefined for a zero simulated reference; that case
+    # is reported with its values and a reason, and the study goes on.
+    zeroed = []
+
+    def hook(sim_config):
+        result = _model_echo(sim_config)
+        if not zeroed:
+            zeroed.append(sim_config.seed)
+            result.tessac = 0.0
+        return result
+
+    report = run_validation(
+        TradeSpace(), 6, costs=COSTS, satellite=SAT, consts=WGS84, seed=4, simulate_fn=hook
+    )
+    simulated = [c for c in report.cases if c.sim_values is not None]
+    first, rest = simulated[0], simulated[1:]
+    assert not first.feasible
+    assert first.reason == "relative error undefined for a zero simulated value"
+    assert first.errors_pct is None
+    assert first.s_plane is not None and first.k_s_parking is not None
+    assert first.sim_values["tessac"] == 0.0
+    assert first.model_values["tessac"] > 0.0
+    assert rest
+    for c in rest:
+        assert c.feasible and c.reason is None
+        assert all(math.isfinite(v) for v in c.errors_pct.values())
+    assert report.infeasible_count == len(report.cases) - len(rest)
+    assert all(math.isfinite(v) for v in report.averaged_errors_pct.values())
 
 
 def test_validation_report_is_deterministic():
