@@ -16,19 +16,24 @@ echelon calls its exact compound-Poisson shortage from `inventory`
 directly (Hadley & Whitin 1963; Axsater, Inventory Control, ch. 5);
 nothing is integrated numerically.
 
-`evaluate_strategy` runs two pure stages: the parking stage depends only
-on the parking policy and its demand rate, the plane stage only on the
-parking ring and the plane reorder point. A search that visits many
-strategies passes a `StageMemo`, which reuses each stage's recent results.
+`evaluate_strategy` runs three pure stages: the parking stage depends only
+on the parking policy and its demand rate, the altitude stage only on the
+parking altitude, and the plane stage only on the parking ring, its orbit
+figures and the plane reorder point. A search that visits many strategies
+passes a `StageMemo`, which reuses each stage's recent results and computes
+what depends on the problem alone once.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import numbers
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .inventory import (
     SQPolicy,
@@ -37,7 +42,16 @@ from .inventory import (
     mean_stock,
     segment_shortages,
 )
-from .orbits import WGS84, CircularOrbit, EarthConstants, transfer_time
+from .orbits import (
+    WGS84,
+    CircularOrbit,
+    EarthConstants,
+    TransferResult,
+    drift_and_flight,
+    hohmann_transfer,
+    raan_drift_rate,
+    transfer_time,  # unused here; bench/test_bench.py traces it as chain.transfer_time
+)
 
 # Days used to annualize rates.
 DAYS_PER_YEAR = 365.0
@@ -202,6 +216,15 @@ class PolicyMetrics:
                 raise ValueError(f"{name}={value} outside [0, 1]")
 
 
+# PolicyMetrics' fields, in order, as a plain named tuple. `chain_figures`
+# keeps its rates in [0, 1] by construction (fill_rate clamps and
+# parking_availability checks), so a search, which scores many strategies
+# and keeps none, skips the dataclass and its checks.
+PolicyFigures = collections.namedtuple(
+    "PolicyFigures", [f.name for f in fields(PolicyMetrics)]
+)
+
+
 def plane_demand_rate(cfg: ConstellationConfig) -> float:
     """Spare demand of one plane, satellites/day: n_sats * lambda_sat / days."""
     return cfg.n_sats * cfg.lambda_sat_per_year / DAYS_PER_YEAR
@@ -273,25 +296,19 @@ def supply_probabilities(p_av: float, n_parking: int) -> list[float]:
     return [p_av * miss ** (i - 1) / norm for i in range(1, n_parking + 1)]
 
 
-def plane_segments(
-    n_parking: int,
-    h_parking_km: float,
-    cfg: ConstellationConfig,
-    consts: EarthConstants = WGS84,
-) -> list[tuple[float, float]]:
+def plane_segments(n_parking: int, drift: float, tof: float) -> list[tuple[float, float]]:
     """Drift-plus-flight days (lo, hi) of each supplier rank, closest first.
 
     The i-th closest parking orbit sits between (i-1) and i ring spacings
     of nodal separation, uniformly for a randomly timed order, so each rank
     contributes one uniform segment. The transfer time is affine in the
-    nodal gap (linear drift wait plus a fixed flight), so two evaluations
-    give every bound.
+    nodal gap, gap / drift + tof (`orbits.drift_and_flight`), so two
+    evaluations, with `orbits.transfer_time`'s float operations, give every
+    bound.
     """
-    parking = CircularOrbit(h_parking_km, cfg.inclination_deg)
-    plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
     spacing = 2.0 * math.pi / n_parking
-    first = transfer_time(0.0, parking, plane, consts)
-    step = transfer_time(spacing, parking, plane, consts) - first
+    first = 0.0 / drift + tof
+    step = (spacing / drift + tof) - first
     bounds = [first + i * step for i in range(n_parking + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -307,8 +324,12 @@ def plane_leadtime(
     Each supplier rank contributes its `plane_segments` segment, weighted
     by its `supply_probabilities` probability.
     """
+    plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
+    drift, tof, _ = altitude_stage(
+        strategy.h_parking_km, plane, raan_drift_rate(plane, consts), None, consts
+    )
     return supply_probabilities(p_av, strategy.n_parking), plane_segments(
-        strategy.n_parking, strategy.h_parking_km, cfg, consts
+        strategy.n_parking, drift, tof
     )
 
 
@@ -330,21 +351,41 @@ def parking_stage(
     return es_parking, p_av
 
 
-def plane_stage(
-    s_plane: int,
-    n_parking: int,
+def altitude_stage(
     h_parking_km: float,
-    cfg: ConstellationConfig,
+    plane: CircularOrbit,
+    plane_drift: float,
+    satellite: SatelliteParams | None,
     consts: EarthConstants,
+) -> tuple[float, float, TransferResult | None]:
+    """(drift, tof, transfer) of one parking altitude below the ``plane``.
+
+    Drift and tof are `orbits.drift_and_flight`'s figures for
+    `plane_segments`; transfer is the Hohmann raise of ``satellite`` (None
+    without one) for the maneuvering cost. ``plane_drift`` is the plane's
+    own nodal drift rate.
+    """
+    parking = CircularOrbit(h_parking_km, plane.inclination_deg)
+    drift, tof = drift_and_flight(parking, plane, plane_drift, consts)
+    if satellite is None:
+        return drift, tof, None
+    transfer = hohmann_transfer(
+        parking, plane, satellite.m_dry_kg, satellite.v_exhaust_km_s, consts
+    )
+    return drift, tof, transfer
+
+
+def plane_stage(
+    s_plane: int, n_parking: int, lam_plane: float, drift: float, tof: float
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Plane echelon of `evaluate_strategy`, per supplier rank.
 
-    Returns (shortages, spans): the plane's expected shortage over each
-    rank's lead-time segment, and lo + hi of that segment in days. The
+    Returns (shortages, means): the plane's expected shortage over each
+    rank's lead-time segment, and the segment's mean (lo + hi) / 2 in days.
+    The segments come from the altitude stage's ``drift`` and ``tof``; the
     availability-dependent rank weights are applied by the caller.
     """
-    segments = plane_segments(n_parking, h_parking_km, cfg, consts)
-    lam_plane = plane_demand_rate(cfg)
+    segments = plane_segments(n_parking, drift, tof)
     # A uniform segment of days is a demand mean uniform on the rate-scaled
     # segment; at a zero rate every segment collapses to a point.
     if lam_plane > 0.0:
@@ -353,7 +394,29 @@ def plane_stage(
         )
     else:
         shortages = (0.0,) * n_parking
-    return shortages, tuple(lo + hi for lo, hi in segments)
+    return shortages, tuple((lo + hi) / 2.0 for lo, hi in segments)
+
+
+class ChainConstants(NamedTuple):
+    """What every evaluation on one constellation, launch law and Earth shares."""
+
+    lam_plane: float  # spare demand of one plane, satellites/day
+    lt_parking: float  # ground lead time pt + mu, days
+    plane: CircularOrbit  # the constellation's orbit
+    plane_drift: float  # its nodal drift rate, rad/day
+
+
+def chain_constants(
+    cfg: ConstellationConfig, lp: LaunchParams, consts: EarthConstants
+) -> ChainConstants:
+    """The `ChainConstants` of one problem."""
+    plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
+    return ChainConstants(
+        plane_demand_rate(cfg),
+        lp.pt_launch_days + lp.mu_launch_days,
+        plane,
+        raan_drift_rate(plane, consts),
+    )
 
 
 # Entries per stage table. A GA's reuse is mostly recent: on the bundled
@@ -362,18 +425,33 @@ STAGE_MEMO_SIZE = 256
 
 
 class StageMemo:
-    """Recent results of `evaluate_strategy`'s two stages, for one search.
+    """Recent results of `evaluate_strategy`'s three stages, for one search.
 
     Each stage keeps its last STAGE_MEMO_SIZE distinct argument tuples in a
     least-recently-used table. The keys hold every argument of the stage,
     so a memo never mixes problems up. A stage that raises stores nothing
-    and raises again on the next visit. Build one per search and drop it
-    with the search, so that no search reuses another's work.
+    and raises again on the next visit. The `ChainConstants` are computed
+    again only when the problem changes. Build one memo per search and drop
+    it with the search, so that no search reuses another's work.
     """
 
     def __init__(self) -> None:
         self.parking = functools.lru_cache(STAGE_MEMO_SIZE)(parking_stage)
+        self.altitude = functools.lru_cache(STAGE_MEMO_SIZE)(altitude_stage)
         self.plane = functools.lru_cache(STAGE_MEMO_SIZE)(plane_stage)
+        self._problem: tuple | None = None
+        self._constants: ChainConstants | None = None
+
+    def constants(
+        self, cfg: ConstellationConfig, lp: LaunchParams, consts: EarthConstants
+    ) -> ChainConstants:
+        """`chain_constants` of the problem, kept until the problem changes."""
+        # Tuples compare their items by identity first, so a search that
+        # passes the same objects each time pays no dataclass comparison.
+        problem = (cfg, lp, consts)
+        if problem != self._problem:
+            self._problem, self._constants = problem, chain_constants(cfg, lp, consts)
+        return self._constants
 
 
 def evaluate_strategy(
@@ -383,13 +461,26 @@ def evaluate_strategy(
     consts: EarthConstants = WGS84,
     memo: StageMemo | None = None,
 ) -> PolicyMetrics:
-    """Full feed-forward evaluation of one strategy.
+    """Full feed-forward evaluation of one strategy; see `chain_figures`."""
+    return PolicyMetrics(*chain_figures(cfg, strategy, lp, consts, memo)[0])
 
-    Order of computation: plane demand, parking demand, the parking stage
-    (shortage and availability), supplier-rank weights, the plane stage
-    (per-rank shortages and lead-time segments), then fill rates and stocks
-    for both echelons. A ``memo`` serves both stages from its tables; the
-    results are the same with or without one.
+
+def chain_figures(
+    cfg: ConstellationConfig,
+    strategy: SpareStrategy,
+    lp: LaunchParams,
+    consts: EarthConstants = WGS84,
+    memo: StageMemo | None = None,
+    satellite: SatelliteParams | None = None,
+) -> tuple[PolicyFigures, TransferResult | None]:
+    """Figures of one strategy, and the Hohmann raise of ``satellite`` if given.
+
+    Order of computation: parking demand, the parking stage (shortage and
+    availability), supplier-rank weights, the altitude stage (orbit figures
+    and transfer), the plane stage (per-rank shortages and lead-time
+    segments), then fill rates and stocks for both echelons. A ``memo``
+    serves the stages from its tables and the `ChainConstants` from its
+    copy; the results are the same with or without one.
 
     Raises:
         ValueError: If the parking orbit is not below the constellation.
@@ -401,22 +492,28 @@ def evaluate_strategy(
             f"parking altitude {strategy.h_parking_km} km must be below "
             f"plane altitude {cfg.h_plane_km} km"
         )
-    parking, plane = (parking_stage, plane_stage) if memo is None else (memo.parking, memo.plane)
-    lam_plane = plane_demand_rate(cfg)
+    if memo is None:
+        k = chain_constants(cfg, lp, consts)
+        parking, altitude, plane = parking_stage, altitude_stage, plane_stage
+    else:
+        k = memo.constants(cfg, lp, consts)
+        parking, altitude, plane = memo.parking, memo.altitude, memo.plane
+    lam_plane, lt_parking = k.lam_plane, k.lt_parking
     # Outside the parking stage, so that its few-planes warning is given on
     # every evaluation.
     lam_parking = parking_demand_rate(cfg, strategy)
 
     es_parking, p_av = parking(strategy.k_s_parking, strategy.k_q_parking, lam_parking, lp)
     weights = supply_probabilities(p_av, strategy.n_parking)
-    shortages, spans = plane(
-        strategy.s_plane, strategy.n_parking, strategy.h_parking_km, cfg, consts
+    drift, tof, transfer = altitude(
+        strategy.h_parking_km, k.plane, k.plane_drift, satellite, consts
     )
-    es_plane = sum(w * a for w, a in zip(weights, shortages))
-    lt_plane = sum(w * span / 2.0 for w, span in zip(weights, spans))
-    lt_parking = lp.pt_launch_days + lp.mu_launch_days
+    shortages, means = plane(strategy.s_plane, strategy.n_parking, lam_plane, drift, tof)
+    es_plane = sum(map(operator.mul, weights, shortages))
+    # Halving is exact, so w * ((lo + hi) / 2) equals (w * (lo + hi)) / 2.
+    lt_plane = sum(map(operator.mul, weights, means))
 
-    return PolicyMetrics(
+    figures = PolicyFigures(
         lambda_plane_per_day=lam_plane,
         lambda_parking_batches_per_day=lam_parking,
         p_av=p_av,
@@ -424,16 +521,15 @@ def evaluate_strategy(
         es_parking_batches=es_parking,
         rho_plane=fill_rate(es_plane, strategy.q_plane),
         rho_parking=p_av,
-        mean_stock_plane=mean_stock(
-            SQPolicy(strategy.s_plane, strategy.q_plane), lam_plane * lt_plane
-        ),
+        mean_stock_plane=mean_stock(strategy.s_plane, strategy.q_plane, lam_plane * lt_plane),
         mean_stock_parking_batches=mean_stock(
-            SQPolicy(strategy.k_s_parking, strategy.k_q_parking), lam_parking * lt_parking
+            strategy.k_s_parking, strategy.k_q_parking, lam_parking * lt_parking
         ),
         e_leadtime_plane_days=lt_plane,
         e_leadtime_parking_days=lt_parking,
         neglected_supply_mass=(1.0 - p_av) ** strategy.n_parking,
     )
+    return figures, transfer
 
 
 def evaluate_inplane_only(
@@ -464,7 +560,9 @@ def evaluate_inplane_only(
         es_parking_batches=0.0,
         rho_plane=fill_rate(es, policy.order_quantity_q),
         rho_parking=1.0,
-        mean_stock_plane=mean_stock(policy, lam_plane * lt),
+        mean_stock_plane=mean_stock(
+            policy.reorder_point_s, policy.order_quantity_q, lam_plane * lt
+        ),
         mean_stock_parking_batches=0.0,
         e_leadtime_plane_days=lt,
         e_leadtime_parking_days=0.0,

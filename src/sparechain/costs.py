@@ -14,14 +14,14 @@ from .chain import (
     DAYS_PER_YEAR,
     ConstellationConfig,
     LaunchParams,
+    PolicyFigures,
     PolicyMetrics,
     SatelliteParams,
     SpareStrategy,
-    StageMemo,
-    evaluate_strategy,
+    chain_figures,
 )
 from .inventory import SQPolicy
-from .orbits import CircularOrbit, EarthConstants, TransferResult, hohmann_transfer
+from .orbits import EarthConstants, TransferResult
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def launch_price(q_parking: int, cp: CostParams) -> float:
 def tessac(
     cfg: ConstellationConfig,
     strategy: SpareStrategy,
-    metrics: PolicyMetrics,
+    metrics: PolicyMetrics | PolicyFigures,
     transfer: TransferResult,
     cp: CostParams,
     lp: LaunchParams,
@@ -101,7 +101,8 @@ def tessac(
     Args:
         cfg: Constellation layout.
         strategy: The design point that produced the metrics.
-        metrics: Steady-state analytics from the chain evaluation.
+        metrics: Steady-state analytics from the chain evaluation, as the
+            dataclass or as the plain `PolicyFigures` of a search.
         transfer: Parking-to-plane Hohmann figures (fuel per satellite).
         cp: Unit prices.
         lp: Launch characteristics (capacity is not enforced here).
@@ -142,26 +143,18 @@ def evaluate_design(
     costs: CostParams,
     satellite: SatelliteParams,
     consts: EarthConstants,
-    memo: StageMemo | None = None,
 ) -> tuple[PolicyMetrics, CostBreakdown]:
     """Metrics and annual cost of one multi-echelon strategy.
 
-    Evaluates the chain (through ``memo`` when given), prices the
-    parking-to-plane Hohmann raise for the given satellite, and assembles
-    the TESSAC breakdown.
+    Evaluates the chain with the parking-to-plane Hohmann raise of the
+    given satellite and assembles the TESSAC breakdown.
 
     Raises:
         ValueError: If the chain cannot evaluate the strategy (see
-            evaluate_strategy).
+            chain_figures).
     """
-    metrics = evaluate_strategy(cfg, strategy, lp, consts, memo)
-    transfer = hohmann_transfer(
-        CircularOrbit(strategy.h_parking_km, cfg.inclination_deg),
-        CircularOrbit(cfg.h_plane_km, cfg.inclination_deg),
-        satellite.m_dry_kg,
-        satellite.v_exhaust_km_s,
-        consts,
-    )
+    figures, transfer = chain_figures(cfg, strategy, lp, consts, satellite=satellite)
+    metrics = PolicyMetrics(*figures)
     return metrics, tessac(cfg, strategy, metrics, transfer, costs, lp)
 
 

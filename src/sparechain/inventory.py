@@ -194,8 +194,11 @@ def fill_rate(es: float, q: int) -> float:
     return min(max(1.0 - es / q, 0.0), 1.0)
 
 
-def mean_stock(policy: SQPolicy, expected_leadtime_demand: float) -> float:
-    """Cycle-average stock level, Q/2 + s - E[demand over lead time] + 1/2.
+def mean_stock(s: int, q: int, expected_leadtime_demand: float) -> float:
+    """Cycle-average stock level of an (s, Q) policy.
+
+    Q/2 + s - E[demand over lead time] + 1/2, from the plain integers so
+    that a search builds no `SQPolicy` per candidate.
 
     The formula assumes backorders are rare; it can go negative for
     policies far below that regime, and such values are returned as-is so
@@ -203,9 +206,4 @@ def mean_stock(policy: SQPolicy, expected_leadtime_demand: float) -> float:
     """
     if expected_leadtime_demand < 0:
         raise ValueError("expected lead-time demand must be nonnegative")
-    return (
-        policy.order_quantity_q / 2.0
-        + policy.reorder_point_s
-        - expected_leadtime_demand
-        + 0.5
-    )
+    return q / 2.0 + s - expected_leadtime_demand + 0.5

@@ -32,10 +32,11 @@ from .chain import (
     SatelliteParams,
     SpareStrategy,
     StageMemo,
+    chain_figures,
     check_strategy_value,
     evaluate_inplane_only,
 )
-from .costs import CostBreakdown, CostParams, evaluate_design, tessac_inplane_only
+from .costs import CostBreakdown, CostParams, tessac, tessac_inplane_only
 from .inventory import SQPolicy
 from .orbits import WGS84, EarthConstants
 
@@ -127,16 +128,10 @@ def fitness(
     cannot evaluate at all get a flat maximal penalty. A search passes its
     ``memo`` to share chain stages between candidates.
     """
+    cfg, lp = prob.constellation, prob.launch
     try:
-        metrics, cost = evaluate_design(
-            prob.constellation,
-            candidate,
-            prob.launch,
-            prob.costs,
-            prob.satellite,
-            prob.consts,
-            memo,
-        )
+        figures, transfer = chain_figures(cfg, candidate, lp, prob.consts, memo, prob.satellite)
+        cost = tessac(cfg, candidate, figures, transfer, prob.costs, lp)
     except ValueError:
         return FitnessResult(
             tessac=None,
@@ -147,11 +142,8 @@ def fitness(
             fill_rate_product=None,
             cost=None,
         )
-    product = (
-        metrics.rho_plane**prob.constellation.n_plane
-        * metrics.rho_parking**candidate.n_parking
-    )
-    cap = prob.launch.cap_launch
+    product = figures.rho_plane**cfg.n_plane * figures.rho_parking**candidate.n_parking
+    cap = lp.cap_launch
     capacity_violation = max(0.0, (candidate.q_parking - cap) / cap)
     fillrate_violation = max(0.0, (prob.rho_target - product) / prob.rho_target)
     feasible = capacity_violation == 0.0 and fillrate_violation == 0.0

@@ -178,10 +178,28 @@ def transfer_time(
         raise ValueError(f"delta RAAN must be in [0, 2pi], got {delta_raan_rad}")
     if parking.altitude_km >= plane.altitude_km:
         raise ValueError("parking orbit must be below the constellation plane")
-    relative = raan_drift_rate(parking, consts) - raan_drift_rate(plane, consts)
+    drift, tof_days = drift_and_flight(parking, plane, raan_drift_rate(plane, consts), consts)
+    return delta_raan_rad / drift + tof_days
+
+
+def drift_and_flight(
+    parking: CircularOrbit,
+    plane: CircularOrbit,
+    plane_drift_rad_day: float,
+    consts: EarthConstants = WGS84,
+) -> tuple[float, float]:
+    """|Relative nodal drift| (rad/day) and flight time (days) of `transfer_time`.
+
+    ``plane_drift_rad_day`` is ``raan_drift_rate(plane, consts)``, passed
+    in so that a caller visiting many parking orbits computes it once.
+
+    Raises:
+        ValueError: If the relative drift rate vanishes.
+    """
+    relative = raan_drift_rate(parking, consts) - plane_drift_rad_day
     if relative == 0.0:
         raise ValueError("zero relative drift rate: planes never align")
     tof_days = _time_of_flight_days(
         parking.semimajor_axis_km(consts), plane.semimajor_axis_km(consts), consts.mu_km3_s2
     )
-    return delta_raan_rad / abs(relative) + tof_days
+    return abs(relative), tof_days

@@ -152,11 +152,10 @@ def test_fill_rate():
 
 
 def test_mean_stock():
-    policy = SQPolicy(reorder_point_s=3, order_quantity_q=4)
-    # Q/2 + s - demand over the lead + 1/2
-    assert mean_stock(policy, 0.9) == pytest.approx(2.0 + 3.0 - 0.9 + 0.5, rel=0)
+    # s = 3, Q = 4: Q/2 + s - demand over the lead + 1/2
+    assert mean_stock(3, 4, 0.9) == pytest.approx(2.0 + 3.0 - 0.9 + 0.5, rel=0)
     # deeply backordered systems may go negative; value is reported raw
-    assert mean_stock(policy, 20.0) < 0.0
+    assert mean_stock(3, 4, 20.0) < 0.0
 
 
 def test_policy_and_demand_validation():

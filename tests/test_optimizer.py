@@ -6,13 +6,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sparechain import inventory, optimizer
+from sparechain import chain, costs, inventory, optimizer, orbits
 from sparechain.chain import (
     STRATEGY_BOUNDS,
     ConstellationConfig,
     LaunchParams,
     SatelliteParams,
     SpareStrategy,
+    StageMemo,
     evaluate_inplane_only,
 )
 from sparechain.cli import command_seed
@@ -176,23 +177,64 @@ def test_ga_result_matches_a_fresh_fitness_call():
     assert min(row[2] for row in result.trace) == fresh.penalized
 
 
+def test_memoized_fitness_matches_memo_free_fitness():
+    # One memo serves a seeded sequence of candidates on a loaded and a
+    # zero-failure problem; small value pools repeat every stage key. Each
+    # result must equal a memo-free fitness call field for field, errors
+    # (flat penalty, NaN slacks) included.
+    rng = np.random.default_rng(20261019)
+    problems = (
+        CASE_PROBLEM,
+        dataclasses.replace(
+            CASE_PROBLEM, constellation=dataclasses.replace(CASE_CFG, lambda_sat_per_year=0.0)
+        ),
+    )
+    memo = StageMemo()
+    outcomes = Counter()
+    for _ in range(600):
+        prob = problems[int(rng.integers(2))]
+        candidate = SpareStrategy(
+            n_parking=int(rng.choice([1, 3, 7])),
+            h_parking_km=float(rng.choice([700.0, 792.3, 999.0])),
+            q_plane=int(rng.choice([1, 4])),
+            s_plane=int(rng.choice([1, 3, 10])),
+            k_q_parking=int(rng.choice([1, 8])),
+            k_s_parking=int(rng.choice([1, 8])),
+        )
+        memoized, fresh = fitness(candidate, prob, memo), fitness(candidate, prob)
+        for field in dataclasses.fields(FitnessResult):
+            a, b = getattr(memoized, field.name), getattr(fresh, field.name)
+            assert a == b or (math.isnan(a) and math.isnan(b)), (candidate, field.name)
+        if fresh.tessac is None:
+            outcomes["error"] += 1
+        else:
+            outcomes["feasible" if fresh.feasible else "penalized"] += 1
+    assert min(outcomes.values()) > 0 and len(outcomes) == 3, outcomes
+    assert all(table.cache_info().hits > 0 for table in (memo.parking, memo.altitude, memo.plane))
+
+
 def test_searches_share_no_work(monkeypatch):
     # The benchmark requires the work counts of a search to repeat exactly
     # at one seed; a cache that outlived a search would lower the next
-    # search's counts.
-    real_fitness, real_tails = optimizer.fitness, inventory._poisson_tails
+    # search's counts. Each counted function is replaced wherever a module
+    # looks it up, so the altitude stage's orbit work is counted too.
     calls = Counter()
+    counted = {
+        "fitness": optimizer.fitness,
+        "poisson_tails": inventory._poisson_tails,
+        "raan_drift_rate": orbits.raan_drift_rate,
+        "hohmann_transfer": orbits.hohmann_transfer,
+    }
+    for label, real in counted.items():
 
-    def counted_fitness(*args):
-        calls["fitness"] += 1
-        return real_fitness(*args)
+        def count(*args, _label=label, _real=real):
+            calls[_label] += 1
+            return _real(*args)
 
-    def counted_tails(*args):
-        calls["poisson_tails"] += 1
-        return real_tails(*args)
-
-    monkeypatch.setattr(optimizer, "fitness", counted_fitness)
-    monkeypatch.setattr(inventory, "_poisson_tails", counted_tails)
+        for module in (chain, costs, inventory, optimizer, orbits):
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, count)
     prob = dataclasses.replace(CASE_PROBLEM, ga=GAParams(population=20, generations=15, restarts=2))
     counts, results = [], []
     for _ in range(2):
@@ -200,13 +242,22 @@ def test_searches_share_no_work(monkeypatch):
         results.append(optimize(prob, seed=11))
         counts.append(dict(calls))
     assert counts[0] == counts[1]
-    assert counts[0]["fitness"] > 0 and counts[0]["poisson_tails"] > 0
+    assert all(counts[0].get(label, 0) > 0 for label in counted), counts[0]
     assert results[0] == results[1]
 
 
-def test_ga_trajectory_is_pinned_on_bundled_case_study():
+def test_ga_trajectory_is_pinned_on_bundled_case_study(monkeypatch):
     # Any change to the chain's numbers or the search's RNG use shows here
-    # as a different best strategy.
+    # as a different best strategy, or, when the search still ends at the
+    # same winner, as a different fitness-call count or trace.
+    real_fitness = optimizer.fitness
+    calls = Counter()
+
+    def counted_fitness(*args):
+        calls["fitness"] += 1
+        return real_fitness(*args)
+
+    monkeypatch.setattr(optimizer, "fitness", counted_fitness)
     rc = load_run_config(bundled_case_study_path())
     prob = OptimizationProblem(
         constellation=rc.constellation,
@@ -222,6 +273,9 @@ def test_ga_trajectory_is_pinned_on_bundled_case_study():
     assert result.feasible
     assert dataclasses.astuple(result.best_strategy) == (3, 745.0040573408563, 4, 3, 8, 7)
     assert result.best_cost == pytest.approx(314.26466802965, rel=1e-9)
+    assert calls["fitness"] == 12769
+    assert sum(row[2] for row in result.trace) == pytest.approx(253178.3464859282, rel=1e-12)
+    assert sum(row[3] for row in result.trace) == pytest.approx(1063993756.3472103, rel=1e-12)
 
 
 def test_ga_candidates_stay_in_bounds_with_exact_types(monkeypatch):
@@ -297,6 +351,48 @@ def test_tessac_and_fill_rate_never_rise_with_parking_altitude():
     assert checked >= 250
 
 
+def test_tessac_and_fill_rate_never_fall_with_reorder_points():
+    # The exact search over the reorder points relies on this, at every
+    # fixed design: TESSAC rises by exactly p_holding * n_plane per unit of
+    # s_plane and never falls as k_s_parking rises, and the fill-rate
+    # product never falls as either rises.
+    rng = np.random.default_rng(20261019)
+    designs = []
+    while len(designs) < 60:
+        genes = [
+            float(rng.uniform(lo, hi)) if isinstance(lo, float) else int(rng.integers(lo, hi + 1))
+            for lo, hi in STRATEGY_BOUNDS.values()
+        ]
+        if genes[2] * genes[4] <= CASE_LAUNCH.cap_launch:
+            designs.append(genes)
+    s_step = COSTS.p_holding_musd_per_sat_year * CASE_CFG.n_plane
+    pairs = Counter()
+    for rate in (0.01, 0.05, 0.1):
+        prob = dataclasses.replace(
+            CASE_PROBLEM, constellation=dataclasses.replace(CASE_CFG, lambda_sat_per_year=rate)
+        )
+        for genes in designs:
+            for gene, name in ((3, "s"), (5, "k_s")):
+                lo, hi = list(STRATEGY_BOUNDS.values())[gene]
+                fits = []
+                for value in range(lo, hi + 1):
+                    trial = list(genes)
+                    trial[gene] = value
+                    fits.append(fitness(SpareStrategy(*trial), prob))
+                for low, high in zip(fits, fits[1:]):
+                    # Too small a stock can leave the design unevaluable
+                    # (negative holding); a larger one may mend it.
+                    if low.tessac is None or high.tessac is None:
+                        continue
+                    if name == "s":
+                        assert high.tessac - low.tessac == pytest.approx(s_step, rel=1e-9)
+                    else:
+                        assert high.tessac >= low.tessac, (rate, genes, name)
+                    assert high.fill_rate_product >= low.fill_rate_product, (rate, genes, name)
+                    pairs[name] += 1
+    assert pairs["s"] >= 1400 and pairs["k_s"] >= 1400, pairs
+
+
 def test_optimize_reports_infeasible_space():
     # a one-satellite launch cap leaves no evaluable strategy feasible
     prob = dataclasses.replace(
@@ -326,6 +422,18 @@ def test_inplane_exhaustive_optimum():
     assert result.best_cost == pytest.approx(484.16073059360735, rel=1e-12)
     assert result.fill_rate_product == pytest.approx(0.951032161874933, rel=1e-9)
     assert result.fill_rate_product >= 0.95
+
+
+def test_inplane_optimum_with_twenty_satellite_rockets():
+    # The paper's in-plane baseline of about 503 M$/yr is reproduced by the
+    # q <= 20 optimum; the bundled 34-satellite cap gives (21, 3) above.
+    prob = dataclasses.replace(
+        CASE_PROBLEM, launch=dataclasses.replace(CASE_LAUNCH, cap_launch=20)
+    )
+    result = optimize_inplane_only(prob)
+    assert result.best_policy == SQPolicy(reorder_point_s=4, order_quantity_q=20)
+    assert result.best_cost == pytest.approx(503.227, abs=0.05)
+    assert result.fill_rate_product == pytest.approx(0.98574, abs=1e-5)
 
 
 @pytest.mark.parametrize("rate", [0.05, 0.5, 1.0])
