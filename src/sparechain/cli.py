@@ -101,7 +101,7 @@ def _strategy_fields(strategy) -> tuple[list[str], list]:
     return names, [getattr(strategy, n) for n in names]
 
 
-_METRIC_COLUMNS = [f.name for f in dataclasses.fields(PolicyMetrics)]
+_METRIC_COLUMNS = list(PolicyMetrics._fields)
 _COST_COLUMNS = [f.name for f in dataclasses.fields(CostBreakdown)] + ["tessac"]
 # ReplicationResult attributes, one column each after the index, in simulation_replications.csv.
 _REPLICATION_COLUMNS = (
@@ -134,7 +134,7 @@ def cmd_evaluate(rc: RunConfig, args, out: Path, master: int) -> int:
         )
         header, row = _strategy_fields(rc.strategy)
     header += _METRIC_COLUMNS + _COST_COLUMNS
-    row += [getattr(metrics, n) for n in _METRIC_COLUMNS]
+    row += list(metrics)
     row += [getattr(breakdown, n) for n in _COST_COLUMNS]
     _write_csv(out / "evaluate.csv", header, [row])
     _emit(args.format, header, [row])

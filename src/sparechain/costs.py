@@ -4,17 +4,22 @@ Four parts, all in million US$ per year: manufacturing replaces failed
 satellites, holding carries the orbiting spare stocks, launch pays for the
 ground-to-orbit resupply flights, and maneuvering prices the transfer fuel.
 Their sum is the total expected spare strategy annual cost (TESSAC).
+
+`annual_cost` prices one set of yearly flows and builds every
+`CostBreakdown`: the two-echelon chain (`tessac`), the ground-only
+baseline (`tessac_inplane_only`) and the simulator each derive their flows
+and call it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .chain import (
     DAYS_PER_YEAR,
     ConstellationConfig,
     LaunchParams,
-    PolicyFigures,
     PolicyMetrics,
     SatelliteParams,
     SpareStrategy,
@@ -43,15 +48,10 @@ class CostParams:
     eps_maneuvering_musd_per_kg: float
 
     def __post_init__(self) -> None:
-        prices = (
-            self.p_sat_musd,
-            self.p_holding_musd_per_sat_year,
-            self.p_launch_full_musd,
-            self.p_launch_unit_musd,
-            self.eps_maneuvering_musd_per_kg,
-        )
-        if any(p < 0 for p in prices):
-            raise ValueError("cost parameters must be nonnegative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{f.name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,9 @@ class CostBreakdown:
 
     def __post_init__(self) -> None:
         for name in ("manufacturing", "holding", "launch", "maneuvering"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} cost must be nonnegative")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} cost must be finite and nonnegative, got {value}")
 
     @property
     def tessac(self) -> float:
@@ -88,51 +89,66 @@ def launch_price(q_parking: int, cp: CostParams) -> float:
     return min(cp.p_launch_full_musd, q_parking * cp.p_launch_unit_musd)
 
 
+def annual_cost(
+    cp: CostParams,
+    replacements: float,
+    held: float,
+    launches: float,
+    batch: int,
+    transferred: float,
+    fuel_kg: float,
+) -> CostBreakdown:
+    """Cost breakdown of one set of yearly flows at the prices ``cp``.
+
+    ``replacements``, ``launches`` and ``transferred`` are satellites
+    built, flights flown and satellites raised from parking per year;
+    ``held`` is the average number of orbiting spares, ``batch`` the
+    satellites per flight (priced by `launch_price`) and ``fuel_kg`` the
+    propellant burned per transferred satellite.
+    """
+    return CostBreakdown(
+        manufacturing=cp.p_sat_musd * replacements,
+        holding=cp.p_holding_musd_per_sat_year * held,
+        launch=launch_price(batch, cp) * launches,
+        maneuvering=fuel_kg * transferred * cp.eps_maneuvering_musd_per_kg,
+    )
+
+
 def tessac(
     cfg: ConstellationConfig,
     strategy: SpareStrategy,
-    metrics: PolicyMetrics | PolicyFigures,
+    metrics: PolicyMetrics,
     transfer: TransferResult,
     cp: CostParams,
     lp: LaunchParams,
 ) -> CostBreakdown:
     """Annual cost of a multi-echelon strategy.
 
+    Every replaced satellite is raised from a parking orbit, so the
+    transfers equal the replacements.
+
     Args:
         cfg: Constellation layout.
         strategy: The design point that produced the metrics.
-        metrics: Steady-state analytics from the chain evaluation, as the
-            dataclass or as the plain `PolicyFigures` of a search.
+        metrics: Steady-state analytics from the chain evaluation.
         transfer: Parking-to-plane Hohmann figures (fuel per satellite).
         cp: Unit prices.
-        lp: Launch characteristics (capacity is not enforced here).
+        lp: Not read; it stays for the benchmark's 6-argument call.
 
     Returns:
         CostBreakdown with the four annual parts.
     """
     days = DAYS_PER_YEAR
-    replacements_per_year = metrics.lambda_plane_per_day * cfg.n_plane * days
-    manufacturing = cp.p_sat_musd * replacements_per_year
-
-    stock_sats = (
+    replacements = metrics.lambda_plane_per_day * cfg.n_plane * days
+    held = (
         metrics.mean_stock_plane * cfg.n_plane
         + metrics.mean_stock_parking_batches * strategy.q_plane * strategy.n_parking
     )
-    holding = cp.p_holding_musd_per_sat_year * stock_sats
-
-    launches_per_year = (
+    launches = (
         metrics.lambda_parking_batches_per_day / strategy.k_q_parking
     ) * strategy.n_parking * days
-    launch = launch_price(strategy.q_parking, cp) * launches_per_year
-
-    maneuvering = (
-        transfer.fuel_mass_kg * replacements_per_year * cp.eps_maneuvering_musd_per_kg
-    )
-    return CostBreakdown(
-        manufacturing=manufacturing,
-        holding=holding,
-        launch=launch,
-        maneuvering=maneuvering,
+    return annual_cost(
+        cp, replacements, held, launches, strategy.q_parking, replacements, transfer.fuel_mass_kg
     )
 
 
@@ -153,8 +169,7 @@ def evaluate_design(
         ValueError: If the chain cannot evaluate the strategy (see
             chain_figures).
     """
-    figures, transfer = chain_figures(cfg, strategy, lp, consts, satellite=satellite)
-    metrics = PolicyMetrics(*figures)
+    metrics, transfer = chain_figures(cfg, strategy, lp, consts, satellite=satellite)
     return metrics, tessac(cfg, strategy, metrics, transfer, costs, lp)
 
 
@@ -177,14 +192,7 @@ def tessac_inplane_only(
     if q > lp.cap_launch:
         raise ValueError(f"batch of {q} exceeds launch capacity {lp.cap_launch}")
     days = DAYS_PER_YEAR
-    replacements_per_year = metrics.lambda_plane_per_day * cfg.n_plane * days
-    manufacturing = cp.p_sat_musd * replacements_per_year
-    holding = cp.p_holding_musd_per_sat_year * metrics.mean_stock_plane * cfg.n_plane
-    launches_per_year = (metrics.lambda_plane_per_day / q) * cfg.n_plane * days
-    launch = launch_price(q, cp) * launches_per_year
-    return CostBreakdown(
-        manufacturing=manufacturing,
-        holding=holding,
-        launch=launch,
-        maneuvering=0.0,
-    )
+    replacements = metrics.lambda_plane_per_day * cfg.n_plane * days
+    held = metrics.mean_stock_plane * cfg.n_plane
+    launches = (metrics.lambda_plane_per_day / q) * cfg.n_plane * days
+    return annual_cost(cp, replacements, held, launches, q, 0, 0.0)

@@ -130,8 +130,8 @@ def fitness(
     """
     cfg, lp = prob.constellation, prob.launch
     try:
-        figures, transfer = chain_figures(cfg, candidate, lp, prob.consts, memo, prob.satellite)
-        cost = tessac(cfg, candidate, figures, transfer, prob.costs, lp)
+        metrics, transfer = chain_figures(cfg, candidate, lp, prob.consts, memo, prob.satellite)
+        cost = tessac(cfg, candidate, metrics, transfer, prob.costs, lp)
     except ValueError:
         return FitnessResult(
             tessac=None,
@@ -142,7 +142,7 @@ def fitness(
             fill_rate_product=None,
             cost=None,
         )
-    product = figures.rho_plane**cfg.n_plane * figures.rho_parking**candidate.n_parking
+    product = metrics.rho_plane**cfg.n_plane * metrics.rho_parking**candidate.n_parking
     cap = lp.cap_launch
     capacity_violation = max(0.0, (candidate.q_parking - cap) / cap)
     fillrate_violation = max(0.0, (prob.rho_target - product) / prob.rho_target)

@@ -33,6 +33,9 @@ the order path, once per batch: placing a plane order, assigning a
 transfer, placing a ground order and restocking a parking orbit. The
 per-event-closure loop it replaced is kept in tests/oracles.py as the
 reference it must reproduce bit for bit.
+
+A replication's TESSAC is `costs.annual_cost` of its window's yearly
+flows, the function that also prices the analytic chain.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .chain import (
     SpareStrategy,
     plane_demand_rate,
 )
-from .costs import CostParams, launch_price
+from .costs import CostParams, annual_cost
 from .orbits import WGS84, CircularOrbit, EarthConstants, hohmann_transfer, raan_drift_rate
 
 _TWO_PI = 2.0 * math.pi
@@ -442,17 +445,14 @@ def _run_with_rng(
     )
 
     years = window / DAYS_PER_YEAR
-    manufacturing = sc.costs.p_sat_musd * failures_window / years
-    holding = sc.costs.p_holding_musd_per_sat_year * (
-        int_plane / window + q_plane * int_park / window
-    )
-    launch_cost = launch_price(q_parking, sc.costs) * ground_arrivals_window / years
-    maneuvering = (
-        sc.costs.eps_maneuvering_musd_per_kg
-        * transfer.fuel_mass_kg
-        * q_plane
-        * transfers_window
-        / years
+    cost = annual_cost(
+        sc.costs,
+        failures_window / years,
+        int_plane / window + q_plane * int_park / window,
+        ground_arrivals_window / years,
+        q_parking,
+        q_plane * transfers_window / years,
+        transfer.fuel_mass_kg,
     )
 
     return ReplicationResult(
@@ -460,7 +460,7 @@ def _run_with_rng(
         mean_stock_parking_batches=mean_stock_park,
         rho_plane=rho_plane,
         rho_parking=rho_parking,
-        tessac=manufacturing + holding + launch_cost + maneuvering,
+        tessac=cost.tessac,
         failures=failures,
         failures_window=failures_window,
         served=served,

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 from sparechain.chain import DAYS_PER_YEAR
-from sparechain.costs import launch_price
+from sparechain.costs import annual_cost
 from sparechain.orbits import CircularOrbit, hohmann_transfer, raan_drift_rate
 from sparechain.simulator import (
     _PARKING_ARRIVAL,
@@ -100,7 +100,9 @@ def run_with_rng_reference(
     ReplicationResults, field for field, on the same failures and
     identically seeded launch-wait streams. Failure j happens at
     failure_times[j] on plane failure_planes[j]; failures past the
-    horizon are ignored.
+    horizon are ignored. The cost block calls sparechain.costs.annual_cost
+    with the same flows as the package loop, so TESSAC compares with ==
+    too; the loop itself is what this reference checks.
     """
     cfg, st, lp = sc.constellation, sc.strategy, sc.launch
     n_plane, n_park = cfg.n_plane, st.n_parking
@@ -317,17 +319,14 @@ def run_with_rng_reference(
     )
 
     years = window / DAYS_PER_YEAR
-    manufacturing = sc.costs.p_sat_musd * failures_window / years
-    holding = sc.costs.p_holding_musd_per_sat_year * (
-        int_plane / window + q_plane * int_park / window
-    )
-    launch_cost = launch_price(q_parking, sc.costs) * ground_arrivals_window / years
-    maneuvering = (
-        sc.costs.eps_maneuvering_musd_per_kg
-        * transfer.fuel_mass_kg
-        * q_plane
-        * transfers_window
-        / years
+    cost = annual_cost(
+        sc.costs,
+        failures_window / years,
+        int_plane / window + q_plane * int_park / window,
+        ground_arrivals_window / years,
+        q_parking,
+        q_plane * transfers_window / years,
+        transfer.fuel_mass_kg,
     )
 
     return ReplicationResult(
@@ -335,7 +334,7 @@ def run_with_rng_reference(
         mean_stock_parking_batches=mean_stock_park,
         rho_plane=rho_plane,
         rho_parking=rho_parking,
-        tessac=manufacturing + holding + launch_cost + maneuvering,
+        tessac=cost.tessac,
         failures=failures,
         failures_window=failures_window,
         served=served,

@@ -12,6 +12,7 @@ from sparechain.chain import (
     STRATEGY_BOUNDS,
     ConstellationConfig,
     LaunchParams,
+    SatelliteParams,
     SpareStrategy,
     StageMemo,
     UndefinedAvailabilityError,
@@ -36,6 +37,7 @@ STRATEGY = SpareStrategy(
     n_parking=3, h_parking_km=792.3, q_plane=4, s_plane=3, k_q_parking=8, k_s_parking=8
 )
 LAUNCH = LaunchParams(mu_launch_days=66.7, pt_launch_days=90.0, cap_launch=34)
+SAT = SatelliteParams(m_dry_kg=150.0, v_exhaust_km_s=2.16)
 
 # References from an independent pipeline: adaptive quadrature
 # (scipy.integrate.quad, epsabs default, 60 mean lifetimes) against the
@@ -389,3 +391,11 @@ def test_evaluate_rejects_parking_above_plane():
     with pytest.raises(ValueError):
         evaluate_strategy(low, high_parking, LAUNCH)
 
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["mu_launch_days", "pt_launch_days", "m_dry_kg", "v_exhaust_km_s"])
+def test_launch_and_satellite_params_reject_non_finite_values(name, bad):
+    params = LAUNCH if hasattr(LAUNCH, name) else SAT
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(params, **{name: bad})

@@ -1,16 +1,24 @@
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
+from sparechain import simulator
 from sparechain.chain import (
+    DAYS_PER_YEAR,
     ConstellationConfig,
     LaunchParams,
     SatelliteParams,
     SpareStrategy,
+    chain_figures,
     evaluate_inplane_only,
     evaluate_strategy,
 )
 from sparechain.costs import (
     CostBreakdown,
     CostParams,
+    annual_cost,
     launch_price,
     tessac,
     tessac_inplane_only,
@@ -135,3 +143,126 @@ def test_breakdown_validation():
             p_launch_unit_musd=10.0,
             eps_maneuvering_musd_per_kg=0.001,
         )
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CostParams)])
+def test_cost_params_reject_non_finite_prices(name, bad):
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(COSTS, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CostBreakdown)])
+def test_breakdown_rejects_non_finite_parts(name, bad):
+    parts = dict(manufacturing=1.0, holding=2.0, launch=3.0, maneuvering=4.0)
+    with pytest.raises(ValueError, match=name):
+        CostBreakdown(**{**parts, name: bad})
+
+
+# Prices that are not powers of two, so that a change in float order shows.
+PRICES = CostParams(
+    p_sat_musd=0.37,
+    p_holding_musd_per_sat_year=0.23,
+    p_launch_full_musd=47.3,
+    p_launch_unit_musd=9.7,
+    eps_maneuvering_musd_per_kg=0.0013,
+)
+
+
+def test_annual_cost_prices_each_flow():
+    slots = annual_cost(
+        PRICES, replacements=40.0, held=300.0, launches=2.5, batch=4, transferred=30.0, fuel_kg=12.0
+    )
+    assert slots.manufacturing == pytest.approx(14.8, rel=1e-15)  # 0.37 x 40
+    assert slots.holding == pytest.approx(69.0, rel=1e-15)  # 0.23 x 300
+    assert slots.launch == pytest.approx(97.0, rel=1e-15)  # 4 slots at 9.7 < 47.3, x 2.5
+    assert slots.maneuvering == pytest.approx(0.468, rel=1e-15)  # 12 kg x 30 x 0.0013
+    rocket = annual_cost(PRICES, 0.0, 0.0, 2.5, 5, 0.0, 12.0)
+    assert rocket.launch == pytest.approx(118.25, rel=1e-15)  # 5 slots at 48.5 > 47.3, x 2.5
+    assert (rocket.manufacturing, rocket.holding, rocket.maneuvering) == (0.0, 0.0, 0.0)
+
+
+def test_tessac_is_annual_cost_of_the_chain_flows():
+    # Every replaced satellite is raised from parking, and a parking order
+    # of k_q batches flies as one launch of q_parking satellites.
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(200):
+        strategy = SpareStrategy(
+            n_parking=int(rng.integers(1, 21)),
+            h_parking_km=float(rng.uniform(700.0, 1000.0)),
+            q_plane=int(rng.integers(1, 11)),
+            s_plane=int(rng.integers(1, 11)),
+            k_q_parking=int(rng.integers(1, 11)),
+            k_s_parking=int(rng.integers(1, 11)),
+        )
+        try:
+            metrics, transfer = chain_figures(CFG, strategy, LAUNCH, satellite=SAT)
+        except ValueError:
+            continue
+        replacements = metrics.lambda_plane_per_day * CFG.n_plane * DAYS_PER_YEAR
+        held = (
+            metrics.mean_stock_plane * CFG.n_plane
+            + metrics.mean_stock_parking_batches * strategy.q_plane * strategy.n_parking
+        )
+        launches = (
+            metrics.lambda_parking_batches_per_day / strategy.k_q_parking
+        ) * strategy.n_parking * DAYS_PER_YEAR
+        flows = (replacements, held, launches, strategy.q_parking, replacements)
+        expected = annual_cost(PRICES, *flows, transfer.fuel_mass_kg)
+        assert tessac(CFG, strategy, metrics, transfer, PRICES, LAUNCH) == expected
+        checked += 1
+    assert checked >= 100
+
+
+def test_tessac_inplane_only_is_annual_cost_of_the_ground_flows():
+    # Each plane launches its own batches of q and transfers nothing.
+    for q in range(1, LAUNCH.cap_launch + 1):
+        for s in range(31):
+            policy = SQPolicy(reorder_point_s=s, order_quantity_q=q)
+            metrics = evaluate_inplane_only(CFG, policy, LAUNCH)
+            replacements = metrics.lambda_plane_per_day * CFG.n_plane * DAYS_PER_YEAR
+            launches = (metrics.lambda_plane_per_day / q) * CFG.n_plane * DAYS_PER_YEAR
+            held = metrics.mean_stock_plane * CFG.n_plane
+            expected = annual_cost(PRICES, replacements, held, launches, q, 0, 0.0)
+            assert tessac_inplane_only(CFG, policy, metrics, PRICES, LAUNCH) == expected
+
+
+def test_simulated_tessac_is_annual_cost_of_the_window_flows(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return annual_cost(*args)
+
+    monkeypatch.setattr(simulator, "annual_cost", spy)
+    sc = simulator.SimConfig(
+        constellation=CFG,
+        strategy=STRATEGY,
+        launch=LAUNCH,
+        costs=PRICES,
+        satellite=SAT,
+        horizon_years=6.0,
+        warmup_years=1.0,
+    )
+    rep = simulator.run_replication(sc, simulator.replication_seed(3, 0))
+    (args,) = calls
+    cp, replacements, held, launches, batch, transferred, fuel_kg = args
+    assert rep.tessac == annual_cost(*args).tessac
+    # The window's counts per year; the window is 5 years long.
+    assert min(rep.failures_window, rep.ground_arrivals_window, rep.transfers_window) > 0
+    assert cp is PRICES
+    assert replacements == rep.failures_window / 5.0
+    assert launches == rep.ground_arrivals_window / 5.0
+    assert batch == STRATEGY.q_parking
+    assert transferred == STRATEGY.q_plane * rep.transfers_window / 5.0
+    assert fuel_kg == _transfer().fuel_mass_kg
+    assert held == pytest.approx(
+        rep.mean_stock_plane * CFG.n_plane
+        + STRATEGY.q_plane * rep.mean_stock_parking_batches * STRATEGY.n_parking,
+        rel=1e-12,
+    )
