@@ -19,27 +19,31 @@ nothing is integrated numerically.
 `evaluate_strategy` runs three pure stages: the parking stage depends only
 on the parking policy and its demand rate, the altitude stage only on the
 parking altitude, and the plane stage only on the parking ring, its orbit
-figures and the plane reorder point. A search that visits many strategies
-passes a `StageMemo`, which reuses each stage's recent results and computes
-what depends on the problem alone once.
+figures and the plane reorder point. The plane stage builds the ring's
+bounds once and takes one shortage kernel call per bound. A search that
+visits many strategies passes a `StageMemo`, which keeps every parking
+result of the search and the recent altitude and plane results (those two
+tables stay bounded: unbounded as well, they raised the peak memory of
+three bundled searches from 40.6 to 48.3 MiB), and computes what depends
+on the problem alone once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .inventory import (
     SQPolicy,
+    bound_shortages,
+    check_integer,
     expected_shortage_geometric,
     fill_rate,
     mean_stock,
-    segment_shortages,
 )
 from .orbits import (
     WGS84,
@@ -101,6 +105,16 @@ STRATEGY_BOUNDS = {
 }
 
 
+def conjunction(conditions: list[str]) -> Callable[[object], bool]:
+    """A predicate of one object ``o`` that holds when every condition does.
+
+    The conditions are Python expressions in ``o`` (``inf`` is math.inf),
+    compiled into one ``and`` chain: a constructor's check of the valid
+    case without a call per field.
+    """
+    return eval(f"lambda o: {' and '.join(conditions)}", {"inf": math.inf})
+
+
 def check_strategy_value(name: str, value) -> None:
     """Raise ValueError unless ``value`` fits ``STRATEGY_BOUNDS[name]``.
 
@@ -108,12 +122,19 @@ def check_strategy_value(name: str, value) -> None:
     there is rejected, not truncated.
     """
     lo, hi = STRATEGY_BOUNDS[name]
-    if type(value) is not int and isinstance(lo, int):
-        # bool is an int subclass but no count; numpy integers pass.
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name}={value!r} must be an integer")
+    if isinstance(lo, int):
+        check_integer(name, value)
     if not lo <= value <= hi:
         raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
+
+
+# The valid strategy in one chain: each integer field an int, each field
+# within its bounds. Anything else goes to check_strategy_value, which
+# names the field.
+_STRATEGY_IN_BOUNDS = conjunction(
+    [f"type(o.{name}) is int" for name, (lo, _) in STRATEGY_BOUNDS.items() if isinstance(lo, int)]
+    + [f"{lo!r} <= o.{name} <= {hi!r}" for name, (lo, hi) in STRATEGY_BOUNDS.items()]
+)
 
 
 @dataclass(frozen=True)
@@ -140,8 +161,9 @@ class SpareStrategy:
     k_s_parking: int
 
     def __post_init__(self) -> None:
-        for name in STRATEGY_BOUNDS:
-            check_strategy_value(name, getattr(self, name))
+        if not _STRATEGY_IN_BOUNDS(self):
+            for name in STRATEGY_BOUNDS:
+                check_strategy_value(name, getattr(self, name))
 
     @property
     def q_parking(self) -> int:
@@ -282,24 +304,29 @@ def supply_probabilities(p_av: float, n_parking: int) -> list[float]:
         raise ValueError(f"n_parking must be >= 1, got {n_parking}")
     miss = 1.0 - p_av
     norm = 1.0 - miss**n_parking
-    return [p_av * miss ** (i - 1) / norm for i in range(1, n_parking + 1)]
+    return [p_av * miss**i / norm for i in range(n_parking)]
 
 
-def plane_segments(n_parking: int, drift: float, tof: float) -> list[tuple[float, float]]:
-    """Drift-plus-flight days (lo, hi) of each supplier rank, closest first.
+def plane_bounds(n_parking: int, drift: float, tof: float) -> list[float]:
+    """Drift-plus-flight days at the n_parking + 1 ring bounds, closest first.
 
     The i-th closest parking orbit sits between (i-1) and i ring spacings
     of nodal separation, uniformly for a randomly timed order, so each rank
-    contributes one uniform segment. The transfer time is affine in the
-    nodal gap, gap / drift + tof (`orbits.drift_and_flight`), so two
-    evaluations, with `orbits.transfer_time`'s float operations, give every
-    bound.
+    contributes one uniform segment between consecutive bounds. The
+    transfer time is affine in the nodal gap, gap / drift + tof
+    (`orbits.drift_and_flight`), so two evaluations, with
+    `orbits.transfer_time`'s float operations, give every bound.
     """
     spacing = 2.0 * math.pi / n_parking
     first = 0.0 / drift + tof
     step = (spacing / drift + tof) - first
-    bounds = [first + i * step for i in range(n_parking + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
+    return [first + i * step for i in range(n_parking + 1)]
+
+
+def plane_segments(n_parking: int, drift: float, tof: float) -> list[tuple[float, float]]:
+    """Drift-plus-flight days (lo, hi) of each supplier rank: `plane_bounds` in pairs."""
+    bounds = plane_bounds(n_parking, drift, tof)
+    return list(zip(bounds, bounds[1:]))
 
 
 def plane_leadtime(
@@ -371,19 +398,18 @@ def plane_stage(
 
     Returns (shortages, means): the plane's expected shortage over each
     rank's lead-time segment, and the segment's mean (lo + hi) / 2 in days.
-    The segments come from the altitude stage's ``drift`` and ``tof``; the
+    The segments lie between the `plane_bounds` of the altitude stage's
+    ``drift`` and ``tof``, which are built and rate-scaled once; the
     availability-dependent rank weights are applied by the caller.
     """
-    segments = plane_segments(n_parking, drift, tof)
+    bounds = plane_bounds(n_parking, drift, tof)
     # A uniform segment of days is a demand mean uniform on the rate-scaled
     # segment; at a zero rate every segment collapses to a point.
     if lam_plane > 0.0:
-        shortages = tuple(
-            segment_shortages(s_plane, [(lam_plane * lo, lam_plane * hi) for lo, hi in segments])
-        )
+        shortages = tuple(bound_shortages(s_plane, [lam_plane * b for b in bounds]))
     else:
         shortages = (0.0,) * n_parking
-    return shortages, tuple((lo + hi) / 2.0 for lo, hi in segments)
+    return shortages, tuple([(lo + hi) / 2.0 for lo, hi in zip(bounds, bounds[1:])])
 
 
 class ChainConstants(NamedTuple):
@@ -408,40 +434,91 @@ def chain_constants(
     )
 
 
-# Entries per stage table. On the bundled search 256 entries catch nearly
-# all the plane-table hits an unbounded table does, but not the parking
-# table's: it misses 3 720 times there, against 2 550 distinct keys.
+# Entries in the plane and altitude tables. On the bundled search 256
+# entries catch nearly all the hits an unbounded table does (plane: 7 582
+# misses for 7 536 distinct keys; altitude: 4 435 for 4 426). The parking
+# table is unbounded instead: at 256 entries it missed 3 726 times against
+# 2 550 distinct keys, and its key space is at most k_s x k_q x the
+# distinct q * n_parking products. The other two stay bounded because
+# unbounding all three raised the peak RSS of three bundled searches in one
+# process from 40.6 to 48.3 MiB.
 STAGE_MEMO_SIZE = 256
 
 
-class StageMemo:
-    """Recent results of `evaluate_strategy`'s three stages, for one search.
+class _Problem:
+    """The problem-wide arguments of the parking and altitude stages.
 
-    Each stage keeps its last STAGE_MEMO_SIZE distinct argument tuples in a
-    least-recently-used table. The keys hold every argument of the stage,
-    so a memo never mixes problems up. A stage that raises stores nothing
+    Hashed and compared by identity, so that a stage-table key holding one
+    costs no dataclass hash; a `StageMemo` builds one per distinct problem.
+    """
+
+    __slots__ = ("lp", "satellite", "consts", "constants")
+
+    def __init__(
+        self,
+        cfg: ConstellationConfig,
+        lp: LaunchParams,
+        consts: EarthConstants,
+        satellite: SatelliteParams | None,
+    ) -> None:
+        self.lp, self.satellite, self.consts = lp, satellite, consts
+        self.constants = chain_constants(cfg, lp, consts)
+
+
+def _problem_parking(k_s: int, k_q: int, lam_parking: float, problem: _Problem):
+    return parking_stage(k_s, k_q, lam_parking, problem.lp)
+
+
+def _problem_altitude(h_parking_km: float, problem: _Problem):
+    k = problem.constants
+    return altitude_stage(h_parking_km, k.plane, k.plane_drift, problem.satellite, problem.consts)
+
+
+class StageMemo:
+    """Results of `evaluate_strategy`'s three stages, for one search.
+
+    The parking stage keeps every distinct argument tuple of the search;
+    the altitude and plane stages keep their last STAGE_MEMO_SIZE in a
+    least-recently-used table. The parking and altitude keys hold the
+    memo's `_Problem` for the constellation, launch law, Earth constants
+    and satellite in place of those objects, so a memo never mixes problems
+    up and a lookup hashes numbers only. A stage that raises stores nothing
     and raises again on the next visit. The `ChainConstants` are computed
-    again only when the problem changes. Build one memo per search and drop
-    it with the search, so that no search reuses another's work.
+    once per problem. Build one memo per search and drop it with the
+    search, so that no search reuses another's work.
     """
 
     def __init__(self) -> None:
-        self.parking = functools.lru_cache(STAGE_MEMO_SIZE)(parking_stage)
-        self.altitude = functools.lru_cache(STAGE_MEMO_SIZE)(altitude_stage)
+        self.parking = functools.lru_cache(None)(_problem_parking)
+        self.altitude = functools.lru_cache(STAGE_MEMO_SIZE)(_problem_altitude)
         self.plane = functools.lru_cache(STAGE_MEMO_SIZE)(plane_stage)
-        self._problem: tuple | None = None
-        self._constants: ChainConstants | None = None
+        self._problems: dict[tuple, _Problem] = {}
+        self._last: tuple = (None, None)
+
+    def _problem(
+        self,
+        cfg: ConstellationConfig,
+        lp: LaunchParams,
+        consts: EarthConstants,
+        satellite: SatelliteParams | None,
+    ) -> _Problem:
+        """The memo's `_Problem` for these arguments, built once per problem."""
+        # Tuples compare their items by identity first, so a search that
+        # passes the same objects each time pays no dataclass comparison.
+        key = (cfg, lp, consts, satellite)
+        last_key, last = self._last
+        if key != last_key:
+            last = self._problems.get(key)
+            if last is None:
+                last = self._problems[key] = _Problem(cfg, lp, consts, satellite)
+            self._last = (key, last)
+        return last
 
     def constants(
         self, cfg: ConstellationConfig, lp: LaunchParams, consts: EarthConstants
     ) -> ChainConstants:
-        """`chain_constants` of the problem, kept until the problem changes."""
-        # Tuples compare their items by identity first, so a search that
-        # passes the same objects each time pays no dataclass comparison.
-        problem = (cfg, lp, consts)
-        if problem != self._problem:
-            self._problem, self._constants = problem, chain_constants(cfg, lp, consts)
-        return self._constants
+        """`chain_constants` of the problem, computed once per problem."""
+        return self._problem(cfg, lp, consts, None).constants
 
 
 def evaluate_strategy(
@@ -483,41 +560,41 @@ def chain_figures(
             f"plane altitude {cfg.h_plane_km} km"
         )
     if memo is None:
-        k = chain_constants(cfg, lp, consts)
-        parking, altitude, plane = parking_stage, altitude_stage, plane_stage
+        problem = _Problem(cfg, lp, consts, satellite)
+        parking, altitude, plane = _problem_parking, _problem_altitude, plane_stage
     else:
-        k = memo.constants(cfg, lp, consts)
+        problem = memo._problem(cfg, lp, consts, satellite)
         parking, altitude, plane = memo.parking, memo.altitude, memo.plane
+    k = problem.constants
     lam_plane, lt_parking = k.lam_plane, k.lt_parking
+    n, q, s = strategy.n_parking, strategy.q_plane, strategy.s_plane
+    k_q, k_s = strategy.k_q_parking, strategy.k_s_parking
     # Outside the parking stage, so that its few-planes warning is given on
     # every evaluation.
     lam_parking = parking_demand_rate(cfg, strategy)
 
-    es_parking, p_av = parking(strategy.k_s_parking, strategy.k_q_parking, lam_parking, lp)
-    weights = supply_probabilities(p_av, strategy.n_parking)
-    drift, tof, transfer = altitude(
-        strategy.h_parking_km, k.plane, k.plane_drift, satellite, consts
-    )
-    shortages, means = plane(strategy.s_plane, strategy.n_parking, lam_plane, drift, tof)
+    es_parking, p_av = parking(k_s, k_q, lam_parking, problem)
+    weights = supply_probabilities(p_av, n)
+    drift, tof, transfer = altitude(strategy.h_parking_km, problem)
+    shortages, means = plane(s, n, lam_plane, drift, tof)
     es_plane = sum(map(operator.mul, weights, shortages))
     # Halving is exact, so w * ((lo + hi) / 2) equals (w * (lo + hi)) / 2.
     lt_plane = sum(map(operator.mul, weights, means))
 
+    # Positional, in field order: a search builds one per candidate.
     metrics = PolicyMetrics(
-        lambda_plane_per_day=lam_plane,
-        lambda_parking_batches_per_day=lam_parking,
-        p_av=p_av,
-        es_plane=es_plane,
-        es_parking_batches=es_parking,
-        rho_plane=fill_rate(es_plane, strategy.q_plane),
-        rho_parking=p_av,
-        mean_stock_plane=mean_stock(strategy.s_plane, strategy.q_plane, lam_plane * lt_plane),
-        mean_stock_parking_batches=mean_stock(
-            strategy.k_s_parking, strategy.k_q_parking, lam_parking * lt_parking
-        ),
-        e_leadtime_plane_days=lt_plane,
-        e_leadtime_parking_days=lt_parking,
-        neglected_supply_mass=(1.0 - p_av) ** strategy.n_parking,
+        lam_plane,  # lambda_plane_per_day
+        lam_parking,  # lambda_parking_batches_per_day
+        p_av,  # p_av
+        es_plane,  # es_plane
+        es_parking,  # es_parking_batches
+        fill_rate(es_plane, q),  # rho_plane
+        p_av,  # rho_parking
+        mean_stock(s, q, lam_plane * lt_plane),  # mean_stock_plane
+        mean_stock(k_s, k_q, lam_parking * lt_parking),  # mean_stock_parking_batches
+        lt_plane,  # e_leadtime_plane_days
+        lt_parking,  # e_leadtime_parking_days
+        (1.0 - p_av) ** n,  # neglected_supply_mass
     )
     return metrics, transfer
 

@@ -24,6 +24,7 @@ from .chain import (
     SatelliteParams,
     SpareStrategy,
     chain_figures,
+    conjunction,
 )
 from .inventory import SQPolicy
 from .orbits import EarthConstants, TransferResult
@@ -64,14 +65,21 @@ class CostBreakdown:
     maneuvering: float
 
     def __post_init__(self) -> None:
-        for name in ("manufacturing", "holding", "launch", "maneuvering"):
-            value = getattr(self, name)
+        if _PARTS_VALID(self):
+            return
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} cost must be finite and nonnegative, got {value}")
+                raise ValueError(f"{f.name} cost must be finite and nonnegative, got {value}")
 
     @property
     def tessac(self) -> float:
         return self.manufacturing + self.holding + self.launch + self.maneuvering
+
+
+# Every part finite and nonnegative, in one chain; CostBreakdown's per-field
+# loop runs only to name the part that is not.
+_PARTS_VALID = conjunction([f"0.0 <= o.{f.name} < inf" for f in fields(CostBreakdown)])
 
 
 def launch_price(q_parking: int, cp: CostParams) -> float:

@@ -15,10 +15,23 @@ sum of positive, decreasing terms built from one pmf taken from logs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 # Relative size below which a further term cannot change a float sum.
 _EPS = 2.0**-53
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer count.
+
+    A float or a bool is rejected, not truncated; numpy integers pass.
+    """
+    # bool is an int subclass but no count.
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
+        raise ValueError(f"{name}={value!r} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -33,6 +46,8 @@ class SQPolicy:
     order_quantity_q: int
 
     def __post_init__(self) -> None:
+        check_integer("reorder_point_s", self.reorder_point_s)
+        check_integer("order_quantity_q", self.order_quantity_q)
         if self.order_quantity_q < 1:
             raise ValueError(f"order quantity must be >= 1, got {self.order_quantity_q}")
         if self.reorder_point_s < 0:
@@ -105,42 +120,57 @@ def expected_shortage(s: int, mean_demand: float) -> float:
 
 
 def _antiderivative(s: int, m: float) -> float:
-    # H_s(m) of segment_shortages' docstring, for s >= 1.
+    # H_s(m) of bound_shortages' docstring, for s >= 1.
     tail0, tail1, tail2 = _poisson_tails(s, m)
     return 0.5 * (m * m * tail0 - 2 * s * m * tail1 + s * (s + 1) * tail2)
 
 
-def segment_shortages(s: int, mean_segments) -> list[float]:
-    """Expected backorders for a demand mean uniform on each segment.
+def bound_shortages(s: int, bounds) -> list[float]:
+    """Expected backorders for a demand mean uniform between consecutive bounds.
 
-    For each (lo, hi) demand-mean segment, the average of
-    S_s(m) = E[(D - s)+], D ~ Poisson(m), for m uniform on [lo, hi]. The
-    antiderivative of S_s is
+    For bounds b_0 < b_1 < ... < b_n, the i-th result is the average of
+    S_s(m) = E[(D - s)+], D ~ Poisson(m), for m uniform on [b_(i-1), b_i].
+    The antiderivative of S_s is
     H_s(M) = (M^2 P(D >= s) - 2sM P(D >= s+1) + s(s+1) P(D >= s+2)) / 2 for
     D ~ Poisson(M), so each segment's average is
-    (H_s(hi) - H_s(lo)) / (hi - lo). H_s is evaluated once per distinct
-    end, so contiguous segments, which share their ends, cost one kernel
-    call per segment plus one.
+    (H_s(hi) - H_s(lo)) / (hi - lo). H_s is evaluated once per bound, in
+    one pass, so n segments cost n + 1 kernel calls.
 
     Args:
         s: Reorder point (units), >= 0.
-        mean_segments: (lo, hi) demand means at the segment ends, with
-            0 <= lo < hi < inf.
+        bounds: Demand means at the segment ends, in order; every segment
+            (lo, hi) of consecutive bounds has 0 <= lo < hi < inf.
     """
     if s < 0:
         raise ValueError(f"reorder point must be >= 0, got {s}")
-    for lo, hi in mean_segments:
+    ends = bounds[1:]
+    for lo, hi in zip(bounds, ends):
         if not 0.0 <= lo < hi < math.inf:
             raise ValueError("demand segments must satisfy 0 <= lo < hi < inf")
     if s == 0:
-        return [lo + 0.5 * (hi - lo) for lo, hi in mean_segments]
-    h: dict[float, float] = {}
-    for lo, hi in mean_segments:
-        for end in (lo, hi):
-            if end not in h:
-                h[end] = _antiderivative(s, end)
+        return [lo + 0.5 * (hi - lo) for lo, hi in zip(bounds, ends)]
+    h = [_antiderivative(s, m) for m in bounds]
     # Cancellation in H can leave a tiny negative residue where S_s is ~0.
-    return [max((h[hi] - h[lo]) / (hi - lo), 0.0) for lo, hi in mean_segments]
+    return [
+        max((h_hi - h_lo) / (hi - lo), 0.0) for h_lo, h_hi, lo, hi in zip(h, h[1:], bounds, ends)
+    ]
+
+
+def segment_shortages(s: int, mean_segments) -> list[float]:
+    """`bound_shortages` of each (lo, hi) demand-mean segment.
+
+    Each run of contiguous segments, where one segment's hi is the next
+    one's lo, is averaged as one list of bounds, so a run of n segments
+    costs n + 1 kernel calls.
+    """
+    out: list[float] = []
+    run: list[float] = []
+    for lo, hi in mean_segments:
+        if run and lo != run[-1]:
+            out += bound_shortages(s, run)
+            run = []
+        run += (hi,) if run else (lo, hi)
+    return out + bound_shortages(s, run)
 
 
 def expected_shortage_mixture(s: int, weights, mean_segments) -> float:

@@ -20,8 +20,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,8 +106,7 @@ class OptimizationProblem:
             raise ValueError(f"fill-rate target must be in (0, 1), got {self.rho_target}")
 
 
-@dataclass(frozen=True)
-class FitnessResult:
+class FitnessResult(NamedTuple):
     """Objective and constraint view of one candidate."""
 
     tessac: float | None
@@ -147,15 +147,11 @@ def fitness(
     capacity_violation = max(0.0, (candidate.q_parking - cap) / cap)
     fillrate_violation = max(0.0, (prob.rho_target - product) / prob.rho_target)
     feasible = capacity_violation == 0.0 and fillrate_violation == 0.0
-    penalized = cost.tessac + PENALTY_SCALE * (capacity_violation + fillrate_violation)
+    total = cost.tessac
+    penalized = total + PENALTY_SCALE * (capacity_violation + fillrate_violation)
+    # Positional, in field order: a search builds one per scored candidate.
     return FitnessResult(
-        tessac=cost.tessac,
-        feasible=feasible,
-        capacity_violation=capacity_violation,
-        fillrate_violation=fillrate_violation,
-        penalized=penalized,
-        fill_rate_product=product,
-        cost=cost,
+        total, feasible, capacity_violation, fillrate_violation, penalized, product, cost
     )
 
 
@@ -172,69 +168,82 @@ class OptimizationResult:
     seed: int
 
 
-# Genomes are plain lists of SpareStrategy's fields in field order, so
+# Genomes are tuples of SpareStrategy's fields in field order, so
 # SpareStrategy(*genome) is the candidate. Genes with float bounds in
 # STRATEGY_BOUNDS are real-valued; the others are integers.
+_N_GENES = len(STRATEGY_BOUNDS)
 _FLOAT_GENES = tuple(
     g for g, (lo, _) in enumerate(STRATEGY_BOUNDS.values()) if isinstance(lo, float)
 )
-_INT_GENES = tuple(g for g in range(len(STRATEGY_BOUNDS)) if g not in _FLOAT_GENES)
+_INT_GENES = tuple(g for g in range(_N_GENES) if g not in _FLOAT_GENES)
+# Each gene's column in its kind's draws: the replacement integers or the
+# altitude steps.
+_COLUMN = {g: col for genes in (_INT_GENES, _FLOAT_GENES) for col, g in enumerate(genes)}
+# Uniform crossover as one item getter per swap mask, applied to the
+# concatenated parents a + b: bit g of the mask takes gene g from b.
+_CROSSOVER = [
+    operator.itemgetter(*(g + _N_GENES * (mask >> g & 1) for g in range(_N_GENES)))
+    for mask in range(1 << _N_GENES)
+]
+_BIT_VALUES = 1 << np.arange(_N_GENES)
 
 
-def _random_genome(rng, bounds: list[tuple[float, float]]) -> list:
+def _random_genome(rng, bounds: list[tuple[float, float]]) -> tuple:
     genome = []
     for g, (lo, hi) in enumerate(bounds):
         if g in _FLOAT_GENES:
             genome.append(float(rng.uniform(lo, hi)))
         else:
             genome.append(int(rng.integers(lo, hi + 1)))
-    return genome
+    return tuple(genome)
 
 
 def _breed(population: list, order: list[int], rng, bounds: list[tuple[float, float]]) -> list:
     """The children of one generation, bred from six whole-array draws.
 
-    ``order`` is the stable sort of ``population`` by ``_sort_key``; a
-    tournament's winner is its contender of lowest rank in that order.
+    ``order`` is the stable sort of ``population`` by (penalized fitness,
+    genome); a tournament's winner is its contender of lowest rank in that
+    order. Every draw is made whole, but a child's gene changes only where
+    its mutation coin hit.
     """
     n_children = len(population) - ELITISM
     n_pairs = (n_children + 1) // 2
-    n_genes = len(bounds)
     # Candidates with equal sort keys are equal genomes, so the lowest
-    # stable-sort rank picks the same parent as comparing keys.
-    rank = np.argsort(order)
+    # stable-sort rank picks the same parent as comparing keys. rank is the
+    # inverse permutation of order. Here and below, ufuncs and array
+    # methods are called directly: at these sizes numpy's Python-level
+    # wrappers cost more than the work.
+    ranked = np.array(order)
+    rank = np.empty_like(ranked)
+    rank[ranked] = np.arange(len(ranked))
     contenders = rng.integers(0, len(population), size=(n_pairs, 2, TOURNAMENT_SIZE))
-    parents = np.asarray(order)[rank[contenders].min(axis=2)].tolist()
-    crossed = (rng.random(n_pairs) < CROSSOVER_RATE).tolist()
-    swaps = (rng.random((n_pairs, n_genes)) < 0.5).tolist()
-    mutated = (rng.random((2 * n_pairs, n_genes)) < MUTATION_RATE).tolist()
+    parents = ranked[np.minimum.reduce(rank[contenders], axis=2)].tolist()
+    crossed = rng.random(n_pairs) < CROSSOVER_RATE
+    swaps = rng.random((n_pairs, _N_GENES)) < 0.5
+    mutated = rng.random((2 * n_pairs, _N_GENES)) < MUTATION_RATE
     int_lo, int_hi = np.array([bounds[g] for g in _INT_GENES]).T
     new_ints = rng.integers(int_lo, int_hi + 1, size=(2 * n_pairs, len(_INT_GENES))).tolist()
     steps = rng.normal(0.0, MUTATION_SIGMA_KM, size=(2 * n_pairs, len(_FLOAT_GENES))).tolist()
 
+    # A pair that is not crossed swaps no gene; its second child takes the
+    # complementary mask.
+    masks = ((swaps & crossed[:, None]) @ _BIT_VALUES).tolist()
+    full = (1 << _N_GENES) - 1
     children = []
-    for (i, j), cross, swap in zip(parents, crossed, swaps):
-        a, b = population[i], population[j]
-        if cross:
-            children.append([y if s else x for x, y, s in zip(a, b, swap)])
-            children.append([x if s else y for x, y, s in zip(a, b, swap)])
+    for (i, j), mask in zip(parents, masks):
+        both = population[i] + population[j]
+        children += (_CROSSOVER[mask](both), _CROSSOVER[full ^ mask](both))
+    del children[n_children:]
+    hit_children, hit_genes = mutated[:n_children].nonzero()
+    for c, g in zip(hit_children.tolist(), hit_genes.tolist()):
+        child = children[c]
+        if g in _FLOAT_GENES:
+            lo, hi = bounds[g]
+            value = float(min(max(child[g] + steps[c][_COLUMN[g]], lo), hi))
         else:
-            children.append(list(a))
-            children.append(list(b))
-    for child, hits, ints, step in zip(children, mutated, new_ints, steps):
-        for g, value in zip(_INT_GENES, ints):
-            if hits[g]:
-                child[g] = value
-        for g, dh in zip(_FLOAT_GENES, step):
-            if hits[g]:
-                lo, hi = bounds[g]
-                child[g] = float(min(max(child[g] + dh, lo), hi))
-    return children[:n_children]
-
-
-def _sort_key(genome: list, penalized: float) -> tuple:
-    # Lexicographic genome order breaks exact fitness ties deterministically.
-    return (penalized, tuple(genome))
+            value = new_ints[c][_COLUMN[g]]
+        children[c] = child[:g] + (value,) + child[g + 1 :]
+    return children
 
 
 def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
@@ -257,11 +266,10 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
     memo = StageMemo()
     scores: dict[tuple, float] = {}
 
-    def score(genome: list) -> float:
-        key = tuple(genome)
-        penalized = scores.get(key)
+    def score(genome: tuple) -> float:
+        penalized = scores.get(genome)
         if penalized is None:
-            penalized = scores[key] = fitness(SpareStrategy(*genome), prob, memo).penalized
+            penalized = scores[genome] = fitness(SpareStrategy(*genome), prob, memo).penalized
         return penalized
 
     trace: list[tuple[int, int, float, float]] = []
@@ -272,17 +280,26 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
         population = [_random_genome(rng, bounds) for _ in range(ga.population)]
 
         for generation in range(ga.generations):
-            scored = [score(g) for g in population]
-            order = sorted(range(ga.population), key=lambda i: _sort_key(population[i], scored[i]))
-            gen_best = scored[order[0]]
-            trace.append((restart, generation, gen_best, float(np.mean(scored))))
-            candidate_key = _sort_key(population[order[0]], gen_best)
-            if best_key is None or candidate_key < best_key:
-                best_key = candidate_key
+            # One table lookup per visit; the misses are scored in order, so
+            # that a new genome seen twice is scored once.
+            scored = list(map(scores.get, population))
+            for i, penalized in enumerate(scored):
+                if penalized is None:
+                    scored[i] = score(population[i])
+            # Sort keys (penalized, genome): lexicographic genome order
+            # breaks exact fitness ties deterministically.
+            keys = list(zip(scored, population))
+            order = sorted(range(ga.population), key=keys.__getitem__)
+            gen_best = keys[order[0]]
+            # np.mean's sum and division, bit for bit, without its wrappers.
+            mean = float(np.add.reduce(scored)) / ga.population
+            trace.append((restart, generation, gen_best[0], mean))
+            if best_key is None or gen_best < best_key:
+                best_key = gen_best
 
             if generation == ga.generations - 1:
                 break
-            elites = [list(population[i]) for i in order[:ELITISM]]
+            elites = [population[i] for i in order[:ELITISM]]
             population = elites + _breed(population, order, rng, bounds)
 
     assert best_key is not None

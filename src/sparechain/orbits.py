@@ -118,8 +118,9 @@ def hohmann_transfer(
         rocket equation, and the half-ellipse time of flight in days.
 
     Raises:
-        ValueError: If the transfer would lower the orbit or if the
-            inclinations differ (plane changes are out of scope).
+        ValueError: If the transfer would lower the orbit, if the
+            inclinations differ (plane changes are out of scope), or if the
+            dry mass or the exhaust velocity is out of range or not finite.
     """
     if origin.altitude_km > target.altitude_km:
         raise ValueError(
@@ -131,8 +132,11 @@ def hohmann_transfer(
             "transfer requires co-planar orbits, got inclinations "
             f"{origin.inclination_deg} and {target.inclination_deg}"
         )
-    if m_dry_kg < 0 or v_exhaust_km_s <= 0:
-        raise ValueError("dry mass must be nonnegative and exhaust velocity positive")
+    # Written so that NaN fails too: every comparison with NaN is False.
+    if not 0.0 <= m_dry_kg < math.inf:
+        raise ValueError(f"m_dry_kg must be finite and nonnegative, got {m_dry_kg}")
+    if not 0.0 < v_exhaust_km_s < math.inf:
+        raise ValueError(f"v_exhaust_km_s must be positive and finite, got {v_exhaust_km_s}")
 
     mu = consts.mu_km3_s2
     a0 = origin.semimajor_axis_km(consts)

@@ -2,9 +2,10 @@
 
 Each one takes a different route to a quantity the package computes in
 closed form, so agreement checks the closed form rather than restating it.
-The exception is run_with_rng_reference, the simulator's event loop in its
-plainer shape with one closure call per event: the package's inlined loop
-must reproduce it bit for bit.
+The exceptions are run_with_rng_reference, the simulator's event loop in
+its plainer shape with one closure call per event, and breed_reference,
+the GA's breeding step as it was before it applied only the drawn
+mutation hits: the package must reproduce both bit for bit.
 """
 
 import heapq
@@ -16,6 +17,15 @@ from scipy import special
 
 from sparechain.chain import DAYS_PER_YEAR
 from sparechain.costs import annual_cost
+from sparechain.optimizer import (
+    _FLOAT_GENES,
+    _INT_GENES,
+    CROSSOVER_RATE,
+    ELITISM,
+    MUTATION_RATE,
+    MUTATION_SIGMA_KM,
+    TOURNAMENT_SIZE,
+)
 from sparechain.orbits import CircularOrbit, hohmann_transfer, raan_drift_rate
 from sparechain.simulator import (
     _PARKING_ARRIVAL,
@@ -352,3 +362,48 @@ def run_with_rng_reference(
         plane_leadtimes=tuple(leadtimes),
         events=tuple(events) if events is not None else None,
     )
+
+
+def breed_reference(population: list, order: list[int], rng, bounds: list[tuple[float, float]]) -> list:
+    """The children of one generation, bred from six whole-array draws.
+
+    The reference for sparechain.optimizer._breed, kept as it was when its
+    mutation loop visited every gene of every child: the package's
+    hit-only loop must give equal children from an equally seeded stream.
+
+    ``order`` is the stable sort of ``population`` by (penalized, genome); a
+    tournament's winner is its contender of lowest rank in that order.
+    """
+    n_children = len(population) - ELITISM
+    n_pairs = (n_children + 1) // 2
+    n_genes = len(bounds)
+    # Candidates with equal sort keys are equal genomes, so the lowest
+    # stable-sort rank picks the same parent as comparing keys.
+    rank = np.argsort(order)
+    contenders = rng.integers(0, len(population), size=(n_pairs, 2, TOURNAMENT_SIZE))
+    parents = np.asarray(order)[rank[contenders].min(axis=2)].tolist()
+    crossed = (rng.random(n_pairs) < CROSSOVER_RATE).tolist()
+    swaps = (rng.random((n_pairs, n_genes)) < 0.5).tolist()
+    mutated = (rng.random((2 * n_pairs, n_genes)) < MUTATION_RATE).tolist()
+    int_lo, int_hi = np.array([bounds[g] for g in _INT_GENES]).T
+    new_ints = rng.integers(int_lo, int_hi + 1, size=(2 * n_pairs, len(_INT_GENES))).tolist()
+    steps = rng.normal(0.0, MUTATION_SIGMA_KM, size=(2 * n_pairs, len(_FLOAT_GENES))).tolist()
+
+    children = []
+    for (i, j), cross, swap in zip(parents, crossed, swaps):
+        a, b = population[i], population[j]
+        if cross:
+            children.append([y if s else x for x, y, s in zip(a, b, swap)])
+            children.append([x if s else y for x, y, s in zip(a, b, swap)])
+        else:
+            children.append(list(a))
+            children.append(list(b))
+    for child, hits, ints, step in zip(children, mutated, new_ints, steps):
+        for g, value in zip(_INT_GENES, ints):
+            if hits[g]:
+                child[g] = value
+        for g, dh in zip(_FLOAT_GENES, step):
+            if hits[g]:
+                lo, hi = bounds[g]
+                child[g] = float(min(max(child[g] + dh, lo), hi))
+    return children[:n_children]

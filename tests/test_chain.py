@@ -22,11 +22,21 @@ from sparechain.chain import (
     parking_availability,
     parking_demand_rate,
     plane_demand_rate,
+    altitude_stage,
+    check_strategy_value,
     plane_leadtime,
+    plane_segments,
+    plane_stage,
     supply_probabilities,
 )
-from sparechain.inventory import SQPolicy, expected_shortage, expected_shortage_mixture
-from sparechain.orbits import WGS84, CircularOrbit, transfer_time
+from sparechain.inventory import (
+    SQPolicy,
+    expected_shortage,
+    expected_shortage_mixture,
+    segment_shortages,
+)
+from sparechain.optimizer import VariableBounds
+from sparechain.orbits import WGS84, CircularOrbit, raan_drift_rate, transfer_time
 
 from oracles import poisson_shortage, supply_probabilities_raw
 
@@ -141,6 +151,12 @@ def test_inplane_metrics_match_independent_pipeline():
     assert metrics.p_av == 1.0
     assert metrics.mean_stock_parking_batches == 0.0
     assert metrics.es_parking_batches == 0.0
+
+
+def test_inplane_rejects_a_fractional_reorder_point():
+    # It used to fail late, inside the shortage sum, with a TypeError.
+    with pytest.raises(ValueError, match="reorder_point_s"):
+        evaluate_inplane_only(CFG, SQPolicy(2.5, 3), LAUNCH)
 
 
 def test_inplane_rejects_oversized_batch():
@@ -350,6 +366,30 @@ def test_plane_leadtime_bounds_match_transfer_time(n_parking, h_parking_km, incl
         assert bound == pytest.approx(transfer_time(i * spacing, parking, plane), rel=1e-12)
 
 
+def test_plane_stage_matches_its_segments_one_at_a_time():
+    # The one-pass stage shares each inner bound between two segments; it
+    # must give, bit for bit, what each plane_segments segment gives alone.
+    plane = CircularOrbit(1200.0, 50.0)
+    plane_drift = raan_drift_rate(plane)
+    rates = (0.0, plane_demand_rate(CFG), 0.05)
+    for h_parking_km in (700.0, 792.3, 999.0):
+        drift, tof, _ = altitude_stage(h_parking_km, plane, plane_drift, None, WGS84)
+        for n in range(1, 21):
+            segments = plane_segments(n, drift, tof)
+            means = tuple((lo + hi) / 2.0 for lo, hi in segments)
+            for s in range(1, 11):
+                for rate in rates:
+                    if rate > 0.0:
+                        expected = tuple(
+                            segment_shortages(s, [(rate * lo, rate * hi)])[0] for lo, hi in segments
+                        )
+                    else:
+                        expected = (0.0,) * n
+                    assert plane_stage(s, n, rate, drift, tof) == (expected, means), (
+                        h_parking_km, n, s, rate
+                    )
+
+
 def test_strategy_validation_and_derived_quantities():
     assert STRATEGY.q_parking == 32
     assert STRATEGY.s_parking == 32
@@ -372,6 +412,63 @@ def test_strategy_validation_and_derived_quantities():
         SpareStrategy(True, 800.0, 4, 3, 8, 8)
     with pytest.raises(ValueError, match="k_s_parking"):
         SpareStrategy(3, 800.0, 4, 3, 8, 8.0)
+
+
+VALID_GENES = dict(
+    n_parking=3, h_parking_km=800.0, q_plane=4, s_plane=3, k_q_parking=8, k_s_parking=8
+)
+
+
+def _bad_values(name):
+    lo, hi = STRATEGY_BOUNDS[name]
+    if isinstance(lo, int):
+        return [lo - 1, hi + 1, float(lo), 2.5, True, math.nan]
+    return [lo - 1.0, hi + 1.0, math.nan, math.inf, True]
+
+
+@pytest.mark.parametrize("name", list(STRATEGY_BOUNDS))
+def test_strategy_and_bounds_name_the_offending_field(name):
+    # The constructors accept the valid case in one compiled check; every
+    # other value still reaches the per-field check that names the field.
+    for bad in _bad_values(name):
+        with pytest.raises(ValueError, match=name):
+            SpareStrategy(**{**VALID_GENES, name: bad})
+        lo, hi = STRATEGY_BOUNDS[name]
+        with pytest.raises(ValueError, match=name):
+            VariableBounds(**{name: (bad, hi)})
+        with pytest.raises(ValueError, match=name):
+            VariableBounds(**{name: (lo, bad)})
+
+
+def test_strategy_fast_check_accepts_what_the_field_checks_accept():
+    # Values on, inside and just outside every bound, of every numeric type
+    # a caller may pass: the strategy is built exactly when every
+    # check_strategy_value passes.
+    rng = np.random.default_rng(20261020)
+    valid, invalid = {}, {}
+    for name, (lo, hi) in STRATEGY_BOUNDS.items():
+        if isinstance(lo, int):
+            valid[name] = [lo, hi, np.int64(lo), np.int32(hi)]
+            invalid[name] = [lo - 1, hi + 1, float(hi), True, False, math.nan]
+        else:
+            valid[name] = [lo, hi, (lo + hi) / 2, int(hi), np.float64(lo)]
+            invalid[name] = [lo - 1e-9, hi + 1e-9, math.nan, -math.inf]
+    built = 0
+    for _ in range(2000):
+        genes = {}
+        for name in STRATEGY_BOUNDS:
+            pool = valid[name] if rng.random() < 0.7 else invalid[name]
+            genes[name] = pool[int(rng.integers(len(pool)))]
+        try:
+            for name, value in genes.items():
+                check_strategy_value(name, value)
+        except ValueError:
+            with pytest.raises(ValueError):
+                SpareStrategy(**genes)
+            continue
+        assert dataclasses.astuple(SpareStrategy(**genes)) == tuple(genes.values())
+        built += 1
+    assert 100 < built < 1900, built
 
 
 def test_strategy_bounds_follow_the_strategy_fields():

@@ -163,6 +163,17 @@ def test_breakdown_rejects_non_finite_parts(name, bad):
         CostBreakdown(**{**parts, name: bad})
 
 
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CostBreakdown)])
+def test_breakdown_names_the_offending_part(name, bad):
+    # The valid case passes one compiled check; anything else reaches the
+    # per-part check, which names the part.
+    parts = dict(manufacturing=1.0, holding=0.0, launch=3.0, maneuvering=4.0)
+    with pytest.raises(ValueError, match=f"{name} cost"):
+        CostBreakdown(**{**parts, name: bad})
+    assert CostBreakdown(**parts).tessac == 8.0
+
+
 # Prices that are not powers of two, so that a change in float order shows.
 PRICES = CostParams(
     p_sat_musd=0.37,

@@ -165,6 +165,17 @@ def test_policy_and_demand_validation():
         SQPolicy(reorder_point_s=0, order_quantity_q=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, math.nan])
+def test_policy_counts_must_be_integers(bad):
+    # A float or a bool is rejected by name, not truncated; numpy integers
+    # pass, as in the strategy checks.
+    with pytest.raises(ValueError, match="reorder_point_s"):
+        SQPolicy(reorder_point_s=bad, order_quantity_q=3)
+    with pytest.raises(ValueError, match="order_quantity_q"):
+        SQPolicy(reorder_point_s=2, order_quantity_q=bad)
+    assert SQPolicy(np.int64(2), np.int32(3)) == SQPolicy(2, 3)
+
+
 def test_poisson_tail_kernel_matches_scipy():
     # P(D >= s + j) = pdtrc(s - 1 + j, m); the grid includes both sides of
     # the switch between the forward series and 1 - cdf at m = s + 2.

@@ -21,6 +21,7 @@ from sparechain.config import bundled_case_study_path, load_run_config
 from sparechain.costs import CostParams, tessac_inplane_only
 from sparechain.inventory import SQPolicy
 from sparechain.optimizer import (
+    ELITISM,
     ERROR_PENALTY,
     PENALTY_SCALE,
     FitnessResult,
@@ -32,6 +33,8 @@ from sparechain.optimizer import (
     optimize_inplane_only,
     sensitivity_sweep,
 )
+
+from oracles import breed_reference
 
 COSTS = CostParams(
     p_sat_musd=0.5,
@@ -202,9 +205,9 @@ def test_memoized_fitness_matches_memo_free_fitness():
             k_s_parking=int(rng.choice([1, 8])),
         )
         memoized, fresh = fitness(candidate, prob, memo), fitness(candidate, prob)
-        for field in dataclasses.fields(FitnessResult):
-            a, b = getattr(memoized, field.name), getattr(fresh, field.name)
-            assert a == b or (math.isnan(a) and math.isnan(b)), (candidate, field.name)
+        for field in FitnessResult._fields:
+            a, b = getattr(memoized, field), getattr(fresh, field)
+            assert a == b or (math.isnan(a) and math.isnan(b)), (candidate, field)
         if fresh.tessac is None:
             outcomes["error"] += 1
         else:
@@ -276,6 +279,71 @@ def test_ga_trajectory_is_pinned_on_bundled_case_study(monkeypatch):
     assert calls["fitness"] == 12769
     assert sum(row[2] for row in result.trace) == pytest.approx(253178.3464859282, rel=1e-12)
     assert sum(row[3] for row in result.trace) == pytest.approx(1063993756.3472103, rel=1e-12)
+
+
+def test_breed_matches_the_reference_breed():
+    # The crossover getters and the hit-only mutation loop must breed, from
+    # an equally seeded stream, the children the reference breeds, value
+    # and type, over random populations (with repeated genomes and tied
+    # scores), bounds boxes (some pinning a variable, lo == hi) and seeds.
+    rng = np.random.default_rng(20261021)
+    pinned = 0
+    for case in range(240):
+        bounds = []
+        for lo, hi in STRATEGY_BOUNDS.values():
+            if isinstance(lo, float):
+                a, b = sorted(float(x) for x in rng.uniform(lo, hi, 2))
+            else:
+                a, b = sorted(int(x) for x in rng.integers(lo, hi + 1, 2))
+            if rng.random() < 0.15:
+                b = a
+                pinned += 1
+            bounds.append((a, b))
+        size = int(rng.integers(ELITISM + 1, 70))
+        population = [optimizer._random_genome(rng, bounds) for _ in range(size)]
+        for i in rng.integers(0, size, size // 4):
+            population[i] = population[int(rng.integers(size))]
+        scored = rng.integers(0, 5, size).tolist()
+        order = sorted(range(size), key=lambda i: (scored[i], population[i]))
+        seed = int(rng.integers(2**63))
+        streams = [np.random.Generator(np.random.Philox(seed)) for _ in range(2)]
+        got = optimizer._breed(population, order, streams[0], bounds)
+        want = breed_reference(population, order, streams[1], bounds)
+        assert got == [tuple(child) for child in want], case
+        assert [tuple(map(type, c)) for c in got] == [tuple(map(type, c)) for c in want], case
+    assert pinned >= 100
+
+
+def test_bundled_search_computes_each_parking_key_once(monkeypatch):
+    # The parking table keeps every key of its search. A stage that raises
+    # stores nothing, so only its keys are computed again, on each visit.
+    real_stage = chain.parking_stage
+    calls, raised = Counter(), Counter()
+
+    def counted_stage(*key):
+        calls[key] += 1
+        try:
+            return real_stage(*key)
+        except ValueError:
+            raised[key] += 1
+            raise
+
+    monkeypatch.setattr(chain, "parking_stage", counted_stage)
+    rc = load_run_config(bundled_case_study_path())
+    prob = OptimizationProblem(
+        constellation=rc.constellation,
+        launch=rc.launch,
+        costs=rc.costs,
+        satellite=rc.satellite,
+        rho_target=rc.optimization.rho_target,
+        bounds=rc.optimization.bounds,
+        ga=rc.optimization.ga,
+        consts=rc.earth,
+    )
+    optimize(prob, command_seed(0, "optimize"))
+    assert len(calls) > 2000
+    assert all(calls[key] == 1 for key in calls if key not in raised)
+    assert all(calls[key] == raised[key] for key in raised)
 
 
 def test_ga_candidates_stay_in_bounds_with_exact_types(monkeypatch):

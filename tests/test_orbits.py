@@ -73,10 +73,17 @@ def test_hohmann_rejects_bad_inputs():
         hohmann_transfer(hi, lo, 150.0, 2.16)  # lowering transfer
     with pytest.raises(ValueError):
         hohmann_transfer(lo, CircularOrbit(1200.0, 51.0), 150.0, 2.16)  # plane change
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m_dry_kg"):
         hohmann_transfer(lo, hi, -1.0, 2.16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="v_exhaust_km_s"):
         hohmann_transfer(lo, hi, 150.0, 0.0)
+    # A NaN mass used to give a NaN fuel mass, an infinite exhaust velocity
+    # a free transfer.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="m_dry_kg"):
+            hohmann_transfer(lo, hi, bad, 2.16)
+        with pytest.raises(ValueError, match="v_exhaust_km_s"):
+            hohmann_transfer(lo, hi, 150.0, bad)
 
 
 def test_transfer_time_reference_value():
