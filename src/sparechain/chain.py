@@ -16,16 +16,17 @@ echelon calls its exact compound-Poisson shortage from `inventory`
 directly (Hadley & Whitin 1963; Axsater, Inventory Control, ch. 5);
 nothing is integrated numerically.
 
-`evaluate_strategy` runs three pure stages: the parking stage depends only
-on the parking policy and its demand rate, the altitude stage only on the
-parking altitude, and the plane stage only on the parking ring, its orbit
-figures and the plane reorder point. The plane stage builds the ring's
-bounds once and takes one shortage kernel call per bound. A search that
-visits many strategies passes a `StageMemo`, which keeps every parking
-result of the search and the recent altitude and plane results (those two
+A `StageMemo` evaluates the two-echelon chain of one problem in three
+pure stages: the parking stage depends only on the parking policy and its
+demand rate, the altitude stage only on the parking altitude, and the
+plane stage only on the parking ring, its orbit figures and the plane
+reorder point. The plane stage builds the ring's bounds once and takes one
+shortage kernel call per bound. The memo computes what depends on the
+problem alone once and keys its stage tables on numbers only; it keeps
+every parking result and the recent altitude and plane results (those two
 tables stay bounded: unbounded as well, they raised the peak memory of
-three bundled searches from 40.6 to 48.3 MiB), and computes what depends
-on the problem alone once.
+three bundled searches from 40.6 to 48.3 MiB). A search builds one memo;
+`evaluate_strategy` builds a one-use memo.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ class ConstellationConfig:
     lambda_sat_per_year: float
 
     def __post_init__(self) -> None:
+        check_integer("n_plane", self.n_plane)
+        check_integer("n_sats", self.n_sats)
         if self.n_plane < 1:
             raise ValueError(f"n_plane must be >= 1, got {self.n_plane}")
         if self.n_sats < 1:
@@ -197,6 +200,7 @@ class LaunchParams:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.mu_launch_days <= 0 or self.pt_launch_days < 0:
             raise ValueError("launch wait must be positive and processing time nonnegative")
+        check_integer("cap_launch", self.cap_launch)
         if self.cap_launch < 1:
             raise ValueError(f"launch capacity must be >= 1, got {self.cap_launch}")
 
@@ -352,7 +356,7 @@ def plane_leadtime(
 def parking_stage(
     k_s: int, k_q: int, lam_parking: float, lp: LaunchParams
 ) -> tuple[float, float]:
-    """Parking echelon of `evaluate_strategy`: (shortage in batches, availability).
+    """Parking echelon of `StageMemo.figures`: (shortage in batches, availability).
 
     Raises:
         UndefinedAvailabilityError: If the parking policy is so undersized
@@ -394,7 +398,7 @@ def altitude_stage(
 def plane_stage(
     s_plane: int, n_parking: int, lam_plane: float, drift: float, tof: float
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Plane echelon of `evaluate_strategy`, per supplier rank.
+    """Plane echelon of `StageMemo.figures`, per supplier rank.
 
     Returns (shortages, means): the plane's expected shortage over each
     rank's lead-time segment, and the segment's mean (lo + hi) / 2 in days.
@@ -412,28 +416,6 @@ def plane_stage(
     return shortages, tuple([(lo + hi) / 2.0 for lo, hi in zip(bounds, bounds[1:])])
 
 
-class ChainConstants(NamedTuple):
-    """What every evaluation on one constellation, launch law and Earth shares."""
-
-    lam_plane: float  # spare demand of one plane, satellites/day
-    lt_parking: float  # ground lead time pt + mu, days
-    plane: CircularOrbit  # the constellation's orbit
-    plane_drift: float  # its nodal drift rate, rad/day
-
-
-def chain_constants(
-    cfg: ConstellationConfig, lp: LaunchParams, consts: EarthConstants
-) -> ChainConstants:
-    """The `ChainConstants` of one problem."""
-    plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
-    return ChainConstants(
-        plane_demand_rate(cfg),
-        lp.pt_launch_days + lp.mu_launch_days,
-        plane,
-        raan_drift_rate(plane, consts),
-    )
-
-
 # Entries in the plane and altitude tables. On the bundled search 256
 # entries catch nearly all the hits an unbounded table does (plane: 7 582
 # misses for 7 536 distinct keys; altitude: 4 435 for 4 426). The parking
@@ -445,80 +427,93 @@ def chain_constants(
 STAGE_MEMO_SIZE = 256
 
 
-class _Problem:
-    """The problem-wide arguments of the parking and altitude stages.
+class StageMemo:
+    """The two-echelon chain of one problem, with its three stages memoized.
 
-    Hashed and compared by identity, so that a stage-table key holding one
-    costs no dataclass hash; a `StageMemo` builds one per distinct problem.
+    The problem is the constellation, the launch law, the Earth constants
+    and the satellite whose Hohmann raise is priced (None for none). What
+    depends on it alone (the plane demand rate, the ground lead time, the
+    plane orbit and its drift rate) is computed once, at construction. The
+    stage tables are keyed on the candidate's numbers only: the parking
+    stage keeps every distinct key, the altitude and plane stages their
+    last STAGE_MEMO_SIZE in a least-recently-used table. A stage that
+    raises stores nothing and raises again on the next visit. A search
+    builds one memo and drops it with the search, so that no search reuses
+    another's work.
     """
-
-    __slots__ = ("lp", "satellite", "consts", "constants")
 
     def __init__(
         self,
         cfg: ConstellationConfig,
         lp: LaunchParams,
-        consts: EarthConstants,
-        satellite: SatelliteParams | None,
+        consts: EarthConstants = WGS84,
+        satellite: SatelliteParams | None = None,
     ) -> None:
-        self.lp, self.satellite, self.consts = lp, satellite, consts
-        self.constants = chain_constants(cfg, lp, consts)
-
-
-def _problem_parking(k_s: int, k_q: int, lam_parking: float, problem: _Problem):
-    return parking_stage(k_s, k_q, lam_parking, problem.lp)
-
-
-def _problem_altitude(h_parking_km: float, problem: _Problem):
-    k = problem.constants
-    return altitude_stage(h_parking_km, k.plane, k.plane_drift, problem.satellite, problem.consts)
-
-
-class StageMemo:
-    """Results of `evaluate_strategy`'s three stages, for one search.
-
-    The parking stage keeps every distinct argument tuple of the search;
-    the altitude and plane stages keep their last STAGE_MEMO_SIZE in a
-    least-recently-used table. The parking and altitude keys hold the
-    memo's `_Problem` for the constellation, launch law, Earth constants
-    and satellite in place of those objects, so a memo never mixes problems
-    up and a lookup hashes numbers only. A stage that raises stores nothing
-    and raises again on the next visit. The `ChainConstants` are computed
-    once per problem. Build one memo per search and drop it with the
-    search, so that no search reuses another's work.
-    """
-
-    def __init__(self) -> None:
-        self.parking = functools.lru_cache(None)(_problem_parking)
-        self.altitude = functools.lru_cache(STAGE_MEMO_SIZE)(_problem_altitude)
+        self.cfg = cfg
+        self.lam_plane = plane_demand_rate(cfg)  # satellites/day
+        self.lt_parking = lp.pt_launch_days + lp.mu_launch_days  # days
+        plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
+        plane_drift = raan_drift_rate(plane, consts)
+        # The stage functions are looked up at call time, so that a test can
+        # replace them on the module.
+        self.parking = functools.lru_cache(None)(
+            lambda k_s, k_q, lam_parking: parking_stage(k_s, k_q, lam_parking, lp)
+        )
+        self.altitude = functools.lru_cache(STAGE_MEMO_SIZE)(
+            lambda h_parking_km: altitude_stage(h_parking_km, plane, plane_drift, satellite, consts)
+        )
         self.plane = functools.lru_cache(STAGE_MEMO_SIZE)(plane_stage)
-        self._problems: dict[tuple, _Problem] = {}
-        self._last: tuple = (None, None)
 
-    def _problem(
-        self,
-        cfg: ConstellationConfig,
-        lp: LaunchParams,
-        consts: EarthConstants,
-        satellite: SatelliteParams | None,
-    ) -> _Problem:
-        """The memo's `_Problem` for these arguments, built once per problem."""
-        # Tuples compare their items by identity first, so a search that
-        # passes the same objects each time pays no dataclass comparison.
-        key = (cfg, lp, consts, satellite)
-        last_key, last = self._last
-        if key != last_key:
-            last = self._problems.get(key)
-            if last is None:
-                last = self._problems[key] = _Problem(cfg, lp, consts, satellite)
-            self._last = (key, last)
-        return last
+    def figures(self, strategy: SpareStrategy) -> tuple[PolicyMetrics, TransferResult | None]:
+        """Metrics of one strategy, and the Hohmann raise of the memo's satellite.
 
-    def constants(
-        self, cfg: ConstellationConfig, lp: LaunchParams, consts: EarthConstants
-    ) -> ChainConstants:
-        """`chain_constants` of the problem, computed once per problem."""
-        return self._problem(cfg, lp, consts, None).constants
+        Order of computation: parking demand, the parking stage (shortage and
+        availability), supplier-rank weights, the altitude stage (orbit
+        figures and transfer), the plane stage (per-rank shortages and
+        lead-time segments), then fill rates and stocks for both echelons.
+
+        Raises:
+            ValueError: If the parking orbit is not below the constellation.
+            UndefinedAvailabilityError: If the parking policy is so undersized
+                that availability is undefined or zero.
+        """
+        cfg = self.cfg
+        if strategy.h_parking_km >= cfg.h_plane_km:
+            raise ValueError(
+                f"parking altitude {strategy.h_parking_km} km must be below "
+                f"plane altitude {cfg.h_plane_km} km"
+            )
+        lam_plane, lt_parking = self.lam_plane, self.lt_parking
+        n, q, s = strategy.n_parking, strategy.q_plane, strategy.s_plane
+        k_q, k_s = strategy.k_q_parking, strategy.k_s_parking
+        # Outside the parking stage, so that its few-planes warning is given on
+        # every evaluation.
+        lam_parking = parking_demand_rate(cfg, strategy)
+
+        es_parking, p_av = self.parking(k_s, k_q, lam_parking)
+        weights = supply_probabilities(p_av, n)
+        drift, tof, transfer = self.altitude(strategy.h_parking_km)
+        shortages, means = self.plane(s, n, lam_plane, drift, tof)
+        es_plane = sum(map(operator.mul, weights, shortages))
+        # Halving is exact, so w * ((lo + hi) / 2) equals (w * (lo + hi)) / 2.
+        lt_plane = sum(map(operator.mul, weights, means))
+
+        # Positional, in field order: a search builds one per candidate.
+        metrics = PolicyMetrics(
+            lam_plane,  # lambda_plane_per_day
+            lam_parking,  # lambda_parking_batches_per_day
+            p_av,  # p_av
+            es_plane,  # es_plane
+            es_parking,  # es_parking_batches
+            fill_rate(es_plane, q),  # rho_plane
+            p_av,  # rho_parking
+            mean_stock(s, q, lam_plane * lt_plane),  # mean_stock_plane
+            mean_stock(k_s, k_q, lam_parking * lt_parking),  # mean_stock_parking_batches
+            lt_plane,  # e_leadtime_plane_days
+            lt_parking,  # e_leadtime_parking_days
+            (1.0 - p_av) ** n,  # neglected_supply_mass
+        )
+        return metrics, transfer
 
 
 def evaluate_strategy(
@@ -526,77 +521,9 @@ def evaluate_strategy(
     strategy: SpareStrategy,
     lp: LaunchParams,
     consts: EarthConstants = WGS84,
-    memo: StageMemo | None = None,
 ) -> PolicyMetrics:
-    """Full feed-forward evaluation of one strategy; see `chain_figures`."""
-    return chain_figures(cfg, strategy, lp, consts, memo)[0]
-
-
-def chain_figures(
-    cfg: ConstellationConfig,
-    strategy: SpareStrategy,
-    lp: LaunchParams,
-    consts: EarthConstants = WGS84,
-    memo: StageMemo | None = None,
-    satellite: SatelliteParams | None = None,
-) -> tuple[PolicyMetrics, TransferResult | None]:
-    """Metrics of one strategy, and the Hohmann raise of ``satellite`` if given.
-
-    Order of computation: parking demand, the parking stage (shortage and
-    availability), supplier-rank weights, the altitude stage (orbit figures
-    and transfer), the plane stage (per-rank shortages and lead-time
-    segments), then fill rates and stocks for both echelons. A ``memo``
-    serves the stages from its tables and the `ChainConstants` from its
-    copy; the results are the same with or without one.
-
-    Raises:
-        ValueError: If the parking orbit is not below the constellation.
-        UndefinedAvailabilityError: If the parking policy is so undersized
-            that availability is undefined or zero.
-    """
-    if strategy.h_parking_km >= cfg.h_plane_km:
-        raise ValueError(
-            f"parking altitude {strategy.h_parking_km} km must be below "
-            f"plane altitude {cfg.h_plane_km} km"
-        )
-    if memo is None:
-        problem = _Problem(cfg, lp, consts, satellite)
-        parking, altitude, plane = _problem_parking, _problem_altitude, plane_stage
-    else:
-        problem = memo._problem(cfg, lp, consts, satellite)
-        parking, altitude, plane = memo.parking, memo.altitude, memo.plane
-    k = problem.constants
-    lam_plane, lt_parking = k.lam_plane, k.lt_parking
-    n, q, s = strategy.n_parking, strategy.q_plane, strategy.s_plane
-    k_q, k_s = strategy.k_q_parking, strategy.k_s_parking
-    # Outside the parking stage, so that its few-planes warning is given on
-    # every evaluation.
-    lam_parking = parking_demand_rate(cfg, strategy)
-
-    es_parking, p_av = parking(k_s, k_q, lam_parking, problem)
-    weights = supply_probabilities(p_av, n)
-    drift, tof, transfer = altitude(strategy.h_parking_km, problem)
-    shortages, means = plane(s, n, lam_plane, drift, tof)
-    es_plane = sum(map(operator.mul, weights, shortages))
-    # Halving is exact, so w * ((lo + hi) / 2) equals (w * (lo + hi)) / 2.
-    lt_plane = sum(map(operator.mul, weights, means))
-
-    # Positional, in field order: a search builds one per candidate.
-    metrics = PolicyMetrics(
-        lam_plane,  # lambda_plane_per_day
-        lam_parking,  # lambda_parking_batches_per_day
-        p_av,  # p_av
-        es_plane,  # es_plane
-        es_parking,  # es_parking_batches
-        fill_rate(es_plane, q),  # rho_plane
-        p_av,  # rho_parking
-        mean_stock(s, q, lam_plane * lt_plane),  # mean_stock_plane
-        mean_stock(k_s, k_q, lam_parking * lt_parking),  # mean_stock_parking_batches
-        lt_plane,  # e_leadtime_plane_days
-        lt_parking,  # e_leadtime_parking_days
-        (1.0 - p_av) ** n,  # neglected_supply_mass
-    )
-    return metrics, transfer
+    """Full feed-forward evaluation of one strategy; see `StageMemo.figures`."""
+    return StageMemo(cfg, lp, consts).figures(strategy)[0]
 
 
 def evaluate_inplane_only(

@@ -23,7 +23,7 @@ from .chain import (
     PolicyMetrics,
     SatelliteParams,
     SpareStrategy,
-    chain_figures,
+    StageMemo,
     conjunction,
 )
 from .inventory import SQPolicy
@@ -175,9 +175,9 @@ def evaluate_design(
 
     Raises:
         ValueError: If the chain cannot evaluate the strategy (see
-            chain_figures).
+            `StageMemo.figures`).
     """
-    metrics, transfer = chain_figures(cfg, strategy, lp, consts, satellite=satellite)
+    metrics, transfer = StageMemo(cfg, lp, consts, satellite).figures(strategy)
     return metrics, tessac(cfg, strategy, metrics, transfer, costs, lp)
 
 

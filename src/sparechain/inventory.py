@@ -156,33 +156,6 @@ def bound_shortages(s: int, bounds) -> list[float]:
     ]
 
 
-def segment_shortages(s: int, mean_segments) -> list[float]:
-    """`bound_shortages` of each (lo, hi) demand-mean segment.
-
-    Each run of contiguous segments, where one segment's hi is the next
-    one's lo, is averaged as one list of bounds, so a run of n segments
-    costs n + 1 kernel calls.
-    """
-    out: list[float] = []
-    run: list[float] = []
-    for lo, hi in mean_segments:
-        if run and lo != run[-1]:
-            out += bound_shortages(s, run)
-            run = []
-        run += (hi,) if run else (lo, hi)
-    return out + bound_shortages(s, run)
-
-
-def expected_shortage_mixture(s: int, weights, mean_segments) -> float:
-    """Expected backorders for a demand mean that is a mixture of uniforms.
-
-    This is the shortage for a lead time that is a mixture of uniform
-    segments: the weighted sum of `segment_shortages` over the (lo, hi)
-    demand-mean segments.
-    """
-    return sum(w * a for w, a in zip(weights, segment_shortages(s, mean_segments)))
-
-
 def expected_shortage_geometric(s: int, mean_demand: float, geometric_mean: float) -> float:
     """Expected backorders E[(A + G - s)+] for a Poisson plus geometric demand.
 

@@ -33,12 +33,11 @@ from .chain import (
     SatelliteParams,
     SpareStrategy,
     StageMemo,
-    chain_figures,
     check_strategy_value,
     evaluate_inplane_only,
 )
 from .costs import CostBreakdown, CostParams, tessac, tessac_inplane_only
-from .inventory import SQPolicy
+from .inventory import SQPolicy, check_integer
 from .orbits import WGS84, EarthConstants
 
 PENALTY_SCALE = 1e6
@@ -84,6 +83,8 @@ class GAParams:
     restarts: int = 5
 
     def __post_init__(self) -> None:
+        for name in ("population", "generations", "restarts"):
+            check_integer(name, getattr(self, name))
         if self.population <= ELITISM or self.generations < 1 or self.restarts < 1:
             raise ValueError(f"population > {ELITISM}, generations >= 1, restarts >= 1 required")
 
@@ -126,11 +127,14 @@ def fitness(
     Infeasible candidates carry an additive penalty proportional to the
     violation so the search still senses direction; candidates the model
     cannot evaluate at all get a flat maximal penalty. A search passes its
-    ``memo`` to share chain stages between candidates.
+    ``memo``, built for ``prob``, to share chain stages between candidates;
+    without one, a one-use memo is built.
     """
     cfg, lp = prob.constellation, prob.launch
+    if memo is None:
+        memo = StageMemo(cfg, lp, prob.consts, prob.satellite)
     try:
-        metrics, transfer = chain_figures(cfg, candidate, lp, prob.consts, memo, prob.satellite)
+        metrics, transfer = memo.figures(candidate)
         cost = tessac(cfg, candidate, metrics, transfer, prob.costs, lp)
     except ValueError:
         return FitnessResult(
@@ -263,7 +267,7 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
     """
     ga = prob.ga
     bounds = [getattr(prob.bounds, name) for name in STRATEGY_BOUNDS]
-    memo = StageMemo()
+    memo = StageMemo(prob.constellation, prob.launch, prob.consts, prob.satellite)
     scores: dict[tuple, float] = {}
 
     def score(genome: tuple) -> float:

@@ -57,6 +57,7 @@ from .chain import (
     plane_demand_rate,
 )
 from .costs import CostParams, annual_cost
+from .inventory import check_integer
 from .orbits import WGS84, CircularOrbit, EarthConstants, hohmann_transfer, raan_drift_rate
 
 _TWO_PI = 2.0 * math.pi
@@ -91,6 +92,8 @@ class SimConfig:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon_years}")
         if not 0.0 <= self.warmup_years < self.horizon_years:
             raise ValueError("warm-up must be nonnegative and shorter than the horizon")
+        check_integer("replications", self.replications)
+        check_integer("seed", self.seed)
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.seed < 0:

@@ -6,6 +6,10 @@ The exceptions are run_with_rng_reference, the simulator's event loop in
 its plainer shape with one closure call per event, and breed_reference,
 the GA's breeding step as it was before it applied only the drawn
 mutation hits: the package must reproduce both bit for bit.
+segment_shortages and expected_shortage_mixture compose the package's
+bound_shortages into the shortage of a mixture of uniform demand-mean
+segments, which the tests use as a reference and the package does not
+need.
 """
 
 import heapq
@@ -17,6 +21,7 @@ from scipy import special
 
 from sparechain.chain import DAYS_PER_YEAR
 from sparechain.costs import annual_cost
+from sparechain.inventory import bound_shortages
 from sparechain.optimizer import (
     _FLOAT_GENES,
     _INT_GENES,
@@ -88,6 +93,33 @@ def expected_shortage_series(s: int, mean_demand: float) -> float:
             break
         pmf *= m / (k + 1)
     return total
+
+
+def segment_shortages(s: int, mean_segments) -> list[float]:
+    """`bound_shortages` of each (lo, hi) demand-mean segment.
+
+    Each run of contiguous segments, where one segment's hi is the next
+    one's lo, is averaged as one list of bounds, so a run of n segments
+    costs n + 1 kernel calls.
+    """
+    out: list[float] = []
+    run: list[float] = []
+    for lo, hi in mean_segments:
+        if run and lo != run[-1]:
+            out += bound_shortages(s, run)
+            run = []
+        run += (hi,) if run else (lo, hi)
+    return out + bound_shortages(s, run)
+
+
+def expected_shortage_mixture(s: int, weights, mean_segments) -> float:
+    """Expected backorders for a demand mean that is a mixture of uniforms.
+
+    This is the shortage for a lead time that is a mixture of uniform
+    segments: the weighted sum of `segment_shortages` over the (lo, hi)
+    demand-mean segments.
+    """
+    return sum(w * a for w, a in zip(weights, segment_shortages(s, mean_segments)))
 
 
 def poisson_shortage(s: int, mean_demand):

@@ -27,7 +27,7 @@ from sparechain.chain import (
 )
 from sparechain.config import bundled_launch_dates_path
 from sparechain.costs import CostParams
-from sparechain.inventory import expected_shortage, expected_shortage_mixture
+from sparechain.inventory import expected_shortage
 from sparechain.optimizer import (
     GAParams,
     OptimizationProblem,
@@ -37,7 +37,7 @@ from sparechain.optimizer import (
 )
 from sparechain.orbits import WGS84, CircularOrbit, hohmann_transfer
 
-from oracles import poisson_shortage, supply_probabilities_raw
+from oracles import expected_shortage_mixture, poisson_shortage, supply_probabilities_raw
 from sparechain.simulator import SimConfig, run_batch
 from sparechain.validation import (
     TradeSpace,

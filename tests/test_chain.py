@@ -29,16 +29,16 @@ from sparechain.chain import (
     plane_stage,
     supply_probabilities,
 )
-from sparechain.inventory import (
-    SQPolicy,
-    expected_shortage,
-    expected_shortage_mixture,
-    segment_shortages,
-)
+from sparechain.inventory import SQPolicy, expected_shortage
 from sparechain.optimizer import VariableBounds
 from sparechain.orbits import WGS84, CircularOrbit, raan_drift_rate, transfer_time
 
-from oracles import poisson_shortage, supply_probabilities_raw
+from oracles import (
+    expected_shortage_mixture,
+    poisson_shortage,
+    segment_shortages,
+    supply_probabilities_raw,
+)
 
 CFG = ConstellationConfig(
     h_plane_km=1200.0, inclination_deg=50.0, n_plane=40, n_sats=40, lambda_sat_per_year=0.05
@@ -82,6 +82,19 @@ def test_failure_rate_must_be_finite_and_nonnegative(rate):
         )
 
 
+@pytest.mark.parametrize(
+    "config, name", [(CFG, "n_plane"), (CFG, "n_sats"), (LAUNCH, "cap_launch")]
+)
+def test_config_counts_must_be_integers(config, name):
+    # A float or a bool count is rejected by name at construction, not
+    # carried to a late TypeError or a fractional count; numpy integers pass.
+    value = getattr(config, name)
+    for bad in (float(value), value + 0.5, True):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(config, **{name: bad})
+    assert dataclasses.replace(config, **{name: np.int64(value)}) == config
+
+
 def test_demand_rates():
     assert plane_demand_rate(CFG) == pytest.approx(40 * 0.05 / 365.0, rel=0)
     # batches of 4, pooled over 40 planes, split across 3 parking orbits
@@ -98,10 +111,10 @@ def test_small_constellation_warns():
         parking_demand_rate(small, STRATEGY)
     # The demand rate stays outside the memoized parking stage, so the
     # warning comes on a memo hit too.
-    memo = StageMemo()
+    memo = StageMemo(small, LAUNCH)
     for _ in range(2):
         with pytest.warns(UserWarning):
-            evaluate_strategy(small, STRATEGY, LAUNCH, WGS84, memo)
+            memo.figures(STRATEGY)
     assert memo.parking.cache_info().hits == 1
 
 
@@ -112,14 +125,14 @@ def test_case_study_metrics_match_independent_pipeline():
 
 
 def test_stage_memo_matches_one_shot_evaluation():
-    # One memo serves a seeded sequence of strategies on a loaded and a
-    # zero-failure constellation. Small value pools repeat both stage keys.
-    # Every result must equal a memo-free evaluation, and a strategy whose
-    # parking stage fails must fail on every visit, since failures are not
-    # stored.
+    # One memo per constellation, a loaded and a zero-failure one, serves a
+    # seeded sequence of strategies. Small value pools repeat both stage
+    # keys. Every result must equal evaluate_strategy's, which builds a
+    # fresh memo per call, and a strategy whose parking stage fails must
+    # fail on every visit, since failures are not stored.
     rng = np.random.default_rng(20261018)
     configs = (CFG, dataclasses.replace(CFG, lambda_sat_per_year=0.0))
-    memo = StageMemo()
+    memos = {cfg: StageMemo(cfg, LAUNCH) for cfg in configs}
     undefined = Counter()
     for _ in range(600):
         cfg = configs[int(rng.integers(2))]
@@ -135,12 +148,13 @@ def test_stage_memo_matches_one_shot_evaluation():
             expected = evaluate_strategy(cfg, strategy, LAUNCH)
         except UndefinedAvailabilityError:
             with pytest.raises(UndefinedAvailabilityError):
-                evaluate_strategy(cfg, strategy, LAUNCH, WGS84, memo)
+                memos[cfg].figures(strategy)
             undefined[cfg, strategy] += 1
             continue
-        assert evaluate_strategy(cfg, strategy, LAUNCH, WGS84, memo) == expected
+        assert memos[cfg].figures(strategy) == (expected, None)
     assert max(undefined.values()) >= 2
-    assert memo.parking.cache_info().hits > 0 and memo.plane.cache_info().hits > 0
+    for memo in memos.values():
+        assert memo.parking.cache_info().hits > 0 and memo.plane.cache_info().hits > 0
 
 
 def test_inplane_metrics_match_independent_pipeline():

@@ -11,7 +11,7 @@ from sparechain.chain import (
     LaunchParams,
     SatelliteParams,
     SpareStrategy,
-    chain_figures,
+    StageMemo,
     evaluate_inplane_only,
     evaluate_strategy,
 )
@@ -201,6 +201,7 @@ def test_tessac_is_annual_cost_of_the_chain_flows():
     # Every replaced satellite is raised from parking, and a parking order
     # of k_q batches flies as one launch of q_parking satellites.
     rng = np.random.default_rng(17)
+    figures = StageMemo(CFG, LAUNCH, satellite=SAT).figures
     checked = 0
     for _ in range(200):
         strategy = SpareStrategy(
@@ -212,7 +213,7 @@ def test_tessac_is_annual_cost_of_the_chain_flows():
             k_s_parking=int(rng.integers(1, 11)),
         )
         try:
-            metrics, transfer = chain_figures(CFG, strategy, LAUNCH, satellite=SAT)
+            metrics, transfer = figures(strategy)
         except ValueError:
             continue
         replacements = metrics.lambda_plane_per_day * CFG.n_plane * DAYS_PER_YEAR

@@ -10,12 +10,11 @@ from sparechain.inventory import (
     _poisson_tails,
     expected_shortage,
     expected_shortage_geometric,
-    expected_shortage_mixture,
     fill_rate,
     mean_stock,
 )
 
-from oracles import expected_shortage_series
+from oracles import expected_shortage_mixture, expected_shortage_series
 
 # Anchors from a 50-digit direct tail summation.
 ES_REFS = [

@@ -77,6 +77,17 @@ def test_ga_params_validation():
         GAParams(population=2)
 
 
+@pytest.mark.parametrize("name", ["population", "generations", "restarts"])
+def test_ga_counts_must_be_integers(name):
+    # A float or a bool count is rejected by name at construction, not
+    # carried to a late TypeError; numpy integers pass.
+    value = getattr(GAParams(), name)
+    for bad in (float(value), value + 0.5, True):
+        with pytest.raises(ValueError, match=name):
+            GAParams(**{name: bad})
+    assert GAParams(**{name: np.int64(value)}) == GAParams()
+
+
 def test_problem_rejects_bad_target():
     with pytest.raises(ValueError):
         dataclasses.replace(CASE_PROBLEM, rho_target=1.0)
@@ -181,10 +192,11 @@ def test_ga_result_matches_a_fresh_fitness_call():
 
 
 def test_memoized_fitness_matches_memo_free_fitness():
-    # One memo serves a seeded sequence of candidates on a loaded and a
-    # zero-failure problem; small value pools repeat every stage key. Each
-    # result must equal a memo-free fitness call field for field, errors
-    # (flat penalty, NaN slacks) included.
+    # One memo per problem, a loaded and a zero-failure one, serves a seeded
+    # sequence of candidates; small value pools repeat every stage key.
+    # Each result must equal a fitness call without a memo, which builds a
+    # fresh one, field for field, errors (flat penalty, NaN slacks)
+    # included.
     rng = np.random.default_rng(20261019)
     problems = (
         CASE_PROBLEM,
@@ -192,10 +204,11 @@ def test_memoized_fitness_matches_memo_free_fitness():
             CASE_PROBLEM, constellation=dataclasses.replace(CASE_CFG, lambda_sat_per_year=0.0)
         ),
     )
-    memo = StageMemo()
+    memos = [StageMemo(p.constellation, p.launch, p.consts, p.satellite) for p in problems]
     outcomes = Counter()
     for _ in range(600):
-        prob = problems[int(rng.integers(2))]
+        i = int(rng.integers(2))
+        prob, memo = problems[i], memos[i]
         candidate = SpareStrategy(
             n_parking=int(rng.choice([1, 3, 7])),
             h_parking_km=float(rng.choice([700.0, 792.3, 999.0])),
@@ -213,7 +226,8 @@ def test_memoized_fitness_matches_memo_free_fitness():
         else:
             outcomes["feasible" if fresh.feasible else "penalized"] += 1
     assert min(outcomes.values()) > 0 and len(outcomes) == 3, outcomes
-    assert all(table.cache_info().hits > 0 for table in (memo.parking, memo.altitude, memo.plane))
+    for memo in memos:
+        assert all(table.cache_info().hits > 0 for table in (memo.parking, memo.altitude, memo.plane))
 
 
 def test_searches_share_no_work(monkeypatch):

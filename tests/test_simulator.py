@@ -624,6 +624,17 @@ def test_non_finite_horizon_is_rejected(horizon):
         _toy_config(horizon_years=horizon)
 
 
+@pytest.mark.parametrize("name", ["replications", "seed"])
+def test_config_counts_must_be_integers(name):
+    # A float or a bool count is rejected by name at construction, not
+    # carried to a late TypeError; numpy integers pass.
+    value = getattr(_toy_config(), name)
+    for bad in (float(value), value + 0.5, True):
+        with pytest.raises(ValueError, match=name):
+            _toy_config(**{name: bad})
+    assert _toy_config(**{name: np.int64(value)}) == _toy_config()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _toy_config(horizon_years=0.0)

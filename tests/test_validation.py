@@ -21,7 +21,7 @@ from sparechain.chain import (
 )
 from sparechain.config import bundled_launch_dates_path
 from sparechain.costs import CostParams, evaluate_design
-from sparechain.inventory import expected_shortage_mixture, fill_rate
+from sparechain.inventory import fill_rate
 from sparechain.orbits import WGS84
 from sparechain.validation import (
     INTEGER_DIMENSIONS,
@@ -36,6 +36,8 @@ from sparechain.validation import (
     run_validation,
     size_reorder_points,
 )
+
+from oracles import expected_shortage_mixture
 
 
 def test_parameter_range_rejects_inverted_bounds():
