@@ -317,10 +317,11 @@ def plane_bounds(n_parking: int, drift: float, tof: float) -> list[float]:
     The i-th closest parking orbit sits between (i-1) and i ring spacings
     of nodal separation, uniformly for a randomly timed order, so each rank
     contributes one uniform segment between consecutive bounds. The
-    transfer time is affine in the nodal gap, gap / drift + tof
+    transfer time is affine in the nodal gap, gap / |drift| + tof
     (`orbits.drift_and_flight`), so two evaluations, with
     `orbits.transfer_time`'s float operations, give every bound.
     """
+    drift = abs(drift)
     spacing = 2.0 * math.pi / n_parking
     first = 0.0 / drift + tof
     step = (spacing / drift + tof) - first
@@ -380,10 +381,12 @@ def altitude_stage(
 ) -> tuple[float, float, TransferResult | None]:
     """(drift, tof, transfer) of one parking altitude below the ``plane``.
 
-    Drift and tof are `orbits.drift_and_flight`'s figures for
-    `plane_segments`; transfer is the Hohmann raise of ``satellite`` (None
-    without one) for the maneuvering cost. ``plane_drift`` is the plane's
-    own nodal drift rate.
+    Drift and tof are `orbits.drift_and_flight`'s figures: the signed
+    relative nodal drift, whose magnitude `plane_bounds` reads and whose
+    direction the simulator's ring follows, and the flight time. Transfer
+    is the Hohmann raise of ``satellite`` (None without one) for the
+    maneuvering cost. ``plane_drift`` is the plane's own nodal drift rate.
+    The chain and the simulator both set up their parking orbit here.
     """
     parking = CircularOrbit(h_parking_km, plane.inclination_deg)
     drift, tof = drift_and_flight(parking, plane, plane_drift, consts)

@@ -149,12 +149,10 @@ def cmd_simulate(rc: RunConfig, args, out: Path, master: int) -> int:
         launch=rc.launch,
         costs=rc.costs,
         satellite=rc.satellite,
-        horizon_years=rc.simulation.horizon_years,
-        replications=rc.simulation.replications,
         seed=command_seed(master, "simulate"),
-        warmup_years=rc.simulation.warmup_years,
         capture_events=args.event_log,
         consts=rc.earth,
+        **vars(rc.simulation),
     )
     res = run_batch(sc)
     header = ["metric", "mean", "se"]
@@ -197,15 +195,11 @@ def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
         warmup_years=("--warmup", args.warmup),
     )
     report = run_validation(
-        vs.space,
-        vs.n_cases,
         costs=rc.costs,
         satellite=rc.satellite,
         consts=rc.earth,
-        replications=vs.replications,
-        horizon_years=vs.horizon_years,
-        warmup_years=vs.warmup_years,
         seed=command_seed(master, "validate"),
+        **vars(vs),
     )
     param_names = [name for name, _ in vs.space.items()]
     case_header = (
@@ -245,10 +239,8 @@ def _problem(rc: RunConfig) -> OptimizationProblem:
         launch=rc.launch,
         costs=rc.costs,
         satellite=rc.satellite,
-        rho_target=rc.optimization.rho_target,
-        bounds=rc.optimization.bounds,
-        ga=rc.optimization.ga,
         consts=rc.earth,
+        **vars(rc.optimization),
     )
 
 

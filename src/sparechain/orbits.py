@@ -81,8 +81,11 @@ def raan_drift_rate(orbit: CircularOrbit, consts: EarthConstants = WGS84) -> flo
 
     Returns:
         dRAAN/dt in rad/day. Negative (westward regression) for
-        inclinations below 90 degrees, zero for polar orbits.
+        inclinations below 90 degrees, exactly zero for polar orbits.
     """
+    # cos(radians(90)) is about 6e-17, not 0: a polar orbit would drift.
+    if orbit.inclination_deg == 90.0:
+        return 0.0
     a = orbit.semimajor_axis_km(consts)
     n = math.sqrt(consts.mu_km3_s2 / a**3)  # rad/s
     rate_rad_s = (
@@ -183,7 +186,7 @@ def transfer_time(
     if parking.altitude_km >= plane.altitude_km:
         raise ValueError("parking orbit must be below the constellation plane")
     drift, tof_days = drift_and_flight(parking, plane, raan_drift_rate(plane, consts), consts)
-    return delta_raan_rad / drift + tof_days
+    return delta_raan_rad / abs(drift) + tof_days
 
 
 def drift_and_flight(
@@ -192,8 +195,12 @@ def drift_and_flight(
     plane_drift_rad_day: float,
     consts: EarthConstants = WGS84,
 ) -> tuple[float, float]:
-    """|Relative nodal drift| (rad/day) and flight time (days) of `transfer_time`.
+    """Relative nodal drift (rad/day) and Hohmann flight time (days) to ``plane``.
 
+    The drift is the parking orbit's nodal rate minus the plane's, signed:
+    negative when the parking orbit regresses faster, as below a prograde
+    plane. `transfer_time` and the chain's lead-time bounds wait on its
+    magnitude; the simulator's ring also follows its direction.
     ``plane_drift_rad_day`` is ``raan_drift_rate(plane, consts)``, passed
     in so that a caller visiting many parking orbits computes it once.
 
@@ -206,4 +213,4 @@ def drift_and_flight(
     tof_days = _time_of_flight_days(
         parking.semimajor_axis_km(consts), plane.semimajor_axis_km(consts), consts.mu_km3_s2
     )
-    return abs(relative), tof_days
+    return relative, tof_days

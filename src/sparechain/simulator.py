@@ -54,11 +54,12 @@ from .chain import (
     LaunchParams,
     SatelliteParams,
     SpareStrategy,
+    altitude_stage,
     plane_demand_rate,
 )
 from .costs import CostParams, annual_cost
 from .inventory import check_integer
-from .orbits import WGS84, CircularOrbit, EarthConstants, hohmann_transfer, raan_drift_rate
+from .orbits import WGS84, CircularOrbit, EarthConstants, raan_drift_rate
 
 _TWO_PI = 2.0 * math.pi
 
@@ -250,15 +251,10 @@ def _run_with_rng(
     warmup = sc.warmup_years * DAYS_PER_YEAR
     window = horizon - warmup
 
-    parking_orbit = CircularOrbit(st.h_parking_km, cfg.inclination_deg)
-    plane_orbit = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
-    relative = raan_drift_rate(parking_orbit, sc.consts) - raan_drift_rate(plane_orbit, sc.consts)
-    if relative == 0.0:
-        raise ValueError("zero relative drift rate: transfers never depart")
-    transfer = hohmann_transfer(
-        parking_orbit, plane_orbit, sc.satellite.m_dry_kg, sc.satellite.v_exhaust_km_s, sc.consts
+    plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
+    relative, tof, transfer = altitude_stage(
+        st.h_parking_km, plane, raan_drift_rate(plane, sc.consts), sc.satellite, sc.consts
     )
-    tof = transfer.time_of_flight_days
 
     plane_raan = [_TWO_PI * j / n_plane for j in range(n_plane)]
 

@@ -135,14 +135,13 @@ def size_reorder_points(
     cfg: ConstellationConfig,
     strategy: SpareStrategy,
     lp: LaunchParams,
-    rho_requirement: float = RHO_REQUIREMENT,
     consts: EarthConstants = WGS84,
 ) -> tuple[int, int]:
     """Smallest reorder points meeting the per-echelon fill-rate requirements.
 
     The parking echelon is sized first because its availability shapes the
     plane lead times. Each echelon must satisfy
-    (fill rate)^(number of locations) >= rho_requirement. Every trial runs
+    (fill rate)^(number of locations) >= RHO_REQUIREMENT. Every trial runs
     through evaluate_strategy.
 
     Returns:
@@ -164,20 +163,20 @@ def size_reorder_points(
             # Only a larger parking stock mends this; every other error
             # reaches the caller.
             continue
-        if metrics.rho_parking**strategy.n_parking >= rho_requirement:
+        if metrics.rho_parking**strategy.n_parking >= RHO_REQUIREMENT:
             break
     else:
         raise SizingInfeasibleError(
             f"no parking reorder point in [{k_s_lo}, {k_s_hi}] reaches "
-            f"{rho_requirement} with k_q={strategy.k_q_parking}"
+            f"{RHO_REQUIREMENT} with k_q={strategy.k_q_parking}"
         )
 
     for s in range(s_lo, s_hi + 1):
         metrics = evaluate_strategy(cfg, dataclasses.replace(trial, s_plane=s), lp, consts)
-        if metrics.rho_plane**cfg.n_plane >= rho_requirement:
+        if metrics.rho_plane**cfg.n_plane >= RHO_REQUIREMENT:
             return s, k_s
     raise SizingInfeasibleError(
-        f"no plane reorder point in [{s_lo}, {s_hi}] reaches {rho_requirement} "
+        f"no plane reorder point in [{s_lo}, {s_hi}] reaches {RHO_REQUIREMENT} "
         f"with q={strategy.q_plane}"
     )
 
@@ -224,7 +223,7 @@ def _case_seed(master_seed: int, index: int) -> int:
 
 def run_validation(
     space: TradeSpace,
-    n: int,
+    n_cases: int,
     *,
     costs: CostParams,
     satellite: SatelliteParams,
@@ -243,7 +242,7 @@ def run_validation(
 
     Args:
         space: Sampling bounds.
-        n: Number of cases.
+        n_cases: Number of cases.
         costs: Unit prices of the analytic and simulated TESSAC.
         satellite: Spare satellite whose transfers are priced.
         consts: Earth constants of the orbital model.
@@ -259,23 +258,19 @@ def run_validation(
         ErrorReport with per-case outcomes and averaged errors.
     """
     simulate = simulate_fn if simulate_fn is not None else run_batch
-    cases = lhs_sample(space, n, seed)
-    outcomes: list[CaseOutcome] = []
-    for i, params in enumerate(cases):
-        outcomes.append(
-            _run_case(
-                i,
-                params,
-                costs=costs,
-                satellite=satellite,
-                consts=consts,
-                replications=replications,
-                horizon_years=horizon_years,
-                warmup_years=warmup_years,
-                seed=_case_seed(seed, i),
-                simulate=simulate,
-            )
-        )
+    # The SimConfig fields that every case shares.
+    study = dict(
+        costs=costs,
+        satellite=satellite,
+        consts=consts,
+        replications=replications,
+        horizon_years=horizon_years,
+        warmup_years=warmup_years,
+    )
+    outcomes = [
+        _run_case(i, params, _case_seed(seed, i), simulate, study)
+        for i, params in enumerate(lhs_sample(space, n_cases, seed))
+    ]
     feasible = [o for o in outcomes if o.feasible]
     averaged = {
         name: statistics.fmean(o.errors_pct[name] for o in feasible)
@@ -288,59 +283,31 @@ def run_validation(
     )
 
 
+def _sampled(cls: type, params: dict[str, float | int]) -> dict[str, float | int]:
+    """The sampled values of the fields of dataclass ``cls``, by name."""
+    return {f.name: params[f.name] for f in dataclasses.fields(cls) if f.name in params}
+
+
 def _run_case(
     index: int,
     params: dict[str, float | int],
-    *,
-    costs: CostParams,
-    satellite: SatelliteParams,
-    consts: EarthConstants,
-    replications: int,
-    horizon_years: float,
-    warmup_years: float,
     seed: int,
     simulate: Callable[[SimConfig], SimulationResult],
+    study: dict,
 ) -> CaseOutcome:
     try:
-        cfg = ConstellationConfig(
-            h_plane_km=float(params["h_plane_km"]),
-            inclination_deg=float(params["inclination_deg"]),
-            n_plane=int(params["n_plane"]),
-            n_sats=int(params["n_sats"]),
-            lambda_sat_per_year=float(params["lambda_sat_per_year"]),
-        )
-        lp = LaunchParams(
-            mu_launch_days=float(params["mu_launch_days"]),
-            pt_launch_days=float(params["pt_launch_days"]),
-            cap_launch=_UNREAD_CAP_LAUNCH,
-        )
-        strategy = SpareStrategy(
-            n_parking=int(params["n_parking"]),
-            h_parking_km=float(params["h_parking_km"]),
-            q_plane=int(params["q_plane"]),
-            s_plane=1,
-            k_q_parking=int(params["k_q_parking"]),
-            k_s_parking=1,
-        )
-        s_plane, k_s = size_reorder_points(cfg, strategy, lp, consts=consts)
+        cfg = ConstellationConfig(**_sampled(ConstellationConfig, params))
+        lp = LaunchParams(**_sampled(LaunchParams, params), cap_launch=_UNREAD_CAP_LAUNCH)
+        strategy = SpareStrategy(**_sampled(SpareStrategy, params), s_plane=1, k_s_parking=1)
+        s_plane, k_s = size_reorder_points(cfg, strategy, lp, consts=study["consts"])
         strategy = dataclasses.replace(strategy, s_plane=s_plane, k_s_parking=k_s)
-        metrics, cost = evaluate_design(cfg, strategy, lp, costs, satellite, consts)
+        metrics, cost = evaluate_design(
+            cfg, strategy, lp, study["costs"], study["satellite"], study["consts"]
+        )
     except ValueError as exc:
         return CaseOutcome(index=index, params=params, feasible=False, reason=str(exc))
 
-    sim_config = SimConfig(
-        constellation=cfg,
-        strategy=strategy,
-        launch=lp,
-        costs=costs,
-        satellite=satellite,
-        horizon_years=horizon_years,
-        replications=replications,
-        seed=seed,
-        warmup_years=warmup_years,
-        consts=consts,
-    )
-    sim = simulate(sim_config)
+    sim = simulate(SimConfig(constellation=cfg, strategy=strategy, launch=lp, seed=seed, **study))
     model_values = {
         "mean_stock_plane": metrics.mean_stock_plane,
         "mean_stock_parking": metrics.mean_stock_parking_batches,
@@ -400,17 +367,17 @@ def read_launch_dates(path: str | Path) -> list[date]:
     """Read one ISO date per line after an optional header line.
 
     The first nonblank line is a header, and skipped, only when it does not
-    start with a digit; a line that does is read as a date.
+    start with a digit; a line that does is read as a date. The file is
+    UTF-8, and a leading byte-order mark is dropped before this test.
 
     Raises:
         ValueError: If the file has no nonblank line, or a nonblank line
             that is not a header is not an ISO date; the message names the
             file and the 1-based line number.
     """
+    text = Path(path).read_text(encoding="utf-8-sig")
     lines = [
-        (number, ln.strip())
-        for number, ln in enumerate(Path(path).read_text().splitlines(), start=1)
-        if ln.strip()
+        (number, ln.strip()) for number, ln in enumerate(text.splitlines(), start=1) if ln.strip()
     ]
     if not lines:
         raise ValueError(f"no dates in {path}")

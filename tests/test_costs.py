@@ -19,12 +19,13 @@ from sparechain.costs import (
     CostBreakdown,
     CostParams,
     annual_cost,
+    evaluate_design,
     launch_price,
     tessac,
     tessac_inplane_only,
 )
 from sparechain.inventory import SQPolicy
-from sparechain.orbits import CircularOrbit, hohmann_transfer
+from sparechain.orbits import WGS84, CircularOrbit, hohmann_transfer
 
 CFG = ConstellationConfig(
     h_plane_km=1200.0, inclination_deg=50.0, n_plane=40, n_sats=40, lambda_sat_per_year=0.05
@@ -90,6 +91,14 @@ def test_case_study_cost_breakdown():
     # manufacturing and launch are exact closed forms here
     assert breakdown.manufacturing == 40.0
     assert breakdown.launch == 119.0
+
+
+def test_polar_constellation_is_rejected():
+    # Polar planes and parking orbits do not drift, so no parking orbit ever
+    # aligns with a plane: there is no lead time to price.
+    polar = dataclasses.replace(CFG, inclination_deg=90.0)
+    with pytest.raises(ValueError, match="^zero relative drift rate: planes never align$"):
+        evaluate_design(polar, STRATEGY, LAUNCH, COSTS, SAT, WGS84)
 
 
 def test_inplane_cost_breakdown():

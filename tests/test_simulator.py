@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -644,3 +645,9 @@ def test_config_validation():
         _toy_config(replications=0)
     with pytest.raises(ValueError):
         _toy_config(seed=-1)
+    # Parking orbits at the planes' altitude drift with them, and polar
+    # orbits do not drift at all: neither ever aligns with a plane.
+    cfg = _toy_config().constellation
+    for never in (dict(h_plane_km=700.0), dict(inclination_deg=90.0)):
+        with pytest.raises(ValueError, match="^zero relative drift rate: planes never align$"):
+            run_batch(_toy_config(constellation=dataclasses.replace(cfg, **never)))

@@ -244,12 +244,10 @@ def _model_echo(sim_config):
 
 
 def test_perfect_simulator_yields_zero_errors():
-    seen_seeds = []
+    seen = []
 
     def hook(sim_config):
-        seen_seeds.append(sim_config.seed)
-        assert sim_config.replications == 7
-        assert sim_config.horizon_years == 4.0
+        seen.append(sim_config)
         return _model_echo(sim_config)
 
     report = run_validation(
@@ -277,7 +275,19 @@ def test_perfect_simulator_yields_zero_errors():
         if not c.feasible:
             assert c.reason
     assert all(v == 0.0 for v in report.averaged_errors_pct.values())
-    assert len(set(seen_seeds)) == len(seen_seeds)
+    # Each simulated design carries its case's sampled values, unconverted,
+    # its sized reorder points and the study's fixed inputs.
+    assert len(seen) == len(feasible)
+    for c, sc in zip(feasible, seen):
+        built = {**vars(sc.constellation), **vars(sc.launch), **vars(sc.strategy)}
+        for name, value in c.params.items():
+            assert built[name] == value, name
+            assert type(built[name]) is (int if name in INTEGER_DIMENSIONS else float), name
+        assert (sc.strategy.s_plane, sc.strategy.k_s_parking) == (c.s_plane, c.k_s_parking)
+        assert sc.launch.cap_launch == 34
+        assert (sc.costs, sc.satellite, sc.consts) == (COSTS, SAT, WGS84)
+        assert (sc.replications, sc.horizon_years, sc.warmup_years) == (7, 4.0, 0.5)
+    assert len({sc.seed for sc in seen}) == len(seen)
 
 
 def test_zero_simulated_value_marks_only_its_case_infeasible():
@@ -348,6 +358,13 @@ def test_read_launch_dates_skips_header(tmp_path):
     h.write_text("\n")
     with pytest.raises(ValueError):
         read_launch_dates(h)
+    # A byte-order mark before the first date must not make it a header.
+    bom = tmp_path / "bom.csv"
+    bom.write_text("2010-01-05\n2010-02-05\n2010-03-05\n", encoding="utf-8-sig")
+    assert fit_launch_gaps(read_launch_dates(bom)) == 29.5
+    assert len(read_launch_dates(bom)) == 3
+    bom.write_text("launch_date\n2020-01-01\n2020-02-01\n", encoding="utf-8-sig")
+    assert read_launch_dates(bom) == [date(2020, 1, 1), date(2020, 2, 1)]
 
 
 def test_read_launch_dates_names_the_file_and_line_of_a_bad_date(tmp_path):
