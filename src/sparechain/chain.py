@@ -95,16 +95,16 @@ class ConstellationConfig:
         CircularOrbit(self.h_plane_km, self.inclination_deg)
 
 
-# Search space of a spare strategy: (lo, hi) per SpareStrategy field, in
-# field order, enforced at construction. Float bounds mark the one
-# real-valued variable.
+# What a spare strategy may be, (lo, hi) per SpareStrategy field in field
+# order, enforced at construction; where the searches look is
+# `optimizer.VariableBounds`. A float lo marks the one real-valued variable.
 STRATEGY_BOUNDS = {
     "n_parking": (1, 20),
     "h_parking_km": (700.0, 1000.0),
     "q_plane": (1, 10),
-    "s_plane": (1, 10),
+    "s_plane": (1, math.inf),
     "k_q_parking": (1, 10),
-    "k_s_parking": (1, 10),
+    "k_s_parking": (1, math.inf),
 }
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Callable
 
 # Relative size below which a further term cannot change a float sum.
 _EPS = 2.0**-53
@@ -52,6 +53,21 @@ class SQPolicy:
             raise ValueError(f"order quantity must be >= 1, got {self.order_quantity_q}")
         if self.reorder_point_s < 0:
             raise ValueError(f"reorder point must be >= 0, got {self.reorder_point_s}")
+
+
+def least_reorder_point(meets: Callable[[int], bool], lo: int, hi: float = math.inf) -> int | None:
+    """The smallest s in [lo, hi] with ``meets(s)``, one check per step up, or None.
+
+    ``meets`` must never turn false as s rises, as a fill-rate target does,
+    so the first point that meets it is the cheapest feasible one
+    (Federgruen & Zheng 1992). With an open ``hi`` it walks until ``meets`` holds.
+    """
+    s = lo
+    while s <= hi:
+        if meets(s):
+            return s
+        s += 1
+    return None
 
 
 def _poisson_tails(s: int, m: float) -> tuple[float, float, float]:

@@ -18,7 +18,7 @@ whole, used or not, so the draws never depend on fitness values.
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -37,7 +37,7 @@ from .chain import (
     evaluate_inplane_only,
 )
 from .costs import CostBreakdown, CostParams, tessac, tessac_inplane_only
-from .inventory import SQPolicy, check_integer
+from .inventory import SQPolicy, check_integer, least_reorder_point
 from .orbits import WGS84, EarthConstants
 
 PENALTY_SCALE = 1e6
@@ -56,14 +56,19 @@ MUTATION_SIGMA_KM = 30.0
 
 @dataclass(frozen=True)
 class VariableBounds:
-    """Search bounds per design variable; must fit the strategy type bounds."""
+    """Where the searches look: (lo, hi) per variable, each a valid strategy value.
+
+    The default is the one box of the genetic search, the validation sizing
+    and its trade space. Its reorder points, unbounded in a strategy, stop
+    at 10; a config widens them under ``optimization.bounds``.
+    """
 
     n_parking: tuple[int, int] = STRATEGY_BOUNDS["n_parking"]
     h_parking_km: tuple[float, float] = STRATEGY_BOUNDS["h_parking_km"]
     q_plane: tuple[int, int] = STRATEGY_BOUNDS["q_plane"]
-    s_plane: tuple[int, int] = STRATEGY_BOUNDS["s_plane"]
+    s_plane: tuple[int, int] = (1, 10)
     k_q_parking: tuple[int, int] = STRATEGY_BOUNDS["k_q_parking"]
-    k_s_parking: tuple[int, int] = STRATEGY_BOUNDS["k_s_parking"]
+    k_s_parking: tuple[int, int] = (1, 10)
 
     def __post_init__(self) -> None:
         for name in STRATEGY_BOUNDS:
@@ -137,15 +142,7 @@ def fitness(
         metrics, transfer = memo.figures(candidate)
         cost = tessac(cfg, candidate, metrics, transfer, prob.costs, lp)
     except ValueError:
-        return FitnessResult(
-            tessac=None,
-            feasible=False,
-            capacity_violation=math.nan,
-            fillrate_violation=math.nan,
-            penalized=ERROR_PENALTY,
-            fill_rate_product=None,
-            cost=None,
-        )
+        return FitnessResult(None, False, math.nan, math.nan, ERROR_PENALTY, None, None)
     product = metrics.rho_plane**cfg.n_plane * metrics.rho_parking**candidate.n_parking
     cap = lp.cap_launch
     capacity_violation = max(0.0, (candidate.q_parking - cap) / cap)
@@ -307,24 +304,15 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
             population = elites + _breed(population, order, rng, bounds)
 
     assert best_key is not None
-    best_genome = best_key[1]
-    best_fit = fitness(SpareStrategy(*best_genome), prob, memo)
-    if not best_fit.feasible:
-        return OptimizationResult(
-            feasible=False,
-            best_strategy=None,
-            best_cost=None,
-            breakdown=None,
-            fill_rate_product=None,
-            trace=tuple(trace),
-            seed=seed,
-        )
+    best = SpareStrategy(*best_key[1])
+    fit = fitness(best, prob, memo)
+    found = fit.feasible
     return OptimizationResult(
-        feasible=True,
-        best_strategy=SpareStrategy(*best_genome),
-        best_cost=best_fit.cost.tessac,
-        breakdown=best_fit.cost,
-        fill_rate_product=best_fit.fill_rate_product,
+        feasible=found,
+        best_strategy=best if found else None,
+        best_cost=fit.tessac if found else None,
+        breakdown=fit.cost if found else None,
+        fill_rate_product=fit.fill_rate_product if found else None,
         trace=tuple(trace),
         seed=seed,
     )
@@ -344,8 +332,7 @@ def optimize_inplane_only(prob: OptimizationProblem) -> InplaneOptimizationResul
 
     For a fixed Q, TESSAC rises with s by p_holding * n_plane per unit and
     the expected shortage never does, so the cheapest feasible s is the
-    smallest one: s steps up from 0 until the fill-rate product meets the
-    target (Federgruen & Zheng's monotonicity in the reorder point). The
+    smallest one, `least_reorder_point` from 0 with no upper limit. The
     fill rate tends to 1 as s grows, so every Q up to the launch capacity
     has a feasible s and the baseline is always feasible. An exact cost tie
     goes to the smaller Q.
@@ -353,12 +340,13 @@ def optimize_inplane_only(prob: OptimizationProblem) -> InplaneOptimizationResul
     cfg, lp = prob.constellation, prob.launch
     best: InplaneOptimizationResult | None = None
     for q in range(1, lp.cap_launch + 1):
-        for s in itertools.count():
-            policy = SQPolicy(reorder_point_s=s, order_quantity_q=q)
-            metrics = evaluate_inplane_only(cfg, policy, lp)
-            product = metrics.rho_plane**cfg.n_plane
-            if product >= prob.rho_target:
-                break
+        # Kept per s, so that the winner's evaluation is not repeated.
+        metrics_at = functools.cache(lambda s: evaluate_inplane_only(cfg, SQPolicy(s, q), lp))
+        s = least_reorder_point(
+            lambda s: metrics_at(s).rho_plane**cfg.n_plane >= prob.rho_target, 0
+        )
+        policy, metrics = SQPolicy(s, q), metrics_at(s)
+        product = metrics.rho_plane**cfg.n_plane
         cost = tessac_inplane_only(cfg, policy, metrics, prob.costs, lp).tessac
         if best is None or cost < best.best_cost:
             best = InplaneOptimizationResult(policy, cost, product)
@@ -371,11 +359,11 @@ class SweepPoint:
     """Both optima and the relative savings at one failure rate."""
 
     lambda_sat_per_year: float
-    tessac_multi: float | None
-    tessac_inplane: float | None
-    savings_pct: float | None
-    best_strategy: SpareStrategy | None
-    best_policy: SQPolicy | None
+    tessac_multi: float | None = None
+    tessac_inplane: float | None = None
+    savings_pct: float | None = None
+    best_strategy: SpareStrategy | None = None
+    best_policy: SQPolicy | None = None
     error: str | None = None
 
 
@@ -410,15 +398,5 @@ def sensitivity_sweep(
                 )
             )
         except ValueError as exc:
-            points.append(
-                SweepPoint(
-                    lambda_sat_per_year=rate,
-                    tessac_multi=None,
-                    tessac_inplane=None,
-                    savings_pct=None,
-                    best_strategy=None,
-                    best_policy=None,
-                    error=str(exc),
-                )
-            )
+            points.append(SweepPoint(lambda_sat_per_year=rate, error=str(exc)))
     return points

@@ -20,15 +20,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import (
-    STRATEGY_BOUNDS,
     ConstellationConfig,
     LaunchParams,
+    PolicyMetrics,
     SatelliteParams,
     SpareStrategy,
+    StageMemo,
     UndefinedAvailabilityError,
-    evaluate_strategy,
 )
 from .costs import CostParams, evaluate_design
+from .inventory import least_reorder_point
+from .optimizer import VariableBounds
 from .orbits import WGS84, EarthConstants
 from .simulator import SimConfig, SimulationResult, run_batch
 
@@ -73,15 +75,15 @@ class TradeSpace:
 
     pt_launch_days: ParameterRange = ParameterRange(30.0, 120.0)
     h_plane_km: ParameterRange = ParameterRange(1000.0, 2000.0)
-    h_parking_km: ParameterRange = ParameterRange(*STRATEGY_BOUNDS["h_parking_km"])
+    h_parking_km: ParameterRange = ParameterRange(*VariableBounds().h_parking_km)
     inclination_deg: ParameterRange = ParameterRange(30.0, 70.0)
     lambda_sat_per_year: ParameterRange = ParameterRange(0.001, 0.1)
     mu_launch_days: ParameterRange = ParameterRange(30.0, 90.0)
     n_plane: ParameterRange = ParameterRange(20, 40)
-    n_parking: ParameterRange = ParameterRange(*STRATEGY_BOUNDS["n_parking"])
+    n_parking: ParameterRange = ParameterRange(*VariableBounds().n_parking)
     n_sats: ParameterRange = ParameterRange(20, 60)
-    q_plane: ParameterRange = ParameterRange(*STRATEGY_BOUNDS["q_plane"])
-    k_q_parking: ParameterRange = ParameterRange(*STRATEGY_BOUNDS["k_q_parking"])
+    q_plane: ParameterRange = ParameterRange(*VariableBounds().q_plane)
+    k_q_parking: ParameterRange = ParameterRange(*VariableBounds().k_q_parking)
 
     def __post_init__(self) -> None:
         for name in INTEGER_DIMENSIONS:
@@ -141,44 +143,47 @@ def size_reorder_points(
 
     The parking echelon is sized first because its availability shapes the
     plane lead times. Each echelon must satisfy
-    (fill rate)^(number of locations) >= RHO_REQUIREMENT. Every trial runs
-    through evaluate_strategy.
+    (fill rate)^(number of locations) >= RHO_REQUIREMENT with a reorder
+    point in the default search box `VariableBounds()`; both walk one `StageMemo`.
 
     Returns:
         (s_plane, k_s_parking).
 
     Raises:
         SizingInfeasibleError: If no value within bounds suffices.
-        ValueError: If evaluate_strategy rejects the strategy for any
-            reason other than a too small parking stock, e.g. a parking
-            orbit that is not below the planes.
+        ValueError: If the chain rejects the strategy for any reason other
+            than a too small parking stock, e.g. a parking orbit that is not
+            below the planes.
     """
-    k_s_lo, k_s_hi = STRATEGY_BOUNDS["k_s_parking"]
-    s_lo, s_hi = STRATEGY_BOUNDS["s_plane"]
-    for k_s in range(k_s_lo, k_s_hi + 1):
-        trial = dataclasses.replace(strategy, s_plane=s_lo, k_s_parking=k_s)
+    (s_lo, s_hi), (k_s_lo, k_s_hi) = VariableBounds().s_plane, VariableBounds().k_s_parking
+    memo = StageMemo(cfg, lp, consts)
+
+    def metrics(s: int, k_s: int) -> PolicyMetrics:
+        return memo.figures(dataclasses.replace(strategy, s_plane=s, k_s_parking=k_s))[0]
+
+    def parking_meets(k_s: int) -> bool:
         try:
-            metrics = evaluate_strategy(cfg, trial, lp, consts)
+            rho = metrics(s_lo, k_s).rho_parking
         except UndefinedAvailabilityError:
-            # Only a larger parking stock mends this; every other error
-            # reaches the caller.
-            continue
-        if metrics.rho_parking**strategy.n_parking >= RHO_REQUIREMENT:
-            break
-    else:
+            # Only a larger parking stock mends this; other errors reach the caller.
+            return False
+        return rho**strategy.n_parking >= RHO_REQUIREMENT
+
+    k_s = least_reorder_point(parking_meets, k_s_lo, k_s_hi)
+    if k_s is None:
         raise SizingInfeasibleError(
             f"no parking reorder point in [{k_s_lo}, {k_s_hi}] reaches "
             f"{RHO_REQUIREMENT} with k_q={strategy.k_q_parking}"
         )
-
-    for s in range(s_lo, s_hi + 1):
-        metrics = evaluate_strategy(cfg, dataclasses.replace(trial, s_plane=s), lp, consts)
-        if metrics.rho_plane**cfg.n_plane >= RHO_REQUIREMENT:
-            return s, k_s
-    raise SizingInfeasibleError(
-        f"no plane reorder point in [{s_lo}, {s_hi}] reaches {RHO_REQUIREMENT} "
-        f"with q={strategy.q_plane}"
+    s = least_reorder_point(
+        lambda s: metrics(s, k_s).rho_plane**cfg.n_plane >= RHO_REQUIREMENT, s_lo, s_hi
     )
+    if s is None:
+        raise SizingInfeasibleError(
+            f"no plane reorder point in [{s_lo}, {s_hi}] reaches {RHO_REQUIREMENT} "
+            f"with q={strategy.q_plane}"
+        )
+    return s, k_s
 
 
 def relative_error(sim_value: float, model_value: float) -> float:

@@ -462,8 +462,10 @@ def test_strategy_fast_check_accepts_what_the_field_checks_accept():
     valid, invalid = {}, {}
     for name, (lo, hi) in STRATEGY_BOUNDS.items():
         if isinstance(lo, int):
-            valid[name] = [lo, hi, np.int64(lo), np.int32(hi)]
-            invalid[name] = [lo - 1, hi + 1, float(hi), True, False, math.nan]
+            # An open upper bound is tried at a large finite int.
+            top = hi if hi < math.inf else 2**31 - 1
+            valid[name] = [lo, top, np.int64(lo), np.int32(top)]
+            invalid[name] = [lo - 1, hi + 1, float(top), True, False, math.nan]
         else:
             valid[name] = [lo, hi, (lo + hi) / 2, int(hi), np.float64(lo)]
             invalid[name] = [lo - 1e-9, hi + 1e-9, math.nan, -math.inf]
@@ -489,7 +491,9 @@ def test_strategy_bounds_follow_the_strategy_fields():
     hints = get_type_hints(SpareStrategy)
     assert list(STRATEGY_BOUNDS) == [f.name for f in dataclasses.fields(SpareStrategy)]
     for name, (lo, hi) in STRATEGY_BOUNDS.items():
-        assert type(lo) is type(hi) is hints[name], name
+        # math.inf stands for an open upper bound.
+        assert type(lo) is hints[name], name
+        assert type(hi) is hints[name] or hi == math.inf, name
 
 
 def test_evaluate_rejects_parking_above_plane():

@@ -55,6 +55,8 @@ CASE_STRATEGY = SpareStrategy(
     n_parking=3, h_parking_km=792.3, q_plane=4, s_plane=3, k_q_parking=8, k_s_parking=8
 )
 CASE_TESSAC = 319.1326941382908
+# The default search box, (lo, hi) per strategy field in field order.
+SEARCH_BOX = vars(VariableBounds())
 
 
 def test_variable_bounds_validation():
@@ -304,7 +306,7 @@ def test_breed_matches_the_reference_breed():
     pinned = 0
     for case in range(240):
         bounds = []
-        for lo, hi in STRATEGY_BOUNDS.values():
+        for lo, hi in SEARCH_BOX.values():
             if isinstance(lo, float):
                 a, b = sorted(float(x) for x in rng.uniform(lo, hi, 2))
             else:
@@ -407,7 +409,7 @@ def test_tessac_and_fill_rate_never_rise_with_parking_altitude():
     # The exact search over h_parking relies on both falling (or staying
     # flat) as the parking orbit rises, at every fixed integer design.
     rng = np.random.default_rng(20261018)
-    int_bounds = [b for name, b in STRATEGY_BOUNDS.items() if name != "h_parking_km"]
+    int_bounds = [b for name, b in SEARCH_BOX.items() if name != "h_parking_km"]
     combos = []
     while len(combos) < 100:
         n, q, s, kq, ks = (int(rng.integers(lo, hi + 1)) for lo, hi in int_bounds)
@@ -443,7 +445,7 @@ def test_tessac_and_fill_rate_never_fall_with_reorder_points():
     while len(designs) < 60:
         genes = [
             float(rng.uniform(lo, hi)) if isinstance(lo, float) else int(rng.integers(lo, hi + 1))
-            for lo, hi in STRATEGY_BOUNDS.values()
+            for lo, hi in SEARCH_BOX.values()
         ]
         if genes[2] * genes[4] <= CASE_LAUNCH.cap_launch:
             designs.append(genes)
@@ -455,7 +457,7 @@ def test_tessac_and_fill_rate_never_fall_with_reorder_points():
         )
         for genes in designs:
             for gene, name in ((3, "s"), (5, "k_s")):
-                lo, hi = list(STRATEGY_BOUNDS.values())[gene]
+                lo, hi = list(SEARCH_BOX.values())[gene]
                 fits = []
                 for value in range(lo, hi + 1):
                     trial = list(genes)

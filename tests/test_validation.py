@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sparechain import validation
+from sparechain import chain
 from sparechain.chain import (
     ConstellationConfig,
     LaunchParams,
@@ -181,10 +181,10 @@ def test_sizing_keeps_the_altitude_error():
 
 
 def test_sizing_passes_other_chain_errors_through(monkeypatch):
-    def reject(cfg, strategy, lp, consts):
+    def reject(k_s, k_q, lam_parking, lp):
         raise ValueError("rejected by the chain")
 
-    monkeypatch.setattr(validation, "evaluate_strategy", reject)
+    monkeypatch.setattr(chain, "parking_stage", reject)
     with pytest.raises(ValueError, match="^rejected by the chain$") as info:
         size_reorder_points(CASE_CFG, CASE_TEMPLATE, CASE_LAUNCH)
     assert not isinstance(info.value, SizingInfeasibleError)
