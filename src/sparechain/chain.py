@@ -278,6 +278,10 @@ class UndefinedAvailabilityError(ValueError):
     """The parking policy is so undersized that its availability is undefined or zero."""
 
 
+class ParkingAltitudeError(ValueError):
+    """The parking orbit is not below the constellation planes."""
+
+
 def parking_availability(es_parking: float, k_q: int) -> float:
     """Probability that an arriving order finds the parking orbit stocked.
 
@@ -476,13 +480,13 @@ class StageMemo:
         lead-time segments), then fill rates and stocks for both echelons.
 
         Raises:
-            ValueError: If the parking orbit is not below the constellation.
+            ParkingAltitudeError: If the parking orbit is not below the constellation.
             UndefinedAvailabilityError: If the parking policy is so undersized
                 that availability is undefined or zero.
         """
         cfg = self.cfg
         if strategy.h_parking_km >= cfg.h_plane_km:
-            raise ValueError(
+            raise ParkingAltitudeError(
                 f"parking altitude {strategy.h_parking_km} km must be below "
                 f"plane altitude {cfg.h_plane_km} km"
             )

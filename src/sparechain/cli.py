@@ -22,8 +22,9 @@ command's fixed index (simulate 1, validate 2, optimize 3, sensitivity
 case, restart, or sweep point from that child. ``evaluate`` and
 ``fit-launch-data`` are deterministic and ignore the seed.
 
-Exit status: 0 on success, 1 on configuration or input errors, 2 when a
-requested optimization or sizing is infeasible.
+Exit status: 0 on success, 1 on configuration or input errors (among
+them a search in which every candidate must fail, as on polar planes),
+2 when a requested optimization or sizing is infeasible.
 """
 
 from __future__ import annotations

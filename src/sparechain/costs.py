@@ -55,9 +55,18 @@ class CostParams:
                 raise ValueError(f"{f.name} must be finite and nonnegative, got {value}")
 
 
+class NegativeHoldingError(ValueError):
+    """A negative holding cost: mean stocks of a policy far too small for their formula."""
+
+
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Annual cost parts in million US$/year; tessac is their sum."""
+    """Annual cost parts in million US$/year; tessac is their sum.
+
+    Raises:
+        NegativeHoldingError: If the holding part is negative.
+        ValueError: If any other part is negative, or any part is not finite.
+    """
 
     manufacturing: float
     holding: float
@@ -70,7 +79,8 @@ class CostBreakdown:
         for f in fields(self):
             value = getattr(self, f.name)
             if not 0.0 <= value < math.inf:
-                raise ValueError(f"{f.name} cost must be finite and nonnegative, got {value}")
+                error = NegativeHoldingError if f.name == "holding" and value < 0 else ValueError
+                raise error(f"{f.name} cost must be finite and nonnegative, got {value}")
 
     @property
     def tessac(self) -> float:

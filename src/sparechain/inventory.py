@@ -39,8 +39,13 @@ def check_integer(name: str, value) -> None:
 class SQPolicy:
     """Reorder point / order quantity pair for one stock location.
 
-    A replenishment order of ``order_quantity_q`` units is placed whenever
-    the stock level falls to the reorder point with no order outstanding.
+    Two order rules use the pair. The analytic formulas of this module and
+    of `chain` (Hadley & Whitin's steady state) place an order of
+    ``order_quantity_q`` units each time the inventory position, stock on
+    hand plus on order minus backorders, falls to the reorder point, so any
+    number of orders may be outstanding. The simulator orders when the
+    stock on hand falls to the reorder point with no order outstanding.
+    The two differ most where one lead time's demand can exceed the batch.
     """
 
     reorder_point_s: int

@@ -31,12 +31,14 @@ from .chain import (
     ConstellationConfig,
     LaunchParams,
     SatelliteParams,
+    ParkingAltitudeError,
     SpareStrategy,
     StageMemo,
+    UndefinedAvailabilityError,
     check_strategy_value,
     evaluate_inplane_only,
 )
-from .costs import CostBreakdown, CostParams, tessac, tessac_inplane_only
+from .costs import CostBreakdown, CostParams, NegativeHoldingError, tessac, tessac_inplane_only
 from .inventory import SQPolicy, check_integer, least_reorder_point
 from .orbits import WGS84, EarthConstants
 
@@ -130,10 +132,12 @@ def fitness(
     """Evaluate one candidate: annual cost plus normalized constraint slacks.
 
     Infeasible candidates carry an additive penalty proportional to the
-    violation so the search still senses direction; candidates the model
-    cannot evaluate at all get a flat maximal penalty. A search passes its
-    ``memo``, built for ``prob``, to share chain stages between candidates;
-    without one, a one-use memo is built.
+    violation so the search still senses direction. A candidate that the
+    model cannot evaluate, for a reason another candidate may escape (too
+    small a parking stock, a parking orbit not below the planes, negative
+    holding), gets a flat maximal penalty; every other error reaches the
+    caller. A search passes its ``memo``, built for ``prob``, to share chain
+    stages between candidates; without one, a one-use memo is built.
     """
     cfg, lp = prob.constellation, prob.launch
     if memo is None:
@@ -141,7 +145,7 @@ def fitness(
     try:
         metrics, transfer = memo.figures(candidate)
         cost = tessac(cfg, candidate, metrics, transfer, prob.costs, lp)
-    except ValueError:
+    except (UndefinedAvailabilityError, ParkingAltitudeError, NegativeHoldingError):
         return FitnessResult(None, False, math.nan, math.nan, ERROR_PENALTY, None, None)
     product = metrics.rho_plane**cfg.n_plane * metrics.rho_parking**candidate.n_parking
     cap = lp.cap_launch
@@ -187,6 +191,26 @@ _CROSSOVER = [
     for mask in range(1 << _N_GENES)
 ]
 _BIT_VALUES = 1 << np.arange(_N_GENES)
+
+
+def _search_memo(prob: OptimizationProblem) -> StageMemo:
+    """A `StageMemo` for a search on ``prob``, after checking that it can be searched.
+
+    Raises:
+        ValueError: If the box's lowest parking altitude is not below the
+            planes, or a parking orbit there never aligns with a plane (zero
+            relative drift, as for polar planes): every candidate in the box
+            would fail, so the search would find nothing.
+    """
+    memo = StageMemo(prob.constellation, prob.launch, prob.consts, prob.satellite)
+    h_lo, h_plane = prob.bounds.h_parking_km[0], prob.constellation.h_plane_km
+    if h_lo >= h_plane:
+        raise ValueError(
+            f"lowest parking altitude {h_lo} km of the search box is not below "
+            f"plane altitude {h_plane} km"
+        )
+    memo.altitude(h_lo)
+    return memo
 
 
 def _random_genome(rng, bounds: list[tuple[float, float]]) -> tuple:
@@ -261,10 +285,14 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
     Returns:
         OptimizationResult; ``feasible`` is False when no candidate ever
         satisfied both constraints.
+
+    Raises:
+        ValueError: If no candidate in the box can be evaluated (see
+            `_search_memo`), naming the cause.
     """
     ga = prob.ga
     bounds = [getattr(prob.bounds, name) for name in STRATEGY_BOUNDS]
-    memo = StageMemo(prob.constellation, prob.launch, prob.consts, prob.satellite)
+    memo = _search_memo(prob)
     scores: dict[tuple, float] = {}
 
     def score(genome: tuple) -> float:
@@ -375,7 +403,12 @@ def sensitivity_sweep(
     Rate index i derives its search seed from SeedSequence(seed,
     spawn_key=(i,)). A failure at one rate is recorded in that point and
     the sweep continues.
+
+    Raises:
+        ValueError: Before any search, if no candidate in the box can be
+            evaluated at any rate (see `_search_memo`).
     """
+    _search_memo(prob)
     points: list[SweepPoint] = []
     for i, rate in enumerate(failure_rates):
         sub_seed = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1, np.uint64)[0])

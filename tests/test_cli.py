@@ -598,6 +598,37 @@ def test_optimize_infeasible_space_exits_2(tmp_path, base_config, capsys):
     assert "no feasible" in capsys.readouterr().err
 
 
+def test_optimize_searches_a_box_wider_than_the_default(tmp_path, base_config):
+    # A config widens a reorder point past the default cap of 10 with the
+    # same key that narrows it.
+    cfg = json.loads(json.dumps(base_config))
+    cfg["optimization"] = {
+        "bounds": {"k_s_parking": [1, 40]},
+        "ga": {"population": 20, "generations": 10, "restarts": 1},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    box = load_run_config(path).optimization.bounds
+    assert box.k_s_parking == (1, 40)
+    assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    (row,) = read_rows(tmp_path / "o" / "optimize_result.csv")
+    for name in STRATEGY_COLUMNS:
+        lo, hi = getattr(box, name)
+        assert lo <= type(lo)(row[name]) <= hi, name
+
+
+@pytest.mark.parametrize("command", [["optimize"], ["sensitivity", "--rates", "0.01,0.1"]])
+def test_searches_on_orbits_that_never_align_exit_1(tmp_path, base_config, capsys, command):
+    # Polar planes and parking orbits never drift apart, so no candidate can
+    # be evaluated: the search names that cause instead of finding nothing.
+    cfg = json.loads(json.dumps(base_config))
+    cfg["constellation"]["inclination_deg"] = 90
+    path = tmp_path / "polar.json"
+    path.write_text(json.dumps(cfg))
+    assert main([*command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "zero relative drift rate: planes never align" in capsys.readouterr().err
+
+
 SENSITIVITY_HEADER = (
     ["lambda_sat_per_year", "tessac_multi", "tessac_inplane", "savings_pct"]
     + STRATEGY_COLUMNS

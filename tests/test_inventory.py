@@ -11,6 +11,7 @@ from sparechain.inventory import (
     expected_shortage,
     expected_shortage_geometric,
     fill_rate,
+    least_reorder_point,
     mean_stock,
 )
 
@@ -190,3 +191,28 @@ def test_poisson_tail_kernel_matches_scipy():
                 continue
             big = ref >= 1e-300
             assert np.all(np.abs(got - ref)[big] <= 1e-12 * ref[big]), (s, m, got, ref)
+
+
+def test_least_reorder_point_equals_a_linear_scan():
+    # Random monotone predicates: each turns true at a random threshold,
+    # before, inside or past the range. The walk checks each point once,
+    # in order, and stops at the first that meets the predicate.
+    rng = np.random.default_rng(20261019)
+    none_found = 0
+    for _ in range(500):
+        lo = int(rng.integers(0, 5))
+        hi = lo + int(rng.integers(0, 12))
+        first = int(rng.integers(lo - 3, hi + 4))
+        checked = []
+
+        def meets(s):
+            checked.append(s)
+            return s >= first
+
+        want = next((s for s in range(lo, hi + 1) if s >= first), None)
+        assert least_reorder_point(meets, lo, hi) == want
+        assert checked == list(range(lo, (hi if want is None else want) + 1))
+        none_found += want is None
+        # An open upper bound walks on until the predicate holds.
+        assert least_reorder_point(meets, lo) == max(lo, first)
+    assert 50 < none_found < 450, none_found

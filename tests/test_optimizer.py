@@ -71,6 +71,13 @@ def test_variable_bounds_validation():
             VariableBounds(n_parking=pair)
 
 
+@pytest.mark.parametrize("name", ["s_plane", "k_s_parking"])
+def test_variable_bounds_reject_an_infinite_upper_bound(name):
+    # A strategy may take any reorder point, but a search box must be finite.
+    with pytest.raises(ValueError, match=name):
+        VariableBounds(**{name: (1, math.inf)})
+
+
 def test_ga_params_validation():
     with pytest.raises(ValueError):
         GAParams(population=1)
@@ -543,6 +550,81 @@ def test_inplane_step_up_matches_a_wide_scan(rate):
     assert result.best_policy == SQPolicy(reorder_point_s=best[2], order_quantity_q=best[1])
     assert result.best_cost == best[0]
     assert result.fill_rate_product == best[3]
+
+
+def test_least_reorder_point_is_the_baseline_step_up_at_every_q():
+    # The loop the in-plane search ran before the walk was shared: s steps
+    # up from 0 until the fill-rate product meets the target.
+    cfg, target = CASE_CFG, CASE_PROBLEM.rho_target
+
+    def product(s, q):
+        metrics = evaluate_inplane_only(cfg, SQPolicy(s, q), CASE_LAUNCH)
+        return metrics.rho_plane**cfg.n_plane
+
+    for q in range(1, CASE_LAUNCH.cap_launch + 1):
+        step_up = next(s for s in itertools.count() if product(s, q) >= target)
+        assert inventory.least_reorder_point(lambda s: product(s, q) >= target, 0) == step_up
+
+
+def test_reorder_point_past_the_default_box_beats_the_ground_only_optimum():
+    # k_s_parking 35 lies outside the default search box but is a valid
+    # strategy. At 0.5/yr it meets the fill-rate target for less than the
+    # exact ground-only optimum, which the capped search cannot reach.
+    prob = dataclasses.replace(
+        CASE_PROBLEM, constellation=dataclasses.replace(CASE_CFG, lambda_sat_per_year=0.5)
+    )
+    fit = fitness(SpareStrategy(7, 706.0, 4, 8, 8, 35), prob)
+    assert fit.feasible
+    assert fit.tessac == pytest.approx(2165.3050842316034, rel=1e-12)
+    assert fit.fill_rate_product == pytest.approx(0.95013, abs=5e-6)
+    base = optimize_inplane_only(prob)
+    assert base.best_policy == SQPolicy(reorder_point_s=24, order_quantity_q=34)
+    assert base.best_cost == pytest.approx(2178.274, abs=5e-4)
+    assert fit.tessac < base.best_cost
+
+
+@pytest.mark.parametrize(
+    ("change", "cause"),
+    [
+        ({"inclination_deg": 90.0}, "^zero relative drift rate: planes never align$"),
+        ({"h_plane_km": 650.0}, "lowest parking altitude 700.0 km of the search box is not below"),
+    ],
+)
+def test_searches_reject_a_problem_no_candidate_escapes(change, cause, monkeypatch):
+    # Both searches name the cause before they score a single candidate.
+    def unexpected(*args):
+        raise AssertionError("a candidate was scored")
+
+    monkeypatch.setattr(optimizer, "fitness", unexpected)
+    prob = dataclasses.replace(CASE_PROBLEM, constellation=dataclasses.replace(CASE_CFG, **change))
+    with pytest.raises(ValueError, match=cause):
+        optimize(prob, seed=0)
+    with pytest.raises(ValueError, match=cause):
+        sensitivity_sweep(prob, [0.01, 0.1])
+
+
+def test_fitness_passes_problem_errors_through():
+    # Only candidate-level errors earn the flat penalty; a polar problem
+    # fails every candidate, and its cause reaches the caller.
+    polar = dataclasses.replace(CASE_CFG, inclination_deg=90.0)
+    prob = dataclasses.replace(CASE_PROBLEM, constellation=polar)
+    with pytest.raises(ValueError, match="^zero relative drift rate: planes never align$"):
+        fitness(CASE_STRATEGY, prob)
+
+
+def test_fitness_penalizes_negative_holding():
+    # A widened box reaches designs whose stock formulas, and so holding
+    # cost, go negative: at 0.1/yr one satellite per plane batch leaves the
+    # mean plane stock below zero. A larger stock may mend it.
+    prob = dataclasses.replace(
+        CASE_PROBLEM, constellation=dataclasses.replace(CASE_CFG, lambda_sat_per_year=0.1)
+    )
+    strategy = SpareStrategy(2, 700.0, 1, 1, 8, 30)
+    memo = StageMemo(prob.constellation, prob.launch, prob.consts, prob.satellite)
+    metrics, transfer = memo.figures(strategy)
+    with pytest.raises(costs.NegativeHoldingError):
+        costs.tessac(prob.constellation, strategy, metrics, transfer, COSTS, CASE_LAUNCH)
+    assert fitness(strategy, prob).penalized == ERROR_PENALTY
 
 
 def test_sweep_records_errors_and_continues():
