@@ -30,8 +30,8 @@ from .chain import (
     STRATEGY_BOUNDS,
     ConstellationConfig,
     LaunchParams,
-    SatelliteParams,
     ParkingAltitudeError,
+    SatelliteParams,
     SpareStrategy,
     StageMemo,
     UndefinedAvailabilityError,

@@ -155,7 +155,8 @@ def size_reorder_points(
             than a too small parking stock, e.g. a parking orbit that is not
             below the planes.
     """
-    (s_lo, s_hi), (k_s_lo, k_s_hi) = VariableBounds().s_plane, VariableBounds().k_s_parking
+    box = VariableBounds()
+    (s_lo, s_hi), (k_s_lo, k_s_hi) = box.s_plane, box.k_s_parking
     memo = StageMemo(cfg, lp, consts)
 
     def metrics(s: int, k_s: int) -> PolicyMetrics:
