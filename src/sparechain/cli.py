@@ -53,7 +53,7 @@ from .optimizer import (
     optimize_inplane_only,
     sensitivity_sweep,
 )
-from .simulator import SimConfig, run_batch
+from .simulator import Estimates, SimConfig, run_batch
 from .validation import OUTPUT_NAMES, fit_launch_gaps, read_launch_dates, run_validation
 
 _COMMAND_IDS = {"simulate": 1, "validate": 2, "optimize": 3, "sensitivity": 4}
@@ -106,11 +106,7 @@ _METRIC_COLUMNS = list(PolicyMetrics._fields)
 _COST_COLUMNS = [f.name for f in dataclasses.fields(CostBreakdown)] + ["tessac"]
 # ReplicationResult attributes, one column each after the index, in simulation_replications.csv.
 _REPLICATION_COLUMNS = (
-    "mean_stock_plane",
-    "mean_stock_parking_batches",
-    "rho_plane",
-    "rho_parking",
-    "tessac",
+    *Estimates._fields,
     "failures",
     "served",
     "backorders_end",
@@ -157,13 +153,7 @@ def cmd_simulate(rc: RunConfig, args, out: Path, master: int) -> int:
     )
     res = run_batch(sc)
     header = ["metric", "mean", "se"]
-    rows = [
-        ["mean_stock_plane", res.mean_stock_plane, res.se_stock_plane],
-        ["mean_stock_parking_batches", res.mean_stock_parking_batches, res.se_stock_parking],
-        ["rho_plane", res.rho_plane, res.se_rho_plane],
-        ["rho_parking", res.rho_parking, res.se_rho_parking],
-        ["tessac", res.tessac, res.se_tessac],
-    ]
+    rows = list(zip(Estimates._fields, res.mean, res.se))
     _write_csv(out / "simulation_summary.csv", header, rows)
     rep_rows = [
         [i, *(getattr(r, n) for n in _REPLICATION_COLUMNS)]

@@ -277,10 +277,12 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
     Runs the configured number of independent restarts (restart r draws
     its stream from SeedSequence(seed, spawn_key=(r,))) and returns the
     best feasible candidate found, with exact ties broken toward the
-    lexicographically smallest variable vector. The search keeps only the
-    penalized fitness of each genome it has scored, shares one `StageMemo`
-    between its fitness calls, and scores the winner once more at the end
-    for its full result.
+    lexicographically smallest variable vector. Selection ranks genomes by
+    penalized fitness, so an infeasible genome may rank first; the winner
+    is the cheapest feasible genome ever scored. The search keeps only the
+    penalized fitness of each genome it has scored and the best feasible
+    (TESSAC, genome), shares one `StageMemo` between its fitness calls, and
+    scores the winner once more at the end for its full result.
 
     Returns:
         OptimizationResult; ``feasible`` is False when no candidate ever
@@ -294,15 +296,19 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
     bounds = [getattr(prob.bounds, name) for name in STRATEGY_BOUNDS]
     memo = _search_memo(prob)
     scores: dict[tuple, float] = {}
+    best: tuple[float, tuple] | None = None  # (TESSAC, genome) of the best feasible candidate
 
     def score(genome: tuple) -> float:
+        nonlocal best
         penalized = scores.get(genome)
         if penalized is None:
-            penalized = scores[genome] = fitness(SpareStrategy(*genome), prob, memo).penalized
+            fit = fitness(SpareStrategy(*genome), prob, memo)
+            penalized = scores[genome] = fit.penalized
+            if fit.feasible and (best is None or (fit.tessac, genome) < best):
+                best = (fit.tessac, genome)
         return penalized
 
     trace: list[tuple[int, int, float, float]] = []
-    best_key: tuple | None = None
 
     for restart in range(ga.restarts):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(restart,))))
@@ -319,30 +325,21 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
             # breaks exact fitness ties deterministically.
             keys = list(zip(scored, population))
             order = sorted(range(ga.population), key=keys.__getitem__)
-            gen_best = keys[order[0]]
             # np.mean's sum and division, bit for bit, without its wrappers.
             mean = float(np.add.reduce(scored)) / ga.population
-            trace.append((restart, generation, gen_best[0], mean))
-            if best_key is None or gen_best < best_key:
-                best_key = gen_best
+            trace.append((restart, generation, keys[order[0]][0], mean))
 
             if generation == ga.generations - 1:
                 break
             elites = [population[i] for i in order[:ELITISM]]
             population = elites + _breed(population, order, rng, bounds)
 
-    assert best_key is not None
-    best = SpareStrategy(*best_key[1])
-    fit = fitness(best, prob, memo)
-    found = fit.feasible
+    if best is None:
+        return OptimizationResult(False, None, None, None, None, tuple(trace), seed)
+    winner = SpareStrategy(*best[1])
+    fit = fitness(winner, prob, memo)
     return OptimizationResult(
-        feasible=found,
-        best_strategy=best if found else None,
-        best_cost=fit.tessac if found else None,
-        breakdown=fit.cost if found else None,
-        fill_rate_product=fit.fill_rate_product if found else None,
-        trace=tuple(trace),
-        seed=seed,
+        True, winner, fit.tessac, fit.cost, fit.fill_rate_product, tuple(trace), seed
     )
 
 

@@ -45,6 +45,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,21 +133,22 @@ class ReplicationResult:
     events: tuple[tuple[float, str, int, int], ...] | None
 
 
+class Estimates(NamedTuple):
+    """The outputs a simulation estimates, named as in `ReplicationResult`."""
+
+    mean_stock_plane: float
+    mean_stock_parking_batches: float
+    rho_plane: float
+    rho_parking: float
+    tessac: float
+
+
 @dataclass(frozen=True)
 class SimulationResult:
-    """Across-replication means and standard errors."""
+    """Across-replication means and standard errors of the estimated outputs."""
 
-    replications: int
-    mean_stock_plane: float
-    se_stock_plane: float
-    mean_stock_parking_batches: float
-    se_stock_parking: float
-    rho_plane: float
-    se_rho_plane: float
-    rho_parking: float
-    se_rho_parking: float
-    tessac: float
-    se_tessac: float
+    mean: Estimates
+    se: Estimates
     per_replication: tuple[ReplicationResult, ...]
 
 
@@ -486,7 +488,7 @@ def replication_seed(master_seed: int, index: int) -> int:
 
 
 def run_batch(sc: SimConfig, jobs: int | None = None) -> SimulationResult:
-    """Run all replications and aggregate means and standard errors.
+    """Run all replications and aggregate the means and standard errors of `Estimates`.
 
     Replications run in order on the calling thread; each is a pure
     function of its derived seed, and aggregation follows replication order.
@@ -494,29 +496,10 @@ def run_batch(sc: SimConfig, jobs: int | None = None) -> SimulationResult:
     still passes it.
     """
     reps = [run_replication(sc, replication_seed(sc.seed, i)) for i in range(sc.replications)]
-
-    def mean_se(values: list[float]) -> tuple[float, float]:
-        arr = np.asarray(values)
-        if len(arr) < 2:
-            return float(arr.mean()), 0.0
-        return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
-
-    m_sp, se_sp = mean_se([r.mean_stock_plane for r in reps])
-    m_pk, se_pk = mean_se([r.mean_stock_parking_batches for r in reps])
-    m_rp, se_rp = mean_se([r.rho_plane for r in reps])
-    m_rk, se_rk = mean_se([r.rho_parking for r in reps])
-    m_ts, se_ts = mean_se([r.tessac for r in reps])
-    return SimulationResult(
-        replications=sc.replications,
-        mean_stock_plane=m_sp,
-        se_stock_plane=se_sp,
-        mean_stock_parking_batches=m_pk,
-        se_stock_parking=se_pk,
-        rho_plane=m_rp,
-        se_rho_plane=se_rp,
-        rho_parking=m_rk,
-        se_rho_parking=se_rk,
-        tessac=m_ts,
-        se_tessac=se_ts,
-        per_replication=tuple(reps),
-    )
+    n = len(reps)
+    mean, se = [], []
+    for name in Estimates._fields:
+        arr = np.asarray([getattr(r, name) for r in reps])
+        mean.append(float(arr.mean()))
+        se.append(float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
+    return SimulationResult(Estimates(*mean), Estimates(*se), tuple(reps))

@@ -32,7 +32,7 @@ from .costs import CostParams, evaluate_design
 from .inventory import least_reorder_point
 from .optimizer import VariableBounds
 from .orbits import WGS84, EarthConstants
-from .simulator import SimConfig, SimulationResult, run_batch
+from .simulator import Estimates, SimConfig, SimulationResult, run_batch
 
 # The fill-rate requirement both echelons are sized against.
 RHO_REQUIREMENT = 0.95
@@ -42,6 +42,7 @@ RHO_REQUIREMENT = 0.95
 # processing time.
 _UNREAD_CAP_LAUNCH = 34
 
+# The study's labels of the `Estimates` fields, in field order.
 OUTPUT_NAMES = (
     "mean_stock_plane",
     "mean_stock_parking",
@@ -258,7 +259,7 @@ def run_validation(
         seed: Master seed; the sampler uses it directly and case i
             simulates with a seed derived via spawn key (1, i).
         simulate_fn: Replacement for the simulation step (testing hook);
-            must accept a SimConfig and return aggregate metrics.
+            must accept a SimConfig and return a result whose ``mean`` is an `Estimates`.
 
     Returns:
         ErrorReport with per-case outcomes and averaged errors.
@@ -314,20 +315,9 @@ def _run_case(
         return CaseOutcome(index=index, params=params, feasible=False, reason=str(exc))
 
     sim = simulate(SimConfig(constellation=cfg, strategy=strategy, launch=lp, seed=seed, **study))
-    model_values = {
-        "mean_stock_plane": metrics.mean_stock_plane,
-        "mean_stock_parking": metrics.mean_stock_parking_batches,
-        "rho_plane": metrics.rho_plane,
-        "rho_parking": metrics.rho_parking,
-        "tessac": cost.tessac,
-    }
-    sim_values = {
-        "mean_stock_plane": sim.mean_stock_plane,
-        "mean_stock_parking": sim.mean_stock_parking_batches,
-        "rho_plane": sim.rho_plane,
-        "rho_parking": sim.rho_parking,
-        "tessac": sim.tessac,
-    }
+    model = {**metrics._asdict(), "tessac": cost.tessac}
+    model_values = dict(zip(OUTPUT_NAMES, (model[n] for n in Estimates._fields), strict=True))
+    sim_values = dict(zip(OUTPUT_NAMES, sim.mean, strict=True))
     outcome = CaseOutcome(
         index=index,
         params=params,

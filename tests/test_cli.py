@@ -553,6 +553,19 @@ def test_optimize_smoke(tmp_path, fast_config):
     assert {r["restart"] for r in trace} == {"0"}
 
 
+def test_optimize_reports_the_best_feasible_strategy_not_the_best_penalized(tmp_path):
+    # At this seed the lowest penalized score of the search belongs to a
+    # genome whose fill-rate product, 0.9499999978, just misses the target,
+    # while 5 985 scored genomes are feasible; the search reports the
+    # cheapest of those.
+    out = tmp_path / "o"
+    assert main(["optimize", "--seed", "302005", "--out", str(out)]) == 0
+    (row,) = read_rows(out / "optimize_result.csv")
+    assert [row[n] for n in STRATEGY_COLUMNS] == ["3", "745.2726221998754", "4", "3", "8", "7"]
+    assert float(row["tessac"]) == 314.2584479216584
+    assert float(row["fill_rate_product"]) >= 0.95
+
+
 def test_optimize_inplane_smoke(tmp_path, fast_config):
     out = tmp_path / "o"
     assert main(["optimize", "--config", str(fast_config), "--inplane-only", "--out", str(out)]) == 0

@@ -484,6 +484,46 @@ def test_tessac_and_fill_rate_never_fall_with_reorder_points():
     assert pairs["s"] >= 1400 and pairs["k_s"] >= 1400, pairs
 
 
+def test_optimize_reports_the_best_feasible_genome_not_the_best_penalized(monkeypatch):
+    # Stubbed fitness: every genome with s_plane 1 is infeasible yet has the
+    # lowest penalized score, and the feasible costs tie in pairs, so the
+    # winner must be the cheapest feasible genome scored, with an exact tie
+    # going to the smaller genome.
+    scored = {}
+
+    def stub(candidate, prob, memo=None):
+        genome = dataclasses.astuple(candidate)
+        if candidate.s_plane == 1:
+            fit = FitnessResult(1.0, False, 0.0, 1e-9, 1.0 + PENALTY_SCALE * 1e-9, 0.9, None)
+        else:
+            cost = 2.0 + candidate.q_plane // 2
+            fit = FitnessResult(cost, True, 0.0, 0.0, cost, 0.99, None)
+        scored[genome] = fit
+        return fit
+
+    monkeypatch.setattr(optimizer, "fitness", stub)
+    prob = dataclasses.replace(
+        CASE_PROBLEM,
+        bounds=VariableBounds(
+            n_parking=(3, 3),
+            h_parking_km=(792.3, 792.3),
+            q_plane=(1, 4),
+            s_plane=(1, 3),
+            k_q_parking=(8, 8),
+            k_s_parking=(8, 8),
+        ),
+        ga=GAParams(population=6, generations=4, restarts=2),
+    )
+    result = optimize(prob, seed=0)
+    assert min(row[2] for row in result.trace) == 1.0 + PENALTY_SCALE * 1e-9
+    feasible = sorted((f.tessac, g) for g, f in scored.items() if f.feasible)
+    assert feasible[0][0] == feasible[1][0], "the test needs an exact tie"
+    assert result.feasible
+    assert dataclasses.astuple(result.best_strategy) == feasible[0][1]
+    assert result.best_cost == feasible[0][0]
+    assert result.fill_rate_product == 0.99
+
+
 def test_optimize_reports_infeasible_space():
     # a one-satellite launch cap leaves no evaluable strategy feasible
     prob = dataclasses.replace(

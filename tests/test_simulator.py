@@ -19,6 +19,7 @@ from sparechain.orbits import CircularOrbit, hohmann_transfer, raan_drift_rate
 from oracles import run_with_rng_reference
 from sparechain.simulator import (
     _FAILURE_BLOCK,
+    Estimates,
     SimConfig,
     _closest_parking,
     _draw_failures,
@@ -493,7 +494,7 @@ def test_case_study_simulation_tracks_model():
         seed=0,
         warmup_years=1.0,
     )
-    res = run_batch(sc, jobs=4)
+    res = run_batch(sc, jobs=4).mean
     assert abs(res.mean_stock_plane - metrics.mean_stock_plane) / res.mean_stock_plane < 0.02
     assert (
         abs(res.mean_stock_parking_batches - metrics.mean_stock_parking_batches)
@@ -596,9 +597,24 @@ def test_standard_error_shrinks_with_replications():
             seed=3,
             warmup_years=1.0,
         )
-        return run_batch(sc, jobs=4).se_tessac
+        return run_batch(sc, jobs=4).se.tessac
 
     assert se(64) < se(8)
+
+
+def test_batch_aggregates_each_estimate_over_its_replications():
+    # Means and standard errors of every estimated output, field by field;
+    # one replication has no spread to estimate, so its errors are 0.0.
+    res = run_batch(_toy_config(replications=5, capture_events=False))
+    assert res.mean._fields == res.se._fields == Estimates._fields
+    for name in Estimates._fields:
+        values = [getattr(r, name) for r in res.per_replication]
+        assert getattr(res.mean, name) == np.mean(values)
+        assert getattr(res.se, name) == np.std(values, ddof=1) / math.sqrt(5)
+    single = run_batch(_toy_config(capture_events=False))
+    assert single.se == Estimates(0.0, 0.0, 0.0, 0.0, 0.0)
+    (rep,) = single.per_replication
+    assert single.mean == Estimates(*(getattr(rep, n) for n in Estimates._fields))
 
 
 def test_event_capture_flag():

@@ -23,6 +23,7 @@ from sparechain.config import bundled_launch_dates_path
 from sparechain.costs import CostParams, evaluate_design
 from sparechain.inventory import fill_rate
 from sparechain.orbits import WGS84
+from sparechain.simulator import Estimates
 from sparechain.validation import (
     INTEGER_DIMENSIONS,
     OUTPUT_NAMES,
@@ -235,11 +236,13 @@ def _model_echo(sim_config):
         sim_config.consts,
     )
     return SimpleNamespace(
-        mean_stock_plane=metrics.mean_stock_plane,
-        mean_stock_parking_batches=metrics.mean_stock_parking_batches,
-        rho_plane=metrics.rho_plane,
-        rho_parking=metrics.rho_parking,
-        tessac=cost.tessac,
+        mean=Estimates(
+            mean_stock_plane=metrics.mean_stock_plane,
+            mean_stock_parking_batches=metrics.mean_stock_parking_batches,
+            rho_plane=metrics.rho_plane,
+            rho_parking=metrics.rho_parking,
+            tessac=cost.tessac,
+        )
     )
 
 
@@ -299,7 +302,7 @@ def test_zero_simulated_value_marks_only_its_case_infeasible():
         result = _model_echo(sim_config)
         if not zeroed:
             zeroed.append(sim_config.seed)
-            result.tessac = 0.0
+            result.mean = result.mean._replace(tessac=0.0)
         return result
 
     report = run_validation(
