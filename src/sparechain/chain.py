@@ -332,12 +332,6 @@ def plane_bounds(n_parking: int, drift: float, tof: float) -> list[float]:
     return [first + i * step for i in range(n_parking + 1)]
 
 
-def plane_segments(n_parking: int, drift: float, tof: float) -> list[tuple[float, float]]:
-    """Drift-plus-flight days (lo, hi) of each supplier rank: `plane_bounds` in pairs."""
-    bounds = plane_bounds(n_parking, drift, tof)
-    return list(zip(bounds, bounds[1:]))
-
-
 def plane_leadtime(
     strategy: SpareStrategy,
     cfg: ConstellationConfig,
@@ -346,16 +340,15 @@ def plane_leadtime(
 ) -> tuple[list[float], list[tuple[float, float]]]:
     """Parking-to-plane lead-time law as (weights, segments_days).
 
-    Each supplier rank contributes its `plane_segments` segment, weighted
-    by its `supply_probabilities` probability.
+    Each supplier rank contributes the segment between its two
+    `plane_bounds`, weighted by its `supply_probabilities` probability.
     """
     plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
     drift, tof, _ = altitude_stage(
         strategy.h_parking_km, plane, raan_drift_rate(plane, consts), None, consts
     )
-    return supply_probabilities(p_av, strategy.n_parking), plane_segments(
-        strategy.n_parking, drift, tof
-    )
+    bounds = plane_bounds(strategy.n_parking, drift, tof)
+    return supply_probabilities(p_av, strategy.n_parking), list(zip(bounds, bounds[1:]))
 
 
 def parking_stage(

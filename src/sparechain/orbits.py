@@ -11,7 +11,7 @@ plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 SECONDS_PER_DAY = 86400.0
 
@@ -25,8 +25,11 @@ class EarthConstants:
     j2: float = 0.00108263
 
     def __post_init__(self) -> None:
-        if self.mu_km3_s2 <= 0 or self.r_earth_km <= 0 or self.j2 <= 0:
-            raise ValueError("Earth constants must be strictly positive")
+        # Written so that NaN fails too: every comparison with NaN is False.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{field.name} must be positive and finite, got {value}")
 
 
 #: Default WGS-84-consistent constants.
@@ -46,8 +49,8 @@ class CircularOrbit:
     inclination_deg: float
 
     def __post_init__(self) -> None:
-        if self.altitude_km <= 0:
-            raise ValueError(f"altitude must be positive, got {self.altitude_km}")
+        if not 0.0 < self.altitude_km < math.inf:
+            raise ValueError(f"altitude must be positive and finite, got {self.altitude_km}")
         if not 0.0 <= self.inclination_deg <= 180.0:
             raise ValueError(
                 f"inclination must be in [0, 180] degrees, got {self.inclination_deg}"

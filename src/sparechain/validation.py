@@ -104,29 +104,24 @@ def lhs_sample(space: TradeSpace, n: int, seed: int) -> list[dict[str, float | i
 
     One draw per stratum per dimension, paired by random permutations.
     The dimensions in INTEGER_DIMENSIONS are rounded to the nearest
-    in-bounds integer, which can collide; colliding sample sets are redrawn
-    up to 10 times and then accepted as-is.
+    in-bounds integer. Each case has its own stratum of every continuous
+    dimension, so no two cases are equal.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    dims = space.items()
-    for _ in range(11):
-        cases: list[dict[str, float | int]] = [dict() for _ in range(n)]
-        for name, rng_spec in dims:
-            perm = rng.permutation(n)
-            u = rng.random(n)
-            for i in range(n):
-                x = rng_spec.lo + (rng_spec.hi - rng_spec.lo) * (perm[i] + u[i]) / n
-                if name in INTEGER_DIMENSIONS:
-                    xi = int(round(x))
-                    xi = min(max(xi, int(rng_spec.lo)), int(rng_spec.hi))
-                    cases[i][name] = xi
-                else:
-                    cases[i][name] = float(x)
-        signatures = {tuple(sorted(c.items())) for c in cases}
-        if len(signatures) == n:
-            break
+    cases: list[dict[str, float | int]] = [dict() for _ in range(n)]
+    for name, rng_spec in space.items():
+        perm = rng.permutation(n)
+        u = rng.random(n)
+        for i in range(n):
+            x = rng_spec.lo + (rng_spec.hi - rng_spec.lo) * (perm[i] + u[i]) / n
+            if name in INTEGER_DIMENSIONS:
+                xi = int(round(x))
+                xi = min(max(xi, int(rng_spec.lo)), int(rng_spec.hi))
+                cases[i][name] = xi
+            else:
+                cases[i][name] = float(x)
     return cases
 
 

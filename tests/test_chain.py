@@ -24,8 +24,8 @@ from sparechain.chain import (
     plane_demand_rate,
     altitude_stage,
     check_strategy_value,
+    plane_bounds,
     plane_leadtime,
-    plane_segments,
     plane_stage,
     supply_probabilities,
 )
@@ -382,14 +382,16 @@ def test_plane_leadtime_bounds_match_transfer_time(n_parking, h_parking_km, incl
 
 def test_plane_stage_matches_its_segments_one_at_a_time():
     # The one-pass stage shares each inner bound between two segments; it
-    # must give, bit for bit, what each plane_segments segment gives alone.
+    # must give, bit for bit, what each segment between two plane_bounds
+    # gives alone.
     plane = CircularOrbit(1200.0, 50.0)
     plane_drift = raan_drift_rate(plane)
     rates = (0.0, plane_demand_rate(CFG), 0.05)
     for h_parking_km in (700.0, 792.3, 999.0):
         drift, tof, _ = altitude_stage(h_parking_km, plane, plane_drift, None, WGS84)
         for n in range(1, 21):
-            segments = plane_segments(n, drift, tof)
+            bounds = plane_bounds(n, drift, tof)
+            segments = list(zip(bounds, bounds[1:]))
             means = tuple((lo + hi) / 2.0 for lo, hi in segments)
             for s in range(1, 11):
                 for rate in rates:

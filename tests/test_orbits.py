@@ -130,6 +130,16 @@ def test_constants_validation():
         CircularOrbit(-5.0, 50.0)
     with pytest.raises(ValueError):
         CircularOrbit(800.0, 181.0)
+    # Every comparison with NaN is False; each non-finite input must still
+    # fail, naming its field.
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("mu_km3_s2", "r_earth_km", "j2"):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                EarthConstants(**{name: bad})
+        with pytest.raises(ValueError, match="^altitude must be positive"):
+            CircularOrbit(bad, 50.0)
+        with pytest.raises(ValueError, match="^inclination must be in"):
+            CircularOrbit(800.0, bad)
 
 
 def test_semimajor_axis():
