@@ -116,7 +116,7 @@ _REPLICATION_COLUMNS = (
 
 
 def cmd_evaluate(rc: RunConfig, args, out: Path, master: int) -> int:
-    rc.require("constellation", "launch", "costs", "satellite")
+    rc.require("constellation", "launch", "costs")
     cfg = rc.constellation
     if args.inplane_only:
         rc.require("inplane_policy")
@@ -125,7 +125,7 @@ def cmd_evaluate(rc: RunConfig, args, out: Path, master: int) -> int:
         header = ["q_plane", "s_plane"]
         row: list = [rc.inplane_policy.order_quantity_q, rc.inplane_policy.reorder_point_s]
     else:
-        rc.require("strategy")
+        rc.require("strategy", "satellite")
         metrics, breakdown = evaluate_design(
             cfg, rc.strategy, rc.launch, rc.costs, rc.satellite, rc.earth
         )
@@ -192,7 +192,7 @@ def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
         seed=command_seed(master, "validate"),
         **vars(vs),
     )
-    param_names = [name for name, _ in vs.space.items()]
+    param_names = [f.name for f in dataclasses.fields(vs.space)]
     case_header = (
         ["case", "feasible"]
         + param_names

@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .chain import (
     UndefinedAvailabilityError,
 )
 from .costs import CostParams, evaluate_design
-from .inventory import least_reorder_point
+from .inventory import check_integer, least_reorder_point
 from .optimizer import VariableBounds
 from .orbits import WGS84, EarthConstants
 from .simulator import Estimates, SimConfig, SimulationResult, run_batch
@@ -52,76 +52,60 @@ OUTPUT_NAMES = (
 )
 
 
-# Trade-space dimensions that take whole values only; their samples are rounded.
-INTEGER_DIMENSIONS = ("n_plane", "n_parking", "n_sats", "q_plane", "k_q_parking")
-
-
-@dataclass(frozen=True)
-class ParameterRange:
-    """Closed, finite sampling interval."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"bounds must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"lower bound {self.lo} above upper bound {self.hi}")
-
-
 @dataclass(frozen=True)
 class TradeSpace:
-    """Sampling bounds of the eleven varied study parameters."""
+    """Sampling bounds (lo, hi) of the eleven varied study parameters.
 
-    pt_launch_days: ParameterRange = ParameterRange(30.0, 120.0)
-    h_plane_km: ParameterRange = ParameterRange(1000.0, 2000.0)
-    h_parking_km: ParameterRange = ParameterRange(*VariableBounds().h_parking_km)
-    inclination_deg: ParameterRange = ParameterRange(30.0, 70.0)
-    lambda_sat_per_year: ParameterRange = ParameterRange(0.001, 0.1)
-    mu_launch_days: ParameterRange = ParameterRange(30.0, 90.0)
-    n_plane: ParameterRange = ParameterRange(20, 40)
-    n_parking: ParameterRange = ParameterRange(*VariableBounds().n_parking)
-    n_sats: ParameterRange = ParameterRange(20, 60)
-    q_plane: ParameterRange = ParameterRange(*VariableBounds().q_plane)
-    k_q_parking: ParameterRange = ParameterRange(*VariableBounds().k_q_parking)
+    A field hinted ``tuple[int, int]`` is an integer dimension: its bounds
+    are whole and its samples are rounded.
+    """
+
+    pt_launch_days: tuple[float, float] = (30.0, 120.0)
+    h_plane_km: tuple[float, float] = (1000.0, 2000.0)
+    h_parking_km: tuple[float, float] = VariableBounds().h_parking_km
+    inclination_deg: tuple[float, float] = (30.0, 70.0)
+    lambda_sat_per_year: tuple[float, float] = (0.001, 0.1)
+    mu_launch_days: tuple[float, float] = (30.0, 90.0)
+    n_plane: tuple[int, int] = (20, 40)
+    n_parking: tuple[int, int] = VariableBounds().n_parking
+    n_sats: tuple[int, int] = (20, 60)
+    q_plane: tuple[int, int] = VariableBounds().q_plane
+    k_q_parking: tuple[int, int] = VariableBounds().k_q_parking
 
     def __post_init__(self) -> None:
-        for name in INTEGER_DIMENSIONS:
-            bounds = getattr(self, name)
-            if not (float(bounds.lo).is_integer() and float(bounds.hi).is_integer()):
-                raise ValueError(
-                    f"{name} is an integer dimension and needs whole-number "
-                    f"bounds, got [{bounds.lo}, {bounds.hi}]"
-                )
-
-    def items(self) -> list[tuple[str, ParameterRange]]:
-        return [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
+        hints = get_type_hints(TradeSpace)
+        for f in dataclasses.fields(self):
+            lo, hi = getattr(self, f.name)
+            if hints[f.name] == tuple[int, int]:
+                check_integer(f"{f.name}[0]", lo)
+                check_integer(f"{f.name}[1]", hi)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{f.name}: bounds must be finite, got [{lo}, {hi}]")
+            if lo > hi:
+                raise ValueError(f"{f.name}: lower bound {lo} above upper bound {hi}")
 
 
 def lhs_sample(space: TradeSpace, n: int, seed: int) -> list[dict[str, float | int]]:
     """Latin hypercube sample of ``n`` cases over the trade space.
 
     One draw per stratum per dimension, paired by random permutations.
-    The dimensions in INTEGER_DIMENSIONS are rounded to the nearest
-    in-bounds integer. Each case has its own stratum of every continuous
-    dimension, so no two cases are equal.
+    The integer dimensions are rounded to the nearest in-bounds integer.
+    Each case has its own stratum of every continuous dimension, so no
+    two cases are equal.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    hints = get_type_hints(TradeSpace)
     cases: list[dict[str, float | int]] = [dict() for _ in range(n)]
-    for name, rng_spec in space.items():
+    for f in dataclasses.fields(space):
+        lo, hi = getattr(space, f.name)
+        integer = hints[f.name] == tuple[int, int]
         perm = rng.permutation(n)
         u = rng.random(n)
         for i in range(n):
-            x = rng_spec.lo + (rng_spec.hi - rng_spec.lo) * (perm[i] + u[i]) / n
-            if name in INTEGER_DIMENSIONS:
-                xi = int(round(x))
-                xi = min(max(xi, int(rng_spec.lo)), int(rng_spec.hi))
-                cases[i][name] = xi
-            else:
-                cases[i][name] = float(x)
+            x = lo + (hi - lo) * (perm[i] + u[i]) / n
+            cases[i][f.name] = min(max(int(round(x)), lo), hi) if integer else float(x)
     return cases
 
 

@@ -118,6 +118,20 @@ def test_missing_section_is_a_config_error(tmp_path, base_config, capsys):
     assert "strategy" in capsys.readouterr().err
 
 
+def test_evaluate_inplane_only_needs_no_satellite_section(tmp_path, base_config, capsys):
+    # The ground-only policy prices no transfer, so it reads no satellite.
+    cfg = {k: v for k, v in base_config.items() if k != "satellite"}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    args = ["--config", str(path), "--out", str(tmp_path / "o")]
+    assert main(["evaluate", "--inplane-only", *args]) == 0
+    golden = Path(__file__).parent / "golden" / "evaluate-inplane" / "evaluate.csv"
+    assert (tmp_path / "o" / "evaluate.csv").read_bytes() == golden.read_bytes()
+    capsys.readouterr()
+    assert main(["evaluate", *args]) == 1
+    assert "satellite: section required for this command" in capsys.readouterr().err
+
+
 def test_unknown_key_names_the_path(tmp_path, base_config, capsys):
     # n_days_per_year is the fixed DAYS_PER_YEAR, not a setting.
     for key in ("bogus", "n_days_per_year"):
@@ -145,7 +159,6 @@ def test_unknown_key_names_the_path(tmp_path, base_config, capsys):
         ("optimization", "ga"),
         ("validation",),
         ("validation", "space"),
-        ("validation", "space", "pt_launch_days"),
     ],
     ids=".".join,
 )
@@ -267,8 +280,9 @@ def test_integer_bounds_pair_loads_as_ints(tmp_path, base_config):
 
 
 def test_narrowed_integer_dimension_loads_and_samples_ints(tmp_path, base_config):
-    space = {"n_plane": {"lo": 25, "hi": 30}}
+    space = {"n_plane": [25, 30]}
     rc = _load_with(tmp_path, base_config, "validation", {"space": space})
+    assert rc.validation.space.n_plane == (25, 30)
     cases = lhs_sample(rc.validation.space, 16, seed=0)
     assert {type(case["n_plane"]) for case in cases} == {int}
     assert {case["n_plane"] for case in cases} <= set(range(25, 31))
@@ -277,12 +291,20 @@ def test_narrowed_integer_dimension_loads_and_samples_ints(tmp_path, base_config
 @pytest.mark.parametrize(
     ("n_plane", "message"),
     [
-        ({"lo": 20.5, "hi": 40}, "validation.space: n_plane is an integer dimension"),
-        ({"lo": 20, "hi": 40, "integer": True}, "validation.space.n_plane.integer: unknown key"),
+        # The old {"lo", "hi"} form fails at load; the message names the new one.
+        (
+            {"lo": 20, "hi": 40},
+            "validation.space.n_plane: expected [lo, hi], got {'lo': 20, 'hi': 40}",
+        ),
+        ([20.0, 40], "validation.space.n_plane[0]: expected an integer, got 20.0"),
+        ([20, 40.5], "validation.space.n_plane[1]: expected an integer, got 40.5"),
+        ([40, 20], "validation.space: n_plane: lower bound 40 above upper bound 20"),
+        ([20, 30, 40], "validation.space.n_plane: expected [lo, hi], got [20, 30, 40]"),
     ],
+    ids=["old-lo-hi-object", "float-lo", "fractional-hi", "inverted", "three-values"],
 )
 def test_integer_trade_space_dimensions_are_fixed(tmp_path, base_config, n_plane, message):
-    with pytest.raises(ConfigError, match=re.escape(message)):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         _load_with(tmp_path, base_config, "validation", {"space": {"n_plane": n_plane}})
 
 
