@@ -454,8 +454,9 @@ class StageMemo:
         self.lt_parking = lp.pt_launch_days + lp.mu_launch_days  # days
         plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
         plane_drift = raan_drift_rate(plane, consts)
-        # The stage functions are looked up at call time, so that a test can
-        # replace them on the module.
+        # The parking and altitude stage functions are looked up at call
+        # time, so that a test can replace them on the module; plane_stage
+        # is bound here, when the memo is built.
         self.parking = functools.lru_cache(None)(
             lambda k_s, k_q, lam_parking: parking_stage(k_s, k_q, lam_parking, lp)
         )

@@ -12,8 +12,7 @@ Subcommands::
 Every command reads one JSON config (``--config``, defaulting to the
 bundled example) and writes CSV files under ``--out``. Output is fully
 deterministic for a given config and seed: repeated runs produce byte
-identical files, and ``--format csv`` prints the same numbers to stdout
-as the default text rendering.
+identical files.
 
 Seed handling: one master seed (``--seed``, else the config's ``seed``)
 is decorrelated per command by spawning a child sequence with the
@@ -44,6 +43,7 @@ from .config import (
     RunConfig,
     bundled_case_study_path,
     bundled_launch_dates_path,
+    check_run_size,
     load_run_config,
 )
 from .costs import CostBreakdown, evaluate_design, tessac_inplane_only
@@ -74,21 +74,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_rows(fh, header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    writer.writerows([_fmt(x) for x in row] for row in rows)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
-        _csv_rows(fh, header, rows)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
-def _emit(fmt: str, header: list[str], rows: list[list]) -> None:
-    if fmt == "csv":
-        _csv_rows(sys.stdout, header, rows)
-    elif len(rows) == 1:
+def _emit(header: list[str], rows: list[list]) -> None:
+    if len(rows) == 1:
         for name, value in zip(header, rows[0]):
             print(f"{name:<28} {_fmt(value)}")
     else:
@@ -134,7 +128,7 @@ def cmd_evaluate(rc: RunConfig, args, out: Path, master: int) -> int:
     row += list(metrics)
     row += [getattr(breakdown, n) for n in _COST_COLUMNS]
     _write_csv(out / "evaluate.csv", header, [row])
-    _emit(args.format, header, [row])
+    _emit(header, [row])
     return 0
 
 
@@ -173,26 +167,29 @@ def cmd_simulate(rc: RunConfig, args, out: Path, master: int) -> int:
             ["replication", "time_days", "event", "location", "stock_after"],
             ev_rows,
         )
-    _emit(args.format, header, rows)
+    _emit(header, rows)
     return 0
 
 
 def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
     rc.require("costs", "satellite")
-    vs = rc.validation.with_flags(
-        n_cases=("--n-cases", args.n_cases),
-        replications=("--reps", args.reps),
-        horizon_years=("--horizon", args.horizon),
-        warmup_years=("--warmup", args.warmup),
-    )
+    flags = {
+        "n_cases": "--n-cases",
+        "replications": "--reps",
+        "horizon_years": "--horizon",
+        "warmup_years": "--warmup",
+    }
+    run_size = {field: getattr(args, field) for field in flags}
+    check_run_size(run_size, flags)
     report = run_validation(
+        rc.validation.space,
         costs=rc.costs,
         satellite=rc.satellite,
         consts=rc.earth,
         seed=command_seed(master, "validate"),
-        **vars(vs),
+        **run_size,
     )
-    param_names = [f.name for f in dataclasses.fields(vs.space)]
+    param_names = [f.name for f in dataclasses.fields(rc.validation.space)]
     case_header = (
         ["case", "feasible"]
         + param_names
@@ -215,7 +212,7 @@ def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
     header = ["output", "avg_abs_error_pct"]
     rows = [[name, report.averaged_errors_pct[name]] for name in OUTPUT_NAMES]
     _write_csv(out / "validation_summary.csv", header, rows)
-    _emit(args.format, header, rows)
+    _emit(header, rows)
     feasible = sum(1 for c in report.cases if c.feasible)
     print(f"cases: {feasible} feasible, {report.infeasible_count} infeasible", file=sys.stderr)
     if feasible == 0:
@@ -249,7 +246,7 @@ def cmd_optimize(rc: RunConfig, args, out: Path, master: int) -> int:
             ]
         ]
         _write_csv(out / "optimize_inplane.csv", header, rows)
-        _emit(args.format, header, rows)
+        _emit(header, rows)
         return 0
     res = optimize(prob, seed=command_seed(master, "optimize"))
     if not res.feasible:
@@ -265,7 +262,7 @@ def cmd_optimize(rc: RunConfig, args, out: Path, master: int) -> int:
         ["restart", "generation", "best_penalized", "mean_penalized"],
         trace_rows,
     )
-    _emit(args.format, header, rows)
+    _emit(header, rows)
     return 0
 
 
@@ -304,7 +301,7 @@ def cmd_sensitivity(rc: RunConfig, args, out: Path, master: int) -> int:
             + [p.best_policy.order_quantity_q, p.best_policy.reorder_point_s, ""]
         )
     _write_csv(out / "sensitivity.csv", header, rows)
-    _emit(args.format, header, rows)
+    _emit(header, rows)
     if all(p.error is not None for p in points):
         return 2
     return 0
@@ -317,7 +314,7 @@ def cmd_fit_launch_data(rc: RunConfig, args, out: Path, master: int) -> int:
     header = ["n_dates", "n_gaps", "mean_gap_days"]
     rows = [[len(dates), len(dates) - 1, mean_gap]]
     _write_csv(out / "launch_fit.csv", header, rows)
-    _emit(args.format, header, rows)
+    _emit(header, rows)
     return 0
 
 
@@ -333,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, help="accepted for compatibility; has no effect"
     )
     shared.add_argument("--out", default="out", help="directory for CSV outputs")
-    shared.add_argument("--format", choices=("text", "csv"), default="text")
 
     parser = argparse.ArgumentParser(
         prog="sparechain",
@@ -350,10 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("validate", parents=[shared], help="model-vs-simulation errors")
-    p.add_argument("--n-cases", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--horizon", type=float, default=None, help="years per replication")
-    p.add_argument("--warmup", type=float, default=None, help="discarded years")
+    p.add_argument("--n-cases", type=int, default=25, help="sampled cases")
+    p.add_argument(
+        "--reps", dest="replications", type=int, default=100, help="replications per case"
+    )
+    p.add_argument(
+        "--horizon", dest="horizon_years", type=float, default=15.0, help="years per replication"
+    )
+    p.add_argument(
+        "--warmup", dest="warmup_years", type=float, default=1.0, help="discarded years"
+    )
     p.set_defaults(run=cmd_validate)
 
     p = sub.add_parser("optimize", parents=[shared], help="search for cheapest strategy")

@@ -1,11 +1,11 @@
 """Structured JSON configuration for the command-line tools.
 
 One file carries every section a command might need: constellation
-layout, a spare strategy, launch and cost parameters, simulation,
-optimization and validation settings, and optional Earth-constant
-overrides. Every object in the file, the top level included, is built
-from the fields of the dataclass it describes: unknown keys are rejected
-and every value passes the domain checks of its dataclass.
+layout, a spare strategy, launch and cost parameters, and simulation,
+optimization and validation settings. Every object in the file, the top
+level included, is built from the fields of the dataclass it describes:
+unknown keys are rejected and every value passes the domain checks of
+its dataclass.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, get_args, get_type_hints
+from typing import Any, ClassVar, get_args, get_type_hints
 
 from .chain import ConstellationConfig, LaunchParams, SatelliteParams, SpareStrategy
 from .costs import CostParams
@@ -30,32 +31,28 @@ class ConfigError(ValueError):
     """A configuration problem, with the offending key path in the message."""
 
 
-def _check_run_size(section: str, values: dict[str, Any], flags: dict[str, str]) -> None:
-    """The run-size rules of simulation and validation settings on ``values``.
+def check_run_size(values: dict[str, Any], names: dict[str, str]) -> None:
+    """The run-size rules of a simulation or validation study on ``values``.
 
     ``n_cases`` is checked only where ``values`` has it. An error names
-    ``flags[field]`` where given, else ``section.field``.
+    the key path or command-line flag ``names[field]``.
     """
-
-    def name(field: str) -> str:
-        return flags.get(field, f"{section}.{field}")
-
     if values.get("n_cases", 1) < 1:
-        raise ConfigError(f"{name('n_cases')}: need at least one case, got {values['n_cases']}")
+        raise ConfigError(f"{names['n_cases']}: need at least one case, got {values['n_cases']}")
     if values["replications"] < 1:
         raise ConfigError(
-            f"{name('replications')}: need at least one replication, "
+            f"{names['replications']}: need at least one replication, "
             f"got {values['replications']}"
         )
     if not 0 < values["horizon_years"] < math.inf:
         raise ConfigError(
-            f"{name('horizon_years')}: must be positive and finite, "
+            f"{names['horizon_years']}: must be positive and finite, "
             f"got {values['horizon_years']}"
         )
     if not 0.0 <= values["warmup_years"] < values["horizon_years"]:
         raise ConfigError(
-            f"{name('warmup_years')}: must be nonnegative and shorter than "
-            f"{name('horizon_years')} ({values['horizon_years']}), got {values['warmup_years']}"
+            f"{names['warmup_years']}: must be nonnegative and shorter than "
+            f"{names['horizon_years']} ({values['horizon_years']}), got {values['warmup_years']}"
         )
 
 
@@ -66,7 +63,7 @@ class SimulationSettings:
     warmup_years: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_run_size("simulation", vars(self), {})
+        check_run_size(vars(self), {field: f"simulation.{field}" for field in vars(self)})
 
 
 @dataclass(frozen=True)
@@ -84,27 +81,7 @@ class OptimizationSettings:
 
 @dataclass(frozen=True)
 class ValidationSettings:
-    n_cases: int = 25
-    replications: int = 100
-    horizon_years: float = 15.0
-    warmup_years: float = 1.0
     space: TradeSpace = TradeSpace()
-
-    def __post_init__(self) -> None:
-        _check_run_size("validation", vars(self), {})
-
-    def with_flags(self, **flags: tuple[str, Any]) -> "ValidationSettings":
-        """A copy with command-line overrides, checked by the same rules.
-
-        Each keyword maps a field to (flag, value); a value of None keeps
-        the field. An out-of-range value raises a ConfigError that names
-        the flag it came from.
-        """
-        given = {field: fv for field, fv in flags.items() if fv[1] is not None}
-        values = {field: value for field, (_, value) in given.items()}
-        flag_names = {field: flag for field, (flag, _) in given.items()}
-        _check_run_size("validation", {**vars(self), **values}, flag_names)
-        return dataclasses.replace(self, **values)
 
 
 @dataclass(frozen=True)
@@ -120,8 +97,9 @@ class RunConfig:
     simulation: SimulationSettings = SimulationSettings()
     optimization: OptimizationSettings = OptimizationSettings()
     validation: ValidationSettings = ValidationSettings()
-    earth: EarthConstants = WGS84
     seed: int = 0
+    # Not a config key: every run uses the one Earth model.
+    earth: ClassVar[EarthConstants] = WGS84
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -138,8 +116,9 @@ def _coerce(value: Any, hint: Any, keypath: str) -> Any:
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{keypath}: expected a number, got {value!r}")
-        # json accepts NaN and Infinity, which no setting can take.
-        if not math.isfinite(value):
+        # json accepts NaN, Infinity and integers too large for a float,
+        # which no setting can take.
+        if not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{keypath}: expected a finite number, got {value!r}")
         return float(value)
     if hint is int:

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import sparechain
-from sparechain.cli import command_seed, main
+from sparechain.cli import build_parser, command_seed, main
 from sparechain.config import (
     ConfigError,
+    RunConfig,
     ValidationSettings,
     bundled_case_study_path,
     load_run_config,
@@ -86,14 +89,6 @@ def test_evaluate_bundled_default(tmp_path, capsys):
     assert "tessac" in out
 
 
-def test_evaluate_csv_stdout_matches_file(tmp_path, capsys):
-    assert main(["evaluate", "--format", "csv", "--out", str(tmp_path / "o")]) == 0
-    stdout_rows = list(csv.reader(capsys.readouterr().out.splitlines()))
-    with open(tmp_path / "o" / "evaluate.csv", newline="") as fh:
-        file_rows = list(csv.reader(fh))
-    assert stdout_rows == file_rows
-
-
 def test_evaluate_inplane_policy(tmp_path):
     assert main(["evaluate", "--inplane-only", "--out", str(tmp_path / "o")]) == 0
     (row,) = read_rows(tmp_path / "o" / "evaluate.csv")
@@ -152,7 +147,6 @@ def test_unknown_key_names_the_path(tmp_path, base_config, capsys):
         ("launch",),
         ("costs",),
         ("satellite",),
-        ("earth",),
         ("simulation",),
         ("optimization",),
         ("optimization", "bounds"),
@@ -181,14 +175,49 @@ def test_unknown_key_in_any_section_names_its_full_path(tmp_path, base_config, k
         ({"bogus": {}}, "bogus: unknown key"),
         ([], "top level of the config: expected an object"),
         ({"seed": -1}, "seed: must be nonnegative"),
+        # Every run uses WGS-84; the Earth constants are not a setting.
+        ({"earth": {"j2": 0.001}}, "earth: unknown key"),
     ],
-    ids=["unknown-section", "not-an-object", "negative-seed"],
+    ids=["unknown-section", "not-an-object", "negative-seed", "earth"],
 )
 def test_top_level_errors(tmp_path, data, message):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         load_run_config(path)
+
+
+def test_every_setting_is_listed_here():
+    # A new flag or config key must be added to these tables.
+    shared = ["-h", "--help", "--config", "--seed", "--jobs", "--out"]
+    own = {
+        "evaluate": ["--inplane-only"],
+        "simulate": ["--event-log"],
+        "validate": ["--n-cases", "--reps", "--horizon", "--warmup"],
+        "optimize": ["--inplane-only"],
+        "sensitivity": ["--rates"],
+        "fit-launch-data": ["--dates"],
+    }
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [s for action in sub._actions for s in action.option_strings]
+        for name, sub in commands.choices.items()
+    }
+    assert options == {name: shared + flags for name, flags in own.items()}
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "constellation",
+        "strategy",
+        "inplane_policy",
+        "launch",
+        "costs",
+        "satellite",
+        "simulation",
+        "optimization",
+        "validation",
+        "seed",
+    ]
+    assert [f.name for f in dataclasses.fields(ValidationSettings)] == ["space"]
 
 
 @pytest.mark.parametrize(
@@ -202,13 +231,11 @@ def test_top_level_errors(tmp_path, data, message):
             {"horizon_years": 2.0, "warmup_years": 2.0},
             "simulation.warmup_years",
         ),
-        (
-            "validate",
-            "validation",
-            {"horizon_years": 2.0, "warmup_years": 20.0},
-            "validation.warmup_years",
+        # The run size of a study is set by validate's flags only.
+        *(
+            ("validate", "validation", {key: value}, f"validation.{key}: unknown key")
+            for key, value in (("warmup_years", 20.0), ("n_cases", 0))
         ),
-        ("validate", "validation", {"n_cases": 0}, "validation.n_cases"),
         ("simulate", "simulation", {"replications": 0}, "simulation.replications"),
         ("simulate", "simulation", {"horizon_years": 0.0}, "simulation.horizon_years"),
         ("evaluate", "costs", {"p_sat_musd": math.nan}, "costs.p_sat_musd"),
@@ -308,9 +335,12 @@ def test_integer_trade_space_dimensions_are_fixed(tmp_path, base_config, n_plane
         _load_with(tmp_path, base_config, "validation", {"space": {"n_plane": n_plane}})
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "value", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400")]
+)
 def test_non_finite_numbers_are_rejected_at_load(tmp_path, base_config, value):
-    # json writes these as Infinity, -Infinity and NaN, and reads them back.
+    # json writes the first three as Infinity, -Infinity and NaN, and reads
+    # them back; the integer is too large for a float.
     with pytest.raises(ConfigError, match=r"simulation\.horizon_years: expected a finite"):
         _load_with(tmp_path, base_config, "simulation", {"horizon_years": value})
     with pytest.raises(ConfigError, match=r"costs\.p_sat_musd: expected a finite"):
@@ -319,9 +349,11 @@ def test_non_finite_numbers_are_rejected_at_load(tmp_path, base_config, value):
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 @pytest.mark.parametrize("field,flag", [("horizon_years", "--horizon"), ("warmup_years", "--warmup")])
-def test_non_finite_validate_flags_name_the_flag(field, flag, value):
-    with pytest.raises(ConfigError, match=f"^{flag}: "):
-        ValidationSettings().with_flags(**{field: (flag, value)})
+def test_non_finite_validate_flags_name_the_flag(tmp_path, capsys, field, flag, value):
+    assert main(["validate", flag, str(value), "--out", str(tmp_path / "o")]) == 1
+    message = capsys.readouterr().err.removeprefix("error: ")
+    assert re.match(f"^{flag}: ", message)
+    assert field not in message
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
