@@ -15,10 +15,9 @@ deterministic for a given config and seed: repeated runs produce byte
 identical files.
 
 Seed handling: one master seed (``--seed``, else the config's ``seed``)
-is decorrelated per command by spawning a child sequence with the
-command's fixed index (simulate 1, validate 2, optimize 3, sensitivity
-4). Stochastic commands then derive further streams per replication,
-case, restart, or sweep point from that child. ``evaluate`` and
+gives each stochastic command its own child seed, from which every
+replication, case, restart and sweep point derives its streams; the key
+layout is listed once, in the `simulator` docstring. ``evaluate`` and
 ``fit-launch-data`` are deterministic and ignore the seed.
 
 Exit status: 0 on success, 1 on configuration or input errors (among
@@ -34,8 +33,6 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .chain import STRATEGY_BOUNDS, PolicyMetrics, evaluate_inplane_only
 from .config import (
@@ -53,7 +50,7 @@ from .optimizer import (
     optimize_inplane_only,
     sensitivity_sweep,
 )
-from .simulator import Estimates, SimConfig, run_batch
+from .simulator import Estimates, SimConfig, child_seed, run_batch
 from .validation import OUTPUT_NAMES, fit_launch_gaps, read_launch_dates, run_validation
 
 _COMMAND_IDS = {"simulate": 1, "validate": 2, "optimize": 3, "sensitivity": 4}
@@ -61,8 +58,7 @@ _COMMAND_IDS = {"simulate": 1, "validate": 2, "optimize": 3, "sensitivity": 4}
 
 def command_seed(master: int, command: str) -> int:
     """Per-command child seed derived from the master seed."""
-    ss = np.random.SeedSequence(master, spawn_key=(_COMMAND_IDS[command],))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return child_seed(master, _COMMAND_IDS[command])
 
 
 def _fmt(value) -> str:

@@ -113,17 +113,19 @@ class RunConfig:
 
 
 def _coerce(value: Any, hint: Any, keypath: str) -> Any:
+    # json accepts NaN, Infinity and integers too large for a float,
+    # which no setting can take.
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{keypath}: expected a number, got {value!r}")
-        # json accepts NaN, Infinity and integers too large for a float,
-        # which no setting can take.
         if not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{keypath}: expected a finite number, got {value!r}")
         return float(value)
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{keypath}: expected an integer, got {value!r}")
+        if abs(value) > sys.float_info.max:
+            raise ConfigError(f"{keypath}: expected a finite integer, got {value!r}")
         return value
     # Bounds pairs arrive as two-element lists.
     if hint in (tuple[int, int], tuple[float, float]):

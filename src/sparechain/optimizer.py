@@ -8,11 +8,12 @@ and is solved exactly: per order quantity, the reorder point steps up to
 the first one that meets the fill-rate target. A sweep utility reruns
 both per failure rate to map the savings of the orbital echelon.
 
-Each restart has its own Philox stream. It first draws the initial
-population genome by genome, then per generation six arrays in this
-order: tournament contenders, crossover coins, gene-swap coins, mutation
-coins, replacement integer genes and altitude steps. Every array is drawn
-whole, used or not, so the draws never depend on fitness values.
+Each restart has its own random stream (keys in the `simulator`
+docstring). It first draws the initial population genome by genome, then
+per generation six arrays in this order: tournament contenders,
+crossover coins, gene-swap coins, mutation coins, replacement integer
+genes and altitude steps. Every array is drawn whole, used or not, so
+the draws never depend on fitness values.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .chain import (
 from .costs import CostBreakdown, CostParams, NegativeHoldingError, tessac, tessac_inplane_only
 from .inventory import SQPolicy, check_integer, least_reorder_point
 from .orbits import WGS84, EarthConstants
+from .simulator import child_seed, stream
 
 PENALTY_SCALE = 1e6
 ERROR_PENALTY = 1e9
@@ -170,7 +172,6 @@ class OptimizationResult:
     breakdown: CostBreakdown | None
     fill_rate_product: float | None
     trace: tuple[tuple[int, int, float, float], ...]  # restart, generation, best, mean
-    seed: int
 
 
 # Genomes are tuples of SpareStrategy's fields in field order, so
@@ -275,7 +276,7 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
     """Genetic search over the full strategy space.
 
     Runs the configured number of independent restarts (restart r draws
-    its stream from SeedSequence(seed, spawn_key=(r,))) and returns the
+    from ``simulator.stream(seed, r)``) and returns the
     best feasible candidate found, with exact ties broken toward the
     lexicographically smallest variable vector. Selection ranks genomes by
     penalized fitness, so an infeasible genome may rank first; the winner
@@ -311,7 +312,7 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
     trace: list[tuple[int, int, float, float]] = []
 
     for restart in range(ga.restarts):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(restart,))))
+        rng = stream(seed, restart)
         population = [_random_genome(rng, bounds) for _ in range(ga.population)]
 
         for generation in range(ga.generations):
@@ -335,12 +336,10 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
             population = elites + _breed(population, order, rng, bounds)
 
     if best is None:
-        return OptimizationResult(False, None, None, None, None, tuple(trace), seed)
+        return OptimizationResult(False, None, None, None, None, tuple(trace))
     winner = SpareStrategy(*best[1])
     fit = fitness(winner, prob, memo)
-    return OptimizationResult(
-        True, winner, fit.tessac, fit.cost, fit.fill_rate_product, tuple(trace), seed
-    )
+    return OptimizationResult(True, winner, fit.tessac, fit.cost, fit.fill_rate_product, tuple(trace))
 
 
 @dataclass(frozen=True)
@@ -397,9 +396,8 @@ def sensitivity_sweep(
 ) -> list[SweepPoint]:
     """Optimize both strategies across failure rates and report the savings.
 
-    Rate index i derives its search seed from SeedSequence(seed,
-    spawn_key=(i,)). A failure at one rate is recorded in that point and
-    the sweep continues.
+    Rate index i searches with seed ``simulator.child_seed(seed, i)``. A
+    failure at one rate is recorded in that point and the sweep continues.
 
     Raises:
         ValueError: Before any search, if no candidate in the box can be
@@ -408,11 +406,10 @@ def sensitivity_sweep(
     _search_memo(prob)
     points: list[SweepPoint] = []
     for i, rate in enumerate(failure_rates):
-        sub_seed = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1, np.uint64)[0])
         cfg = dataclasses.replace(prob.constellation, lambda_sat_per_year=rate)
         sub_prob = dataclasses.replace(prob, constellation=cfg)
         try:
-            multi = optimize(sub_prob, sub_seed)
+            multi = optimize(sub_prob, child_seed(seed, i))
             if not multi.feasible:
                 raise ValueError("no feasible strategy at this rate")
             base = optimize_inplane_only(sub_prob)

@@ -7,19 +7,26 @@ location; transfers depart from the parking orbit that reaches nodal
 alignment soonest among those with stock, and ground resupply arrives
 after a fixed processing time plus an exponential launch-window wait.
 
-Randomness comes from counter-based Philox generators. Replication i of
-a batch takes its seed from SeedSequence(master_seed, spawn_key=(i,))
-(``replication_seed``), so batches are reproducible across platforms.
-``SeedSequence(seed).spawn(2)`` splits that seed into two independent
+Randomness comes from counter-based generators, so runs are reproducible
+across platforms. ``child_seed(seed, *key)`` and ``stream(seed, *key)``
+are the one rule that derives every seed and stream in the package from
+a parent seed and a spawn key. From the master seed ``m``, command ``c``
+(simulate 1, validate 2, optimize 3, sensitivity 4) runs with
+``s = child_seed(m, c)``. Then replication ``i`` has seed
+``child_seed(s, i)``, the validation sampler draws from ``stream(s)``,
+validation case ``i`` simulates with ``child_seed(s, 1, i)``, GA restart
+``r`` draws from ``stream(s, r)`` and sweep rate ``i`` searches with
+``child_seed(s, i)``. A replication with seed ``r`` draws from two
 streams, one per purpose:
 
-* failures: blocks of _FAILURE_BLOCK exponential interarrival gaps of the
-  merged failure process, each followed by as many failed-plane indices,
-  drawn until the running time passes the horizon. The failures of a
-  replication therefore depend only on its seed, the failure rate and
-  the plane count, not on the strategy or the launch law.
-* launch waits: one exponential launch-window wait per ground order, in
-  the order the orders are placed.
+* failures, ``stream(r, 0)``: blocks of _FAILURE_BLOCK exponential
+  interarrival gaps of the merged failure process, each followed by as
+  many failed-plane indices, drawn until the running time passes the
+  horizon. The failures of a replication therefore depend only on its
+  seed, the failure rate and the plane count, not on the strategy or
+  the launch law.
+* launch waits, ``stream(r, 1)``: one exponential launch-window wait per
+  ground order, in the order the orders are placed.
 
 The event loop takes the failures as a sorted list and keeps only plane
 and parking arrivals on its heap. A failure at exactly the same time as
@@ -221,18 +228,26 @@ def _draw_failures(
     return times, planes
 
 
+def child_seed(seed: int, *key: int) -> int:
+    """The first 64-bit word of ``SeedSequence(seed, spawn_key=key)``."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
+
+
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """A Philox generator on ``SeedSequence(seed, spawn_key=key)``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 def run_replication(sc: SimConfig, seed: int) -> ReplicationResult:
     """Run one replication: failures and launch waits from two child streams."""
-    failure_ss, launch_ss = np.random.SeedSequence(seed).spawn(2)
     cfg = sc.constellation
     times, planes = _draw_failures(
-        np.random.Generator(np.random.Philox(failure_ss)),
+        stream(seed, 0),
         plane_demand_rate(cfg) * cfg.n_plane,
         cfg.n_plane,
         sc.horizon_years * DAYS_PER_YEAR,
     )
-    launch_rng = np.random.Generator(np.random.Philox(launch_ss))
-    return _run_with_rng(sc, times, planes, launch_rng)
+    return _run_with_rng(sc, times, planes, stream(seed, 1))
 
 
 def _run_with_rng(
@@ -481,12 +496,6 @@ def _run_with_rng(
     )
 
 
-def replication_seed(master_seed: int, index: int) -> int:
-    """Derive the integer seed of replication ``index`` from the master seed."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def run_batch(sc: SimConfig, jobs: int | None = None) -> SimulationResult:
     """Run all replications and aggregate the means and standard errors of `Estimates`.
 
@@ -495,7 +504,7 @@ def run_batch(sc: SimConfig, jobs: int | None = None) -> SimulationResult:
     ``jobs`` is not read; it stays because the benchmark (``bench/``)
     still passes it.
     """
-    reps = [run_replication(sc, replication_seed(sc.seed, i)) for i in range(sc.replications)]
+    reps = [run_replication(sc, child_seed(sc.seed, i)) for i in range(sc.replications)]
     n = len(reps)
     mean, se = [], []
     for name in Estimates._fields:

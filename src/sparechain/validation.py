@@ -17,8 +17,6 @@ from datetime import date, datetime
 from pathlib import Path
 from typing import Callable, Sequence, get_type_hints
 
-import numpy as np
-
 from .chain import (
     ConstellationConfig,
     LaunchParams,
@@ -32,7 +30,7 @@ from .costs import CostParams, evaluate_design
 from .inventory import check_integer, least_reorder_point
 from .optimizer import VariableBounds
 from .orbits import WGS84, EarthConstants
-from .simulator import Estimates, SimConfig, SimulationResult, run_batch
+from .simulator import Estimates, SimConfig, SimulationResult, child_seed, run_batch, stream
 
 # The fill-rate requirement both echelons are sized against.
 RHO_REQUIREMENT = 0.95
@@ -95,7 +93,7 @@ def lhs_sample(space: TradeSpace, n: int, seed: int) -> list[dict[str, float | i
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = stream(seed)
     hints = get_type_hints(TradeSpace)
     cases: list[dict[str, float | int]] = [dict() for _ in range(n)]
     for f in dataclasses.fields(space):
@@ -202,11 +200,6 @@ class ErrorReport:
     infeasible_count: int
 
 
-def _case_seed(master_seed: int, index: int) -> int:
-    ss = np.random.SeedSequence(master_seed, spawn_key=(1, index))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def run_validation(
     space: TradeSpace,
     n_cases: int,
@@ -235,8 +228,8 @@ def run_validation(
         replications: Simulation replications per case.
         horizon_years: Simulated horizon per replication.
         warmup_years: Discarded start-up span per replication.
-        seed: Master seed; the sampler uses it directly and case i
-            simulates with a seed derived via spawn key (1, i).
+        seed: Master seed of the sampler and of each case's simulation
+            (keys in the `simulator` docstring).
         simulate_fn: Replacement for the simulation step (testing hook);
             must accept a SimConfig and return a result whose ``mean`` is an `Estimates`.
 
@@ -254,7 +247,7 @@ def run_validation(
         warmup_years=warmup_years,
     )
     outcomes = [
-        _run_case(i, params, _case_seed(seed, i), simulate, study)
+        _run_case(i, params, child_seed(seed, 1, i), simulate, study)
         for i, params in enumerate(lhs_sample(space, n_cases, seed))
     ]
     feasible = [o for o in outcomes if o.feasible]

@@ -13,6 +13,7 @@ need.
 """
 
 import heapq
+import itertools
 import math
 from collections import deque
 
@@ -66,6 +67,18 @@ def supply_probabilities_raw(p_av: float, n_parking: int) -> list[float]:
             )
         probs.append(total)
     return probs
+
+
+def enumerated_rank_probabilities(p_av: float, n_parking: int) -> list[float]:
+    """`supply_probabilities_raw` by brute force over all 2^n availability patterns."""
+    raw = [0.0] * n_parking
+    for pattern in itertools.product((True, False), repeat=n_parking):
+        weight = math.prod(p_av if available else 1.0 - p_av for available in pattern)
+        for rank, available in enumerate(pattern):
+            if available:
+                raw[rank] += weight
+                break
+    return raw
 
 
 def expected_shortage_series(s: int, mean_demand: float) -> float:

@@ -5,7 +5,6 @@ Each test prints one PASS/FAIL scorecard line with the measured numbers
 seeds; the asserted bands are the documented release targets.
 """
 
-import itertools
 import math
 import statistics
 import time
@@ -16,28 +15,28 @@ import pytest
 from scipy import stats
 
 from sparechain.chain import (
-    ConstellationConfig,
-    LaunchParams,
-    SatelliteParams,
-    SpareStrategy,
     evaluate_strategy,
     leadtime_expected_shortage,
     plane_leadtime,
     supply_probabilities,
 )
 from sparechain.config import bundled_launch_dates_path
-from sparechain.costs import CostParams
 from sparechain.inventory import expected_shortage
 from sparechain.optimizer import (
     GAParams,
-    OptimizationProblem,
     optimize,
     optimize_inplane_only,
     sensitivity_sweep,
 )
 from sparechain.orbits import WGS84, CircularOrbit, hohmann_transfer
 
-from oracles import expected_shortage_mixture, poisson_shortage, supply_probabilities_raw
+from case import CFG, COSTS, LAUNCH, PROBLEM, SAT, STRATEGY
+from oracles import (
+    enumerated_rank_probabilities,
+    expected_shortage_mixture,
+    poisson_shortage,
+    supply_probabilities_raw,
+)
 from sparechain.simulator import SimConfig, run_batch
 from sparechain.validation import (
     TradeSpace,
@@ -46,21 +45,6 @@ from sparechain.validation import (
     run_validation,
 )
 
-COSTS = CostParams(
-    p_sat_musd=0.5,
-    p_holding_musd_per_sat_year=0.5,
-    p_launch_full_musd=47.6,
-    p_launch_unit_musd=10.0,
-    eps_maneuvering_musd_per_kg=0.001,
-)
-SAT = SatelliteParams(m_dry_kg=150.0, v_exhaust_km_s=2.16)
-CASE_CFG = ConstellationConfig(
-    h_plane_km=1200.0, inclination_deg=50.0, n_plane=40, n_sats=40, lambda_sat_per_year=0.05
-)
-CASE_LAUNCH = LaunchParams(mu_launch_days=66.7, pt_launch_days=90.0, cap_launch=34)
-CASE_PROBLEM = OptimizationProblem(
-    constellation=CASE_CFG, launch=CASE_LAUNCH, costs=COSTS, satellite=SAT
-)
 
 TARGET_TESSAC_MULTI = 319.1
 TARGET_TESSAC_INPLANE = 503.2
@@ -75,7 +59,7 @@ def _report(capsys, criterion: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def ga_outcome():
     start = time.perf_counter()
-    result = optimize(CASE_PROBLEM, seed=1)
+    result = optimize(PROBLEM, seed=1)
     return result, time.perf_counter() - start
 
 
@@ -86,12 +70,12 @@ def test_criterion_1_optimized_case_study(ga_outcome, capsys):
     deviation = abs(cost - TARGET_TESSAC_MULTI) / TARGET_TESSAC_MULTI
 
     strategy = result.best_strategy
-    metrics = evaluate_strategy(CASE_CFG, strategy, CASE_LAUNCH)  # independent re-check
-    product = metrics.rho_plane**CASE_CFG.n_plane * metrics.rho_parking**strategy.n_parking
+    metrics = evaluate_strategy(CFG, strategy, LAUNCH)  # independent re-check
+    product = metrics.rho_plane**CFG.n_plane * metrics.rho_parking**strategy.n_parking
 
     ok = (
         deviation <= 0.10
-        and strategy.q_parking <= CASE_LAUNCH.cap_launch
+        and strategy.q_parking <= LAUNCH.cap_launch
         and product >= 0.95
         and elapsed <= 15 * 60
     )
@@ -100,17 +84,17 @@ def test_criterion_1_optimized_case_study(ga_outcome, capsys):
         1,
         ok,
         f"tessac {cost:.4f} MUSD/yr ({deviation * 100:+.2f}% of {TARGET_TESSAC_MULTI}), "
-        f"q_parking {strategy.q_parking} <= {CASE_LAUNCH.cap_launch}, "
+        f"q_parking {strategy.q_parking} <= {LAUNCH.cap_launch}, "
         f"fill-rate product {product:.6f} >= 0.95, {elapsed:.1f}s",
     )
     assert deviation <= 0.10
-    assert strategy.q_parking <= CASE_LAUNCH.cap_launch
+    assert strategy.q_parking <= LAUNCH.cap_launch
     assert product >= 0.95
     assert elapsed <= 15 * 60
 
 
 def test_criterion_2_single_echelon_baseline_and_savings(ga_outcome, capsys):
-    baseline = optimize_inplane_only(CASE_PROBLEM)
+    baseline = optimize_inplane_only(PROBLEM)
     deviation = abs(baseline.best_cost - TARGET_TESSAC_INPLANE) / TARGET_TESSAC_INPLANE
 
     multi, _ = ga_outcome
@@ -183,7 +167,7 @@ def test_criterion_3_model_accuracy_study(capsys):
 
 def test_criterion_4_savings_across_failure_rates(capsys):
     rates = [0.001, 0.005, 0.01, 0.05, 0.1]
-    points = sensitivity_sweep(CASE_PROBLEM, rates, seed=0)
+    points = sensitivity_sweep(PROBLEM, rates, seed=0)
     assert all(p.error is None for p in points)
     savings = [p.savings_pct for p in points]
     peak_idx = max(range(len(rates)), key=lambda i: savings[i])
@@ -206,18 +190,6 @@ def test_criterion_4_savings_across_failure_rates(capsys):
     assert 35.0 <= savings[peak_idx] <= 50.0
 
 
-def _enumerated_rank_probabilities(p: float, n: int) -> list[float]:
-    # brute force over all 2^n availability patterns
-    raw = [0.0] * n
-    for pattern in itertools.product((True, False), repeat=n):
-        weight = math.prod(p if a else 1.0 - p for a in pattern)
-        for rank, available in enumerate(pattern):
-            if available:
-                raw[rank] += weight
-                break
-    return raw
-
-
 def test_criterion_5_model_identity_oracles(capsys):
     start = time.perf_counter()
 
@@ -238,7 +210,7 @@ def test_criterion_5_model_identity_oracles(capsys):
     worst_mass = 0.0
     for n in (1, 2, 3, 5, 8, 10):
         for p in (0.05, 0.37, 0.5, 0.9951431731426084, 1.0):
-            enumerated = _enumerated_rank_probabilities(p, n)
+            enumerated = enumerated_rank_probabilities(p, n)
             total = math.fsum(enumerated)
             got = supply_probabilities(p, n)
             worst_rank = max(
@@ -253,29 +225,26 @@ def test_criterion_5_model_identity_oracles(capsys):
     # closed-form lead-time shortages vs 1e6-sample Monte Carlo
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(20260815)))
     n_mc = 1_000_000
-    strategy = SpareStrategy(
-        n_parking=3, h_parking_km=792.3, q_plane=4, s_plane=3, k_q_parking=8, k_s_parking=8
-    )
-    metrics = evaluate_strategy(CASE_CFG, strategy, CASE_LAUNCH)
-    weights, segments = plane_leadtime(strategy, CASE_CFG, metrics.p_av)
+    metrics = evaluate_strategy(CFG, STRATEGY, LAUNCH)
+    weights, segments = plane_leadtime(STRATEGY, CFG, metrics.p_av)
     seg = np.asarray(segments)
     choice = rng.choice(len(weights), size=n_mc, p=np.asarray(weights))
     taus = rng.uniform(seg[choice, 0], seg[choice, 1])
     lam_plane = metrics.lambda_plane_per_day
-    mc_plane = float(np.mean(poisson_shortage(strategy.s_plane, lam_plane * taus)))
+    mc_plane = float(np.mean(poisson_shortage(STRATEGY.s_plane, lam_plane * taus)))
     exact_plane = expected_shortage_mixture(
-        strategy.s_plane, weights, [(lam_plane * lo, lam_plane * hi) for lo, hi in segments]
+        STRATEGY.s_plane, weights, [(lam_plane * lo, lam_plane * hi) for lo, hi in segments]
     )
-    taus = CASE_LAUNCH.pt_launch_days + rng.exponential(CASE_LAUNCH.mu_launch_days, size=n_mc)
+    taus = LAUNCH.pt_launch_days + rng.exponential(LAUNCH.mu_launch_days, size=n_mc)
     mc_park = float(
         np.mean(
             poisson_shortage(
-                strategy.k_s_parking, metrics.lambda_parking_batches_per_day * taus
+                STRATEGY.k_s_parking, metrics.lambda_parking_batches_per_day * taus
             )
         )
     )
     exact_park = leadtime_expected_shortage(
-        strategy.k_s_parking, metrics.lambda_parking_batches_per_day, CASE_LAUNCH
+        STRATEGY.k_s_parking, metrics.lambda_parking_batches_per_day, LAUNCH
     )
     mc_plane_err = abs(exact_plane - mc_plane) / mc_plane
     mc_park_err = abs(exact_park - mc_park) / mc_park
@@ -303,13 +272,10 @@ def test_criterion_5_model_identity_oracles(capsys):
 
 
 def test_criterion_6_conservation_and_worker_invariance(capsys):
-    strategy = SpareStrategy(
-        n_parking=3, h_parking_km=792.3, q_plane=4, s_plane=3, k_q_parking=8, k_s_parking=8
-    )
     sc = SimConfig(
-        constellation=CASE_CFG,
-        strategy=strategy,
-        launch=CASE_LAUNCH,
+        constellation=CFG,
+        strategy=STRATEGY,
+        launch=LAUNCH,
         costs=COSTS,
         satellite=SAT,
         horizon_years=15.0,
@@ -323,7 +289,7 @@ def test_criterion_6_conservation_and_worker_invariance(capsys):
 
     conserved = True
     for rep in serial.per_replication:
-        launched = strategy.q_parking * rep.ground_orders
+        launched = STRATEGY.q_parking * rep.ground_orders
         if rep.final_on_hand + rep.final_in_transit + rep.served != rep.initial_on_hand + launched:
             conserved = False
         if rep.served + rep.backorders_end != rep.failures:

@@ -12,7 +12,6 @@ from sparechain.chain import (
     STRATEGY_BOUNDS,
     ConstellationConfig,
     LaunchParams,
-    SatelliteParams,
     SpareStrategy,
     StageMemo,
     UndefinedAvailabilityError,
@@ -33,21 +32,15 @@ from sparechain.inventory import SQPolicy, expected_shortage
 from sparechain.optimizer import VariableBounds
 from sparechain.orbits import WGS84, CircularOrbit, raan_drift_rate, transfer_time
 
+from case import CFG, LAUNCH, SAT, STRATEGY
 from oracles import (
+    enumerated_rank_probabilities,
     expected_shortage_mixture,
     poisson_shortage,
     segment_shortages,
     supply_probabilities_raw,
 )
 
-CFG = ConstellationConfig(
-    h_plane_km=1200.0, inclination_deg=50.0, n_plane=40, n_sats=40, lambda_sat_per_year=0.05
-)
-STRATEGY = SpareStrategy(
-    n_parking=3, h_parking_km=792.3, q_plane=4, s_plane=3, k_q_parking=8, k_s_parking=8
-)
-LAUNCH = LaunchParams(mu_launch_days=66.7, pt_launch_days=90.0, cap_launch=34)
-SAT = SatelliteParams(m_dry_kg=150.0, v_exhaust_km_s=2.16)
 
 # References from an independent pipeline: adaptive quadrature
 # (scipy.integrate.quad, epsabs default, 60 mean lifetimes) against the
@@ -179,9 +172,7 @@ def test_inplane_rejects_oversized_batch():
 
 
 def test_zero_failure_rate_is_perfect_service():
-    quiet = ConstellationConfig(
-        h_plane_km=1200.0, inclination_deg=50.0, n_plane=40, n_sats=40, lambda_sat_per_year=0.0
-    )
+    quiet = dataclasses.replace(CFG, lambda_sat_per_year=0.0)
     metrics = evaluate_strategy(quiet, STRATEGY, LAUNCH)
     assert metrics.rho_plane == 1.0
     assert metrics.rho_parking == 1.0
@@ -291,25 +282,11 @@ def test_parking_availability_bounds():
         parking_availability(8.4, 8)
 
 
-def _enumerated_rank_probabilities(p: float, n: int) -> list[float]:
-    # brute force over all 2^n availability patterns
-    probs = [0.0] * n
-    for pattern in itertools.product((False, True), repeat=n):
-        weight = 1.0
-        for available in pattern:
-            weight *= p if available else (1.0 - p)
-        for rank, available in enumerate(pattern):
-            if available:
-                probs[rank] += weight
-                break
-    return probs
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])
 @pytest.mark.parametrize("p", [0.05, 0.37, 0.5, 0.9951431731426084, 1.0])
 def test_supply_probabilities_against_enumeration(n, p):
     raw = supply_probabilities_raw(p, n)
-    brute = _enumerated_rank_probabilities(p, n)
+    brute = enumerated_rank_probabilities(p, n)
     for a, b in zip(raw, brute):
         assert a == pytest.approx(b, abs=1e-13)
     # total raw mass is exactly the chance anyone is available

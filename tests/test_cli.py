@@ -21,7 +21,7 @@ from sparechain.config import (
     bundled_case_study_path,
     load_run_config,
 )
-from sparechain.simulator import SimConfig, run_batch
+from sparechain.simulator import SimConfig, child_seed, run_batch
 from sparechain.validation import OUTPUT_NAMES, lhs_sample
 
 
@@ -345,6 +345,39 @@ def test_non_finite_numbers_are_rejected_at_load(tmp_path, base_config, value):
         _load_with(tmp_path, base_config, "simulation", {"horizon_years": value})
     with pytest.raises(ConfigError, match=r"costs\.p_sat_musd: expected a finite"):
         _load_with(tmp_path, base_config, "costs", {"p_sat_musd": value})
+
+
+@pytest.mark.parametrize(
+    "section,key,flags",
+    [
+        ("strategy", "s_plane", []),
+        ("strategy", "k_s_parking", []),
+        ("constellation", "n_plane", []),
+        ("inplane_policy", "reorder_point_s", ["--inplane-only"]),
+    ],
+)
+def test_huge_integers_fail_with_their_key_path(tmp_path, capsys, base_config, section, key, flags):
+    # An integer too large for a float would overflow in the model.
+    cfg = json.loads(json.dumps(base_config))
+    cfg[section][key] = 10**400
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["evaluate", *flags, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section}.{key}: expected a finite integer")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "values,path",
+    [
+        ({"ga": {"population": 10**400}}, "optimization.ga.population"),
+        ({"bounds": {"s_plane": [1, 10**400]}}, "optimization.bounds.s_plane[1]"),
+    ],
+)
+def test_huge_search_settings_are_rejected_at_load(tmp_path, base_config, values, path):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected a finite integer"):
+        _load_with(tmp_path, base_config, "optimization", values)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -766,6 +799,6 @@ def test_fit_launch_data_rejects_a_bad_first_date(tmp_path, capsys):
 
 def test_command_seeds_are_decorrelated():
     seeds = {cmd: command_seed(0, cmd) for cmd in ("simulate", "validate", "optimize", "sensitivity")}
+    assert list(seeds.values()) == [child_seed(0, key) for key in (1, 2, 3, 4)]
     assert len(set(seeds.values())) == 4
-    assert command_seed(0, "simulate") == seeds["simulate"]
     assert command_seed(1, "simulate") != seeds["simulate"]

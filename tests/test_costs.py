@@ -7,9 +7,6 @@ import pytest
 from sparechain import simulator
 from sparechain.chain import (
     DAYS_PER_YEAR,
-    ConstellationConfig,
-    LaunchParams,
-    SatelliteParams,
     SpareStrategy,
     StageMemo,
     evaluate_inplane_only,
@@ -27,21 +24,8 @@ from sparechain.costs import (
 from sparechain.inventory import SQPolicy
 from sparechain.orbits import WGS84, CircularOrbit, hohmann_transfer
 
-CFG = ConstellationConfig(
-    h_plane_km=1200.0, inclination_deg=50.0, n_plane=40, n_sats=40, lambda_sat_per_year=0.05
-)
-STRATEGY = SpareStrategy(
-    n_parking=3, h_parking_km=792.3, q_plane=4, s_plane=3, k_q_parking=8, k_s_parking=8
-)
-LAUNCH = LaunchParams(mu_launch_days=66.7, pt_launch_days=90.0, cap_launch=34)
-COSTS = CostParams(
-    p_sat_musd=0.5,
-    p_holding_musd_per_sat_year=0.5,
-    p_launch_full_musd=47.6,
-    p_launch_unit_musd=10.0,
-    eps_maneuvering_musd_per_kg=0.001,
-)
-SAT = SatelliteParams(m_dry_kg=150.0, v_exhaust_km_s=2.16)
+from case import CFG, COSTS, LAUNCH, SAT, STRATEGY
+
 
 # Independent-pipeline references for the two reference strategies.
 REF_MULTI = {
@@ -128,9 +112,7 @@ def test_oversized_parking_batch_is_priced_not_rejected():
 
 
 def test_zero_failures_cost_is_holding_only():
-    quiet = ConstellationConfig(
-        h_plane_km=1200.0, inclination_deg=50.0, n_plane=40, n_sats=40, lambda_sat_per_year=0.0
-    )
+    quiet = dataclasses.replace(CFG, lambda_sat_per_year=0.0)
     metrics = evaluate_strategy(quiet, STRATEGY, LAUNCH)
     breakdown = tessac(quiet, STRATEGY, metrics, _transfer(), COSTS, LAUNCH)
     assert breakdown.manufacturing == 0.0
@@ -270,7 +252,7 @@ def test_simulated_tessac_is_annual_cost_of_the_window_flows(monkeypatch):
         horizon_years=6.0,
         warmup_years=1.0,
     )
-    rep = simulator.run_replication(sc, simulator.replication_seed(3, 0))
+    rep = simulator.run_replication(sc, simulator.child_seed(3, 0))
     (args,) = calls
     cp, replacements, held, launches, batch, transferred, fuel_kg = args
     assert rep.tessac == annual_cost(*args).tessac

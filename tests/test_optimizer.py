@@ -11,14 +11,12 @@ from sparechain.chain import (
     STRATEGY_BOUNDS,
     ConstellationConfig,
     LaunchParams,
-    SatelliteParams,
     SpareStrategy,
     StageMemo,
     evaluate_inplane_only,
 )
 from sparechain.cli import command_seed
-from sparechain.config import bundled_case_study_path, load_run_config
-from sparechain.costs import CostParams, tessac_inplane_only
+from sparechain.costs import tessac_inplane_only
 from sparechain.inventory import SQPolicy
 from sparechain.optimizer import (
     ELITISM,
@@ -26,7 +24,6 @@ from sparechain.optimizer import (
     PENALTY_SCALE,
     FitnessResult,
     GAParams,
-    OptimizationProblem,
     VariableBounds,
     fitness,
     optimize,
@@ -34,26 +31,9 @@ from sparechain.optimizer import (
     sensitivity_sweep,
 )
 
+from case import CFG, COSTS, LAUNCH, PROBLEM, STRATEGY
 from oracles import breed_reference
 
-COSTS = CostParams(
-    p_sat_musd=0.5,
-    p_holding_musd_per_sat_year=0.5,
-    p_launch_full_musd=47.6,
-    p_launch_unit_musd=10.0,
-    eps_maneuvering_musd_per_kg=0.001,
-)
-SAT = SatelliteParams(m_dry_kg=150.0, v_exhaust_km_s=2.16)
-CASE_CFG = ConstellationConfig(
-    h_plane_km=1200.0, inclination_deg=50.0, n_plane=40, n_sats=40, lambda_sat_per_year=0.05
-)
-CASE_LAUNCH = LaunchParams(mu_launch_days=66.7, pt_launch_days=90.0, cap_launch=34)
-CASE_PROBLEM = OptimizationProblem(
-    constellation=CASE_CFG, launch=CASE_LAUNCH, costs=COSTS, satellite=SAT
-)
-CASE_STRATEGY = SpareStrategy(
-    n_parking=3, h_parking_km=792.3, q_plane=4, s_plane=3, k_q_parking=8, k_s_parking=8
-)
 CASE_TESSAC = 319.1326941382908
 # The default search box, (lo, hi) per strategy field in field order.
 SEARCH_BOX = vars(VariableBounds())
@@ -99,11 +79,11 @@ def test_ga_counts_must_be_integers(name):
 
 def test_problem_rejects_bad_target():
     with pytest.raises(ValueError):
-        dataclasses.replace(CASE_PROBLEM, rho_target=1.0)
+        dataclasses.replace(PROBLEM, rho_target=1.0)
 
 
 def test_fitness_feasible_candidate():
-    f = fitness(CASE_STRATEGY, CASE_PROBLEM)
+    f = fitness(STRATEGY, PROBLEM)
     assert f.feasible
     assert f.capacity_violation == 0.0
     assert f.fillrate_violation == 0.0
@@ -115,8 +95,8 @@ def test_fitness_feasible_candidate():
 
 def test_fitness_capacity_penalty():
     # k_q = 10 pushes the batch to 40 satellites against a cap of 34
-    over = dataclasses.replace(CASE_STRATEGY, k_q_parking=10)
-    f = fitness(over, CASE_PROBLEM)
+    over = dataclasses.replace(STRATEGY, k_q_parking=10)
+    f = fitness(over, PROBLEM)
     assert not f.feasible
     assert f.capacity_violation == pytest.approx((40 - 34) / 34, rel=1e-15)
     assert f.fillrate_violation == 0.0
@@ -124,8 +104,8 @@ def test_fitness_capacity_penalty():
 
 
 def test_fitness_fillrate_penalty():
-    weak = dataclasses.replace(CASE_STRATEGY, s_plane=1)
-    f = fitness(weak, CASE_PROBLEM)
+    weak = dataclasses.replace(STRATEGY, s_plane=1)
+    f = fitness(weak, PROBLEM)
     assert not f.feasible
     assert f.capacity_violation == 0.0
     assert f.fill_rate_product == pytest.approx(0.3322918138006399, rel=1e-9)
@@ -138,8 +118,8 @@ def test_fitness_unevaluable_candidate_gets_flat_penalty():
     low_cfg = ConstellationConfig(
         h_plane_km=900.0, inclination_deg=50.0, n_plane=40, n_sats=40, lambda_sat_per_year=0.05
     )
-    prob = dataclasses.replace(CASE_PROBLEM, constellation=low_cfg)
-    f = fitness(dataclasses.replace(CASE_STRATEGY, h_parking_km=1000.0), prob)
+    prob = dataclasses.replace(PROBLEM, constellation=low_cfg)
+    f = fitness(dataclasses.replace(STRATEGY, h_parking_km=1000.0), prob)
     assert not f.feasible
     assert f.tessac is None
     assert f.penalized == ERROR_PENALTY
@@ -162,12 +142,12 @@ def test_ga_matches_exhaustive_optimum_on_restricted_box():
     for n, q, s, kq, ks in itertools.product(
         range(2, 4), range(3, 6), range(2, 4), range(6, 9), range(4, 9)
     ):
-        f = fitness(SpareStrategy(n, 792.3, q, s, kq, ks), CASE_PROBLEM)
+        f = fitness(SpareStrategy(n, 792.3, q, s, kq, ks), PROBLEM)
         if f.feasible and (best is None or f.tessac < best):
             best = f.tessac
     assert best is not None
     prob = dataclasses.replace(
-        CASE_PROBLEM, bounds=BOX, ga=GAParams(population=40, generations=60, restarts=3)
+        PROBLEM, bounds=BOX, ga=GAParams(population=40, generations=60, restarts=3)
     )
     result = optimize(prob, seed=0)
     assert result.feasible
@@ -177,7 +157,7 @@ def test_ga_matches_exhaustive_optimum_on_restricted_box():
 
 def test_optimize_is_deterministic_per_seed():
     prob = dataclasses.replace(
-        CASE_PROBLEM, bounds=BOX, ga=GAParams(population=12, generations=8, restarts=2)
+        PROBLEM, bounds=BOX, ga=GAParams(population=12, generations=8, restarts=2)
     )
     a = optimize(prob, seed=7)
     b = optimize(prob, seed=7)
@@ -190,7 +170,7 @@ def test_optimize_is_deterministic_per_seed():
 def test_ga_result_matches_a_fresh_fitness_call():
     # The search keeps only each genome's penalized fitness; the reported
     # cost, breakdown and fill rate come from the winner alone.
-    prob = dataclasses.replace(CASE_PROBLEM, ga=GAParams(population=20, generations=15, restarts=2))
+    prob = dataclasses.replace(PROBLEM, ga=GAParams(population=20, generations=15, restarts=2))
     result = optimize(prob, seed=5)
     assert result.feasible
     fresh = fitness(result.best_strategy, prob)
@@ -208,9 +188,9 @@ def test_memoized_fitness_matches_memo_free_fitness():
     # included.
     rng = np.random.default_rng(20261019)
     problems = (
-        CASE_PROBLEM,
+        PROBLEM,
         dataclasses.replace(
-            CASE_PROBLEM, constellation=dataclasses.replace(CASE_CFG, lambda_sat_per_year=0.0)
+            PROBLEM, constellation=dataclasses.replace(CFG, lambda_sat_per_year=0.0)
         ),
     )
     memos = [StageMemo(p.constellation, p.launch, p.consts, p.satellite) for p in problems]
@@ -261,7 +241,7 @@ def test_searches_share_no_work(monkeypatch):
             for name, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, name, count)
-    prob = dataclasses.replace(CASE_PROBLEM, ga=GAParams(population=20, generations=15, restarts=2))
+    prob = dataclasses.replace(PROBLEM, ga=GAParams(population=20, generations=15, restarts=2))
     counts, results = [], []
     for _ in range(2):
         calls.clear()
@@ -284,18 +264,7 @@ def test_ga_trajectory_is_pinned_on_bundled_case_study(monkeypatch):
         return real_fitness(*args)
 
     monkeypatch.setattr(optimizer, "fitness", counted_fitness)
-    rc = load_run_config(bundled_case_study_path())
-    prob = OptimizationProblem(
-        constellation=rc.constellation,
-        launch=rc.launch,
-        costs=rc.costs,
-        satellite=rc.satellite,
-        rho_target=rc.optimization.rho_target,
-        bounds=rc.optimization.bounds,
-        ga=rc.optimization.ga,
-        consts=rc.earth,
-    )
-    result = optimize(prob, command_seed(0, "optimize"))
+    result = optimize(PROBLEM, command_seed(0, "optimize"))
     assert result.feasible
     assert dataclasses.astuple(result.best_strategy) == (3, 745.0040573408563, 4, 3, 8, 7)
     assert result.best_cost == pytest.approx(314.26466802965, rel=1e-9)
@@ -352,18 +321,7 @@ def test_bundled_search_computes_each_parking_key_once(monkeypatch):
             raise
 
     monkeypatch.setattr(chain, "parking_stage", counted_stage)
-    rc = load_run_config(bundled_case_study_path())
-    prob = OptimizationProblem(
-        constellation=rc.constellation,
-        launch=rc.launch,
-        costs=rc.costs,
-        satellite=rc.satellite,
-        rho_target=rc.optimization.rho_target,
-        bounds=rc.optimization.bounds,
-        ga=rc.optimization.ga,
-        consts=rc.earth,
-    )
-    optimize(prob, command_seed(0, "optimize"))
+    optimize(PROBLEM, command_seed(0, "optimize"))
     assert len(calls) > 2000
     assert all(calls[key] == 1 for key in calls if key not in raised)
     assert all(calls[key] == raised[key] for key in raised)
@@ -398,7 +356,7 @@ def test_ga_candidates_stay_in_bounds_with_exact_types(monkeypatch):
 
     monkeypatch.setattr(optimizer, "fitness", record)
     prob = dataclasses.replace(
-        CASE_PROBLEM, bounds=box, ga=GAParams(population=4, generations=300, restarts=1)
+        PROBLEM, bounds=box, ga=GAParams(population=4, generations=300, restarts=1)
     )
     optimize(prob, seed=3)
     for g, name in enumerate(STRATEGY_BOUNDS):
@@ -420,13 +378,13 @@ def test_tessac_and_fill_rate_never_rise_with_parking_altitude():
     combos = []
     while len(combos) < 100:
         n, q, s, kq, ks = (int(rng.integers(lo, hi + 1)) for lo, hi in int_bounds)
-        if kq * q <= CASE_LAUNCH.cap_launch:
+        if kq * q <= LAUNCH.cap_launch:
             combos.append((n, q, s, kq, ks))
     altitudes = [700.0 + 10.0 * i for i in range(31)]
     checked = 0
     for rate in (0.01, 0.05, 0.1):
         prob = dataclasses.replace(
-            CASE_PROBLEM, constellation=dataclasses.replace(CASE_CFG, lambda_sat_per_year=rate)
+            PROBLEM, constellation=dataclasses.replace(CFG, lambda_sat_per_year=rate)
         )
         for n, q, s, kq, ks in combos:
             fits = [fitness(SpareStrategy(n, h, q, s, kq, ks), prob) for h in altitudes]
@@ -454,13 +412,13 @@ def test_tessac_and_fill_rate_never_fall_with_reorder_points():
             float(rng.uniform(lo, hi)) if isinstance(lo, float) else int(rng.integers(lo, hi + 1))
             for lo, hi in SEARCH_BOX.values()
         ]
-        if genes[2] * genes[4] <= CASE_LAUNCH.cap_launch:
+        if genes[2] * genes[4] <= LAUNCH.cap_launch:
             designs.append(genes)
-    s_step = COSTS.p_holding_musd_per_sat_year * CASE_CFG.n_plane
+    s_step = COSTS.p_holding_musd_per_sat_year * CFG.n_plane
     pairs = Counter()
     for rate in (0.01, 0.05, 0.1):
         prob = dataclasses.replace(
-            CASE_PROBLEM, constellation=dataclasses.replace(CASE_CFG, lambda_sat_per_year=rate)
+            PROBLEM, constellation=dataclasses.replace(CFG, lambda_sat_per_year=rate)
         )
         for genes in designs:
             for gene, name in ((3, "s"), (5, "k_s")):
@@ -503,7 +461,7 @@ def test_optimize_reports_the_best_feasible_genome_not_the_best_penalized(monkey
 
     monkeypatch.setattr(optimizer, "fitness", stub)
     prob = dataclasses.replace(
-        CASE_PROBLEM,
+        PROBLEM,
         bounds=VariableBounds(
             n_parking=(3, 3),
             h_parking_km=(792.3, 792.3),
@@ -527,7 +485,7 @@ def test_optimize_reports_the_best_feasible_genome_not_the_best_penalized(monkey
 def test_optimize_reports_infeasible_space():
     # a one-satellite launch cap leaves no evaluable strategy feasible
     prob = dataclasses.replace(
-        CASE_PROBLEM,
+        PROBLEM,
         launch=LaunchParams(mu_launch_days=66.7, pt_launch_days=90.0, cap_launch=1),
         bounds=VariableBounds(
             n_parking=(1, 3),
@@ -548,7 +506,7 @@ def test_optimize_reports_infeasible_space():
 
 
 def test_inplane_exhaustive_optimum():
-    result = optimize_inplane_only(CASE_PROBLEM)
+    result = optimize_inplane_only(PROBLEM)
     assert result.best_policy == SQPolicy(reorder_point_s=3, order_quantity_q=21)
     assert result.best_cost == pytest.approx(484.16073059360735, rel=1e-12)
     assert result.fill_rate_product == pytest.approx(0.951032161874933, rel=1e-9)
@@ -559,7 +517,7 @@ def test_inplane_optimum_with_twenty_satellite_rockets():
     # The paper's in-plane baseline of about 503 M$/yr is reproduced by the
     # q <= 20 optimum; the bundled 34-satellite cap gives (21, 3) above.
     prob = dataclasses.replace(
-        CASE_PROBLEM, launch=dataclasses.replace(CASE_LAUNCH, cap_launch=20)
+        PROBLEM, launch=dataclasses.replace(LAUNCH, cap_launch=20)
     )
     result = optimize_inplane_only(prob)
     assert result.best_policy == SQPolicy(reorder_point_s=4, order_quantity_q=20)
@@ -572,17 +530,17 @@ def test_inplane_step_up_matches_a_wide_scan(rate):
     # Brute force over every Q up to the launch capacity and s up to 200,
     # ties to the smaller (Q, s); the step-up must land on the same policy
     # with the same floats.
-    cfg = dataclasses.replace(CASE_CFG, lambda_sat_per_year=rate)
-    prob = dataclasses.replace(CASE_PROBLEM, constellation=cfg)
+    cfg = dataclasses.replace(CFG, lambda_sat_per_year=rate)
+    prob = dataclasses.replace(PROBLEM, constellation=cfg)
     best = None
-    for q in range(1, CASE_LAUNCH.cap_launch + 1):
+    for q in range(1, LAUNCH.cap_launch + 1):
         for s in range(0, 201):
             policy = SQPolicy(reorder_point_s=s, order_quantity_q=q)
-            metrics = evaluate_inplane_only(cfg, policy, CASE_LAUNCH)
+            metrics = evaluate_inplane_only(cfg, policy, LAUNCH)
             product = metrics.rho_plane**cfg.n_plane
             if product < prob.rho_target:
                 continue
-            cost = tessac_inplane_only(cfg, policy, metrics, COSTS, CASE_LAUNCH).tessac
+            cost = tessac_inplane_only(cfg, policy, metrics, COSTS, LAUNCH).tessac
             if best is None or (cost, q, s) < best[:3]:
                 best = (cost, q, s, product)
     assert best is not None and best[2] < 200  # the scan reached past the optimum
@@ -595,13 +553,13 @@ def test_inplane_step_up_matches_a_wide_scan(rate):
 def test_least_reorder_point_is_the_baseline_step_up_at_every_q():
     # The loop the in-plane search ran before the walk was shared: s steps
     # up from 0 until the fill-rate product meets the target.
-    cfg, target = CASE_CFG, CASE_PROBLEM.rho_target
+    cfg, target = CFG, PROBLEM.rho_target
 
     def product(s, q):
-        metrics = evaluate_inplane_only(cfg, SQPolicy(s, q), CASE_LAUNCH)
+        metrics = evaluate_inplane_only(cfg, SQPolicy(s, q), LAUNCH)
         return metrics.rho_plane**cfg.n_plane
 
-    for q in range(1, CASE_LAUNCH.cap_launch + 1):
+    for q in range(1, LAUNCH.cap_launch + 1):
         step_up = next(s for s in itertools.count() if product(s, q) >= target)
         assert inventory.least_reorder_point(lambda s: product(s, q) >= target, 0) == step_up
 
@@ -611,7 +569,7 @@ def test_reorder_point_past_the_default_box_beats_the_ground_only_optimum():
     # strategy. At 0.5/yr it meets the fill-rate target for less than the
     # exact ground-only optimum, which the capped search cannot reach.
     prob = dataclasses.replace(
-        CASE_PROBLEM, constellation=dataclasses.replace(CASE_CFG, lambda_sat_per_year=0.5)
+        PROBLEM, constellation=dataclasses.replace(CFG, lambda_sat_per_year=0.5)
     )
     fit = fitness(SpareStrategy(7, 706.0, 4, 8, 8, 35), prob)
     assert fit.feasible
@@ -636,7 +594,7 @@ def test_searches_reject_a_problem_no_candidate_escapes(change, cause, monkeypat
         raise AssertionError("a candidate was scored")
 
     monkeypatch.setattr(optimizer, "fitness", unexpected)
-    prob = dataclasses.replace(CASE_PROBLEM, constellation=dataclasses.replace(CASE_CFG, **change))
+    prob = dataclasses.replace(PROBLEM, constellation=dataclasses.replace(CFG, **change))
     with pytest.raises(ValueError, match=cause):
         optimize(prob, seed=0)
     with pytest.raises(ValueError, match=cause):
@@ -646,10 +604,10 @@ def test_searches_reject_a_problem_no_candidate_escapes(change, cause, monkeypat
 def test_fitness_passes_problem_errors_through():
     # Only candidate-level errors earn the flat penalty; a polar problem
     # fails every candidate, and its cause reaches the caller.
-    polar = dataclasses.replace(CASE_CFG, inclination_deg=90.0)
-    prob = dataclasses.replace(CASE_PROBLEM, constellation=polar)
+    polar = dataclasses.replace(CFG, inclination_deg=90.0)
+    prob = dataclasses.replace(PROBLEM, constellation=polar)
     with pytest.raises(ValueError, match="^zero relative drift rate: planes never align$"):
-        fitness(CASE_STRATEGY, prob)
+        fitness(STRATEGY, prob)
 
 
 def test_fitness_penalizes_negative_holding():
@@ -657,19 +615,19 @@ def test_fitness_penalizes_negative_holding():
     # cost, go negative: at 0.1/yr one satellite per plane batch leaves the
     # mean plane stock below zero. A larger stock may mend it.
     prob = dataclasses.replace(
-        CASE_PROBLEM, constellation=dataclasses.replace(CASE_CFG, lambda_sat_per_year=0.1)
+        PROBLEM, constellation=dataclasses.replace(CFG, lambda_sat_per_year=0.1)
     )
     strategy = SpareStrategy(2, 700.0, 1, 1, 8, 30)
     memo = StageMemo(prob.constellation, prob.launch, prob.consts, prob.satellite)
     metrics, transfer = memo.figures(strategy)
     with pytest.raises(costs.NegativeHoldingError):
-        costs.tessac(prob.constellation, strategy, metrics, transfer, COSTS, CASE_LAUNCH)
+        costs.tessac(prob.constellation, strategy, metrics, transfer, COSTS, LAUNCH)
     assert fitness(strategy, prob).penalized == ERROR_PENALTY
 
 
 def test_sweep_records_errors_and_continues():
     infeasible_prob = dataclasses.replace(
-        CASE_PROBLEM,
+        PROBLEM,
         launch=LaunchParams(mu_launch_days=66.7, pt_launch_days=90.0, cap_launch=1),
         bounds=VariableBounds(
             n_parking=(1, 3),
@@ -691,7 +649,7 @@ def test_sweep_records_errors_and_continues():
 
 def test_sweep_savings_identity():
     prob = dataclasses.replace(
-        CASE_PROBLEM, ga=GAParams(population=30, generations=40, restarts=2)
+        PROBLEM, ga=GAParams(population=30, generations=40, restarts=2)
     )
     points = sensitivity_sweep(prob, [0.05], seed=0)
     (p,) = points

@@ -16,7 +16,6 @@ DRIFT_1200_50 = -0.0611421276394433
 DRIFT_792_50 = -0.07419923796332077
 DRIFT_700_50 = -0.07764129229814469
 DRIFT_1200_0 = -0.09512026479362252
-REL_792_1200 = -0.013057110323877463  # rad/day, parking minus plane
 DV_700_1200 = 0.2517144690457531
 FUEL_700_1200 = 18.53943710466358
 TOF_700_1200_DAYS = 0.036129139021561396

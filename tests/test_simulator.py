@@ -9,13 +9,12 @@ from sparechain.chain import (
     DAYS_PER_YEAR,
     ConstellationConfig,
     LaunchParams,
-    SatelliteParams,
     SpareStrategy,
     evaluate_strategy,
     plane_demand_rate,
 )
-from sparechain.costs import CostParams
 from sparechain.orbits import CircularOrbit, hohmann_transfer, raan_drift_rate
+from case import CFG, COSTS, LAUNCH, SAT, STRATEGY
 from oracles import run_with_rng_reference
 from sparechain.simulator import (
     _FAILURE_BLOCK,
@@ -24,27 +23,11 @@ from sparechain.simulator import (
     _closest_parking,
     _draw_failures,
     _run_with_rng,
-    replication_seed,
+    child_seed,
     run_batch,
     run_replication,
 )
 
-COSTS = CostParams(
-    p_sat_musd=0.5,
-    p_holding_musd_per_sat_year=0.5,
-    p_launch_full_musd=47.6,
-    p_launch_unit_musd=10.0,
-    eps_maneuvering_musd_per_kg=0.001,
-)
-SAT = SatelliteParams(m_dry_kg=150.0, v_exhaust_km_s=2.16)
-
-CASE_CFG = ConstellationConfig(
-    h_plane_km=1200.0, inclination_deg=50.0, n_plane=40, n_sats=40, lambda_sat_per_year=0.05
-)
-CASE_STRATEGY = SpareStrategy(
-    n_parking=3, h_parking_km=792.3, q_plane=4, s_plane=3, k_q_parking=8, k_s_parking=8
-)
-CASE_LAUNCH = LaunchParams(mu_launch_days=66.7, pt_launch_days=90.0, cap_launch=34)
 
 DRIFT_700_50 = -0.07764129229814469
 DRIFT_1200_50 = -0.0611421276394433
@@ -361,7 +344,7 @@ def _failures(rep):
 
 def test_failure_sequence_depends_only_on_seed_rate_and_planes():
     base = dict(
-        constellation=CASE_CFG,
+        constellation=CFG,
         costs=COSTS,
         satellite=SAT,
         horizon_years=15.0,
@@ -370,7 +353,7 @@ def test_failure_sequence_depends_only_on_seed_rate_and_planes():
         capture_events=True,
     )
     a = run_replication(
-        SimConfig(strategy=CASE_STRATEGY, launch=CASE_LAUNCH, **base), 987654321
+        SimConfig(strategy=STRATEGY, launch=LAUNCH, **base), 987654321
     )
     other_strategy = SpareStrategy(
         n_parking=5, h_parking_km=700.0, q_plane=2, s_plane=1, k_q_parking=3, k_s_parking=2
@@ -385,13 +368,13 @@ def test_failure_sequence_depends_only_on_seed_rate_and_planes():
     # More failures than one block: the sequence runs on across block
     # boundaries exactly as a scalar walk over the failure stream.
     horizon = 15.0 * DAYS_PER_YEAR
-    rate = plane_demand_rate(CASE_CFG) * CASE_CFG.n_plane
+    rate = plane_demand_rate(CFG) * CFG.n_plane
     failure_ss, _ = np.random.SeedSequence(987654321).spawn(2)
     rng = np.random.Generator(np.random.Philox(failure_ss))
     want, t = [], 0.0
     while t <= horizon:
         gaps = rng.exponential(1.0 / rate, _FAILURE_BLOCK)
-        planes = rng.integers(0, CASE_CFG.n_plane, _FAILURE_BLOCK)
+        planes = rng.integers(0, CFG.n_plane, _FAILURE_BLOCK)
         for gap, j in zip(gaps.tolist(), planes.tolist()):
             t += gap
             if t <= horizon:
@@ -465,9 +448,9 @@ def test_conservation_ledger_under_stress():
 
 def test_empirical_failure_rate_matches_poisson_intensity():
     sc = SimConfig(
-        constellation=CASE_CFG,
-        strategy=CASE_STRATEGY,
-        launch=CASE_LAUNCH,
+        constellation=CFG,
+        strategy=STRATEGY,
+        launch=LAUNCH,
         costs=COSTS,
         satellite=SAT,
         horizon_years=15.0,
@@ -482,11 +465,11 @@ def test_empirical_failure_rate_matches_poisson_intensity():
 
 
 def test_case_study_simulation_tracks_model():
-    metrics = evaluate_strategy(CASE_CFG, CASE_STRATEGY, CASE_LAUNCH)
+    metrics = evaluate_strategy(CFG, STRATEGY, LAUNCH)
     sc = SimConfig(
-        constellation=CASE_CFG,
-        strategy=CASE_STRATEGY,
-        launch=CASE_LAUNCH,
+        constellation=CFG,
+        strategy=STRATEGY,
+        launch=LAUNCH,
         costs=COSTS,
         satellite=SAT,
         horizon_years=15.0,
@@ -546,9 +529,9 @@ def test_leadtimes_uniform_when_parking_always_stocked():
 
 def test_same_seed_reproduces_bit_identical_results():
     sc = SimConfig(
-        constellation=CASE_CFG,
-        strategy=CASE_STRATEGY,
-        launch=CASE_LAUNCH,
+        constellation=CFG,
+        strategy=STRATEGY,
+        launch=LAUNCH,
         costs=COSTS,
         satellite=SAT,
         horizon_years=5.0,
@@ -563,9 +546,9 @@ def test_same_seed_reproduces_bit_identical_results():
 
 def test_worker_count_does_not_change_results():
     sc = SimConfig(
-        constellation=CASE_CFG,
-        strategy=CASE_STRATEGY,
-        launch=CASE_LAUNCH,
+        constellation=CFG,
+        strategy=STRATEGY,
+        launch=LAUNCH,
         costs=COSTS,
         satellite=SAT,
         horizon_years=5.0,
@@ -579,17 +562,18 @@ def test_worker_count_does_not_change_results():
 
 
 def test_replication_seeds_are_distinct():
-    seeds = [replication_seed(0, i) for i in range(200)]
-    assert len(set(seeds)) == 200
-    assert replication_seed(0, 3) != replication_seed(1, 3)
+    # Replication keys (i,) and validation case keys (1, i) under one seed.
+    seeds = [child_seed(0, i) for i in range(200)] + [child_seed(0, 1, i) for i in range(200)]
+    assert len(set(seeds)) == 400
+    assert child_seed(0, 3) != child_seed(1, 3)
 
 
 def test_standard_error_shrinks_with_replications():
     def se(reps):
         sc = SimConfig(
-            constellation=CASE_CFG,
-            strategy=CASE_STRATEGY,
-            launch=CASE_LAUNCH,
+            constellation=CFG,
+            strategy=STRATEGY,
+            launch=LAUNCH,
             costs=COSTS,
             satellite=SAT,
             horizon_years=5.0,

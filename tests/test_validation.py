@@ -12,7 +12,6 @@ from sparechain import chain
 from sparechain.chain import (
     ConstellationConfig,
     LaunchParams,
-    SatelliteParams,
     SpareStrategy,
     leadtime_expected_shortage,
     parking_availability,
@@ -21,7 +20,7 @@ from sparechain.chain import (
     plane_leadtime,
 )
 from sparechain.config import bundled_launch_dates_path
-from sparechain.costs import CostParams, evaluate_design
+from sparechain.costs import evaluate_design
 from sparechain.inventory import fill_rate
 from sparechain.orbits import WGS84
 from sparechain.simulator import Estimates, SimConfig, run_batch
@@ -37,6 +36,7 @@ from sparechain.validation import (
     size_reorder_points,
 )
 
+from case import CFG, COSTS, LAUNCH, SAT, STRATEGY
 from oracles import expected_shortage_mixture
 
 
@@ -115,46 +115,32 @@ def test_lhs_sample_rejects_empty():
         lhs_sample(TradeSpace(), 0, seed=0)
 
 
-CASE_CFG = ConstellationConfig(
-    h_plane_km=1200.0, inclination_deg=50.0, n_plane=40, n_sats=40, lambda_sat_per_year=0.05
-)
-CASE_TEMPLATE = SpareStrategy(
-    n_parking=3, h_parking_km=792.3, q_plane=4, s_plane=1, k_q_parking=8, k_s_parking=1
-)
-CASE_LAUNCH = LaunchParams(mu_launch_days=66.7, pt_launch_days=90.0, cap_launch=34)
-COSTS = CostParams(
-    p_sat_musd=0.5,
-    p_holding_musd_per_sat_year=0.5,
-    p_launch_full_musd=47.6,
-    p_launch_unit_musd=10.0,
-    eps_maneuvering_musd_per_kg=0.001,
-)
-SAT = SatelliteParams(m_dry_kg=150.0, v_exhaust_km_s=2.16)
+CASE_TEMPLATE = dataclasses.replace(STRATEGY, s_plane=1, k_s_parking=1)
 
 
 def test_sizing_returns_minimal_reorder_points():
-    s_plane, k_s = size_reorder_points(CASE_CFG, CASE_TEMPLATE, CASE_LAUNCH)
+    s_plane, k_s = size_reorder_points(CFG, CASE_TEMPLATE, LAUNCH)
     assert (s_plane, k_s) == (3, 6)
 
-    lam_parking = parking_demand_rate(CASE_CFG, CASE_TEMPLATE)
+    lam_parking = parking_demand_rate(CFG, CASE_TEMPLATE)
     rho_at = lambda k: fill_rate(
-        leadtime_expected_shortage(k, lam_parking, CASE_LAUNCH), CASE_TEMPLATE.k_q_parking
+        leadtime_expected_shortage(k, lam_parking, LAUNCH), CASE_TEMPLATE.k_q_parking
     )
     assert rho_at(k_s) ** CASE_TEMPLATE.n_parking >= 0.95
     assert rho_at(k_s - 1) ** CASE_TEMPLATE.n_parking < 0.95
 
     p_av = parking_availability(
-        leadtime_expected_shortage(k_s, lam_parking, CASE_LAUNCH), CASE_TEMPLATE.k_q_parking
+        leadtime_expected_shortage(k_s, lam_parking, LAUNCH), CASE_TEMPLATE.k_q_parking
     )
     sized = dataclasses.replace(CASE_TEMPLATE, k_s_parking=k_s)
-    weights, segments = plane_leadtime(sized, CASE_CFG, p_av)
-    lam_plane = plane_demand_rate(CASE_CFG)
+    weights, segments = plane_leadtime(sized, CFG, p_av)
+    lam_plane = plane_demand_rate(CFG)
     demand_segments = [(lam_plane * lo, lam_plane * hi) for lo, hi in segments]
     rho_plane_at = lambda s: fill_rate(
         expected_shortage_mixture(s, weights, demand_segments), CASE_TEMPLATE.q_plane
     )
-    assert rho_plane_at(s_plane) ** CASE_CFG.n_plane >= 0.95
-    assert rho_plane_at(s_plane - 1) ** CASE_CFG.n_plane < 0.95
+    assert rho_plane_at(s_plane) ** CFG.n_plane >= 0.95
+    assert rho_plane_at(s_plane - 1) ** CFG.n_plane < 0.95
 
 
 def test_sizing_raises_when_no_reorder_point_suffices():
@@ -183,10 +169,10 @@ def test_sizing_raises_when_no_reorder_point_suffices():
 
 
 def test_sizing_keeps_the_altitude_error():
-    cfg = dataclasses.replace(CASE_CFG, h_plane_km=900.0)
+    cfg = dataclasses.replace(CFG, h_plane_km=900.0)
     st = dataclasses.replace(CASE_TEMPLATE, h_parking_km=900.0)
     with pytest.raises(ValueError, match="must be below plane altitude") as info:
-        size_reorder_points(cfg, st, CASE_LAUNCH)
+        size_reorder_points(cfg, st, LAUNCH)
     assert not isinstance(info.value, SizingInfeasibleError)
 
 
@@ -196,7 +182,7 @@ def test_sizing_passes_other_chain_errors_through(monkeypatch):
 
     monkeypatch.setattr(chain, "parking_stage", reject)
     with pytest.raises(ValueError, match="^rejected by the chain$") as info:
-        size_reorder_points(CASE_CFG, CASE_TEMPLATE, CASE_LAUNCH)
+        size_reorder_points(CFG, CASE_TEMPLATE, LAUNCH)
     assert not isinstance(info.value, SizingInfeasibleError)
 
 
@@ -411,13 +397,13 @@ def test_simulation_ranks_the_optimum_below_the_search_end_points(capsys):
     # per-replication TESSAC differences have a small variance.
     def simulated(strategy):
         sc = SimConfig(
-            constellation=CASE_CFG, strategy=strategy, launch=CASE_LAUNCH,
+            constellation=CFG, strategy=strategy, launch=LAUNCH,
             costs=COSTS, satellite=SAT, replications=100, horizon_years=15.0, seed=5,
         )
         return [r.tessac for r in run_batch(sc).per_replication]
 
     def model(strategy):
-        return evaluate_design(CASE_CFG, strategy, CASE_LAUNCH, COSTS, SAT, WGS84)[1].tessac
+        return evaluate_design(CFG, strategy, LAUNCH, COSTS, SAT, WGS84)[1].tessac
 
     best = simulated(EXACT_OPTIMUM)
     for rival in GA_END_POINTS:
