@@ -282,22 +282,6 @@ class ParkingAltitudeError(ValueError):
     """The parking orbit is not below the constellation planes."""
 
 
-def parking_availability(es_parking: float, k_q: int) -> float:
-    """Probability that an arriving order finds the parking orbit stocked.
-
-    Equals the parking fill rate 1 - ES/k_Q.
-
-    Raises:
-        UndefinedAvailabilityError: If the expected shortage is outside [0, k_q].
-    """
-    if not 0.0 <= es_parking <= k_q:
-        raise UndefinedAvailabilityError(
-            f"expected shortage {es_parking} outside [0, {k_q}]: "
-            "availability undefined for this policy"
-        )
-    return 1.0 - es_parking / k_q
-
-
 def supply_probabilities(p_av: float, n_parking: int) -> list[float]:
     """Supplier-rank probabilities conditioned on at least one being available.
 
@@ -356,15 +340,20 @@ def parking_stage(
 ) -> tuple[float, float]:
     """Parking echelon of `StageMemo.figures`: (shortage in batches, availability).
 
+    The availability, the probability that an arriving order finds the
+    parking orbit stocked, is the parking fill rate 1 - ES/k_q.
+
     Raises:
-        UndefinedAvailabilityError: If the parking policy is so undersized
-            that availability is undefined or zero.
+        UndefinedAvailabilityError: If the availability is not in (0, 1]:
+            the parking policy is so undersized that no supplier rank
+            distribution exists.
     """
     es_parking = leadtime_expected_shortage(k_s, lam_parking, lp)
-    p_av = parking_availability(es_parking, k_q)
-    if p_av == 0.0:
+    p_av = 1.0 - es_parking / k_q
+    if not 0.0 < p_av <= 1.0:
         raise UndefinedAvailabilityError(
-            "parking availability is zero: no supplier rank distribution"
+            f"parking availability 1 - ES/k_q with ES {es_parking} and k_q {k_q} "
+            "is outside (0, 1]: no supplier rank distribution"
         )
     return es_parking, p_av
 

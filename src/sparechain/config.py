@@ -183,7 +183,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an integer past the digit limit
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return _build(RunConfig, data, "")
 

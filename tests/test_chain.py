@@ -18,11 +18,11 @@ from sparechain.chain import (
     evaluate_inplane_only,
     evaluate_strategy,
     leadtime_expected_shortage,
-    parking_availability,
     parking_demand_rate,
     plane_demand_rate,
     altitude_stage,
     check_strategy_value,
+    parking_stage,
     plane_bounds,
     plane_leadtime,
     plane_stage,
@@ -273,13 +273,18 @@ def test_leadtime_shortage_zero_rate():
     assert leadtime_expected_shortage(3, 0.0, LAUNCH) == 0.0
 
 
-def test_parking_availability_bounds():
-    assert parking_availability(0.0, 8) == 1.0
-    assert parking_availability(8.0, 8) == 0.0
-    with pytest.raises(UndefinedAvailabilityError):
-        parking_availability(-0.1, 8)
-    with pytest.raises(UndefinedAvailabilityError):
-        parking_availability(8.4, 8)
+def test_parking_availability_bounds(monkeypatch):
+    # The availability 1 - ES/k_q must lie in (0, 1]; the stage raises at
+    # zero availability and for a shortage outside [0, k_q).
+    def stage_with(es):
+        monkeypatch.setattr("sparechain.chain.leadtime_expected_shortage", lambda *args: es)
+        return parking_stage(4, 8, 0.02, LAUNCH)
+
+    assert stage_with(0.0) == (0.0, 1.0)
+    assert stage_with(4.0) == (4.0, 0.5)
+    for es in (8.0, 8.4, -0.1):
+        with pytest.raises(UndefinedAvailabilityError, match=f"ES {es} and k_q 8 "):
+            stage_with(es)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])

@@ -24,6 +24,8 @@ from sparechain.config import (
 from sparechain.simulator import SimConfig, child_seed, run_batch
 from sparechain.validation import OUTPUT_NAMES, lhs_sample
 
+from golden_runs import GOLDEN
+
 
 @pytest.fixture(scope="module")
 def base_config():
@@ -368,6 +370,19 @@ def test_huge_integers_fail_with_their_key_path(tmp_path, capsys, base_config, s
     assert "Traceback" not in err
 
 
+def test_integers_past_the_digit_limit_name_the_config_file(tmp_path, capsys, base_config):
+    # json refuses to read an integer of more than 4 300 digits; the error
+    # names the file instead of the interpreter's limit alone.
+    cfg = json.loads(json.dumps(base_config))
+    cfg["strategy"]["s_plane"] = "DIGITS"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg).replace('"DIGITS"', "9" * 5000))
+    assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid JSON in {path}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "values,path",
     [
@@ -490,11 +505,11 @@ def test_simulate_is_seed_deterministic(tmp_path, fast_config):
 
 
 def test_simulate_worker_count_is_invisible(tmp_path, fast_config):
-    main(["simulate", "--config", str(fast_config), "--jobs", "1", "--out", str(tmp_path / "a")])
-    main(["simulate", "--config", str(fast_config), "--jobs", "3", "--out", str(tmp_path / "b")])
-    a = (tmp_path / "a" / "simulation_replications.csv").read_bytes()
-    b = (tmp_path / "b" / "simulation_replications.csv").read_bytes()
-    assert a == b
+    for jobs, name in (("1", "a"), ("3", "b")):
+        argv = ["simulate", "--config", str(fast_config), "--jobs", jobs, "--event-log"]
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+    for output in ("simulation_replications.csv", "events.csv"):
+        assert (tmp_path / "a" / output).read_bytes() == (tmp_path / "b" / output).read_bytes()
 
 
 def test_validate_smoke(tmp_path, fast_config, capsys):
@@ -640,6 +655,15 @@ def test_optimize_smoke(tmp_path, fast_config):
     assert {r["restart"] for r in trace} == {"0"}
 
 
+# The cells of `optimize --seed 302005`'s result that name and price its winner.
+SEED_302005_WINNER = dict(
+    zip(
+        [*STRATEGY_COLUMNS, "tessac"],
+        ["3", "745.2726221998754", "4", "3", "8", "7", "314.2584479216584"],
+    )
+)
+
+
 def test_optimize_reports_the_best_feasible_strategy_not_the_best_penalized(tmp_path):
     # At this seed the lowest penalized score of the search belongs to a
     # genome whose fill-rate product, 0.9499999978, just misses the target,
@@ -648,9 +672,41 @@ def test_optimize_reports_the_best_feasible_strategy_not_the_best_penalized(tmp_
     out = tmp_path / "o"
     assert main(["optimize", "--seed", "302005", "--out", str(out)]) == 0
     (row,) = read_rows(out / "optimize_result.csv")
-    assert [row[n] for n in STRATEGY_COLUMNS] == ["3", "745.2726221998754", "4", "3", "8", "7"]
-    assert float(row["tessac"]) == 314.2584479216584
+    assert {name: row[name] for name in SEED_302005_WINNER} == SEED_302005_WINNER
     assert float(row["fill_rate_product"]) >= 0.95
+
+
+@pytest.mark.parametrize(
+    "winner,flags",
+    [
+        (read_rows(GOLDEN / "optimize" / "optimize_result.csv")[0], []),
+        (SEED_302005_WINNER, []),
+        (read_rows(GOLDEN / "optimize-inplane" / "optimize_inplane.csv")[0], ["--inplane-only"]),
+    ],
+    ids=["golden-seed-1", "seed-302005", "golden-inplane"],
+)
+def test_searched_winner_costs_the_same_when_evaluated(tmp_path, base_config, winner, flags):
+    # The GA scores candidates through its long-lived memo and evaluate
+    # builds a one-use memo for the winner; the exact ground-only search
+    # and evaluate --inplane-only both price through costs.annual_cost.
+    # Either way evaluate must print the TESSAC the search wrote, which
+    # test_golden and the seed-302005 test above pin.
+    cfg = json.loads(json.dumps(base_config))
+    if flags:
+        cfg["inplane_policy"] = {
+            "order_quantity_q": int(winner["q_plane"]),
+            "reorder_point_s": int(winner["s_plane"]),
+        }
+    else:
+        cfg["strategy"] = {
+            name: (float if name == "h_parking_km" else int)(winner[name])
+            for name in STRATEGY_COLUMNS
+        }
+    path = tmp_path / "winner.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["evaluate", *flags, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    (row,) = read_rows(tmp_path / "o" / "evaluate.csv")
+    assert row["tessac"] == winner["tessac"]
 
 
 def test_optimize_inplane_smoke(tmp_path, fast_config):
@@ -717,10 +773,13 @@ def test_optimize_searches_a_box_wider_than_the_default(tmp_path, base_config):
         assert lo <= type(lo)(row[name]) <= hi, name
 
 
-@pytest.mark.parametrize("command", [["optimize"], ["sensitivity", "--rates", "0.01,0.1"]])
+@pytest.mark.parametrize(
+    "command", [["optimize"], ["sensitivity", "--rates", "0.01,0.1"], ["evaluate"], ["simulate"]]
+)
 def test_searches_on_orbits_that_never_align_exit_1(tmp_path, base_config, capsys, command):
-    # Polar planes and parking orbits never drift apart, so no candidate can
-    # be evaluated: the search names that cause instead of finding nothing.
+    # Polar planes and parking orbits never drift apart, so no parking orbit
+    # ever reaches a plane: each command names that cause, and the searches
+    # check it before they score a candidate instead of finding nothing.
     cfg = json.loads(json.dumps(base_config))
     cfg["constellation"]["inclination_deg"] = 90
     path = tmp_path / "polar.json"

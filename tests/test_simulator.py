@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from sparechain.chain import (
 from sparechain.orbits import CircularOrbit, hohmann_transfer, raan_drift_rate
 from case import CFG, COSTS, LAUNCH, SAT, STRATEGY
 from oracles import run_with_rng_reference
+from sparechain import simulator
 from sparechain.simulator import (
     _FAILURE_BLOCK,
     Estimates,
@@ -458,7 +461,7 @@ def test_empirical_failure_rate_matches_poisson_intensity():
         seed=5,
         warmup_years=0.0,
     )
-    res = run_batch(sc, jobs=4)
+    res = run_batch(sc)
     total = sum(r.failures for r in res.per_replication)
     expected = 40 * 40 * 0.05 * 15.0 * 20  # planes x sats x rate x years x reps
     assert abs(total - expected) <= 3.0 * math.sqrt(expected)
@@ -477,7 +480,7 @@ def test_case_study_simulation_tracks_model():
         seed=0,
         warmup_years=1.0,
     )
-    res = run_batch(sc, jobs=4).mean
+    res = run_batch(sc).mean
     assert abs(res.mean_stock_plane - metrics.mean_stock_plane) / res.mean_stock_plane < 0.02
     assert (
         abs(res.mean_stock_parking_batches - metrics.mean_stock_parking_batches)
@@ -511,7 +514,7 @@ def test_leadtimes_uniform_when_parking_always_stocked():
         seed=0,
         warmup_years=0.0,
     )
-    res = run_batch(sc, jobs=4)
+    res = run_batch(sc)
     leadtimes = np.concatenate([r.plane_leadtimes for r in res.per_replication])
     rel = abs(
         raan_drift_rate(CircularOrbit(700.0, 50.0)) - raan_drift_rate(CircularOrbit(1200.0, 50.0))
@@ -544,28 +547,23 @@ def test_same_seed_reproduces_bit_identical_results():
     assert a == b
 
 
-def test_worker_count_does_not_change_results():
-    sc = SimConfig(
-        constellation=CFG,
-        strategy=STRATEGY,
-        launch=LAUNCH,
-        costs=COSTS,
-        satellite=SAT,
-        horizon_years=5.0,
-        replications=12,
-        seed=42,
-        warmup_years=1.0,
-    )
-    serial = run_batch(sc, jobs=1)
-    threaded = run_batch(sc, jobs=5)
-    assert serial == threaded
-
-
 def test_replication_seeds_are_distinct():
     # Replication keys (i,) and validation case keys (1, i) under one seed.
     seeds = [child_seed(0, i) for i in range(200)] + [child_seed(0, 1, i) for i in range(200)]
     assert len(set(seeds)) == 400
     assert child_seed(0, 3) != child_seed(1, 3)
+
+
+def test_only_the_simulator_derives_random_streams():
+    # simulator.child_seed and simulator.stream are the one rule that turns
+    # a seed and a spawn key into a child seed or a generator.
+    package = Path(simulator.__file__).parent
+    derivers = {
+        path.name
+        for path in package.glob("*.py")
+        if re.search(r"SeedSequence|Philox", path.read_text(encoding="utf-8"))
+    }
+    assert derivers == {"simulator.py"}
 
 
 def test_standard_error_shrinks_with_replications():
@@ -581,7 +579,7 @@ def test_standard_error_shrinks_with_replications():
             seed=3,
             warmup_years=1.0,
         )
-        return run_batch(sc, jobs=4).se.tessac
+        return run_batch(sc).se.tessac
 
     assert se(64) < se(8)
 

@@ -14,7 +14,6 @@ from sparechain.chain import (
     LaunchParams,
     SpareStrategy,
     leadtime_expected_shortage,
-    parking_availability,
     parking_demand_rate,
     plane_demand_rate,
     plane_leadtime,
@@ -129,9 +128,7 @@ def test_sizing_returns_minimal_reorder_points():
     assert rho_at(k_s) ** CASE_TEMPLATE.n_parking >= 0.95
     assert rho_at(k_s - 1) ** CASE_TEMPLATE.n_parking < 0.95
 
-    p_av = parking_availability(
-        leadtime_expected_shortage(k_s, lam_parking, LAUNCH), CASE_TEMPLATE.k_q_parking
-    )
+    p_av = rho_at(k_s)  # the parking availability is its fill rate, 1 - ES/k_q
     sized = dataclasses.replace(CASE_TEMPLATE, k_s_parking=k_s)
     weights, segments = plane_leadtime(sized, CFG, p_av)
     lam_plane = plane_demand_rate(CFG)
