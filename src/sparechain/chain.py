@@ -173,11 +173,6 @@ class SpareStrategy:
         """Parking order quantity in satellites."""
         return self.k_q_parking * self.q_plane
 
-    @property
-    def s_parking(self) -> int:
-        """Parking reorder point in satellites."""
-        return self.k_s_parking * self.q_plane
-
 
 @dataclass(frozen=True)
 class LaunchParams:

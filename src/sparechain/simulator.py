@@ -160,51 +160,30 @@ class SimulationResult:
 
 
 def _closest_parking(
-    t: float, omega: float, relative: float, stock: list[int], stocked_only: bool
-) -> tuple[float, int] | None:
-    """Smallest (alignment wait in days, index) of a parking orbit toward RAAN omega.
+    t: float, omega: float, relative: float, ring: list[float], stock: list[int]
+) -> tuple[tuple[float, int], tuple[float, int] | None]:
+    """(wait in days, index) of the nearest parking orbit and of the nearest with stock.
 
-    Parking orbit p of the ring has phase 2*pi*p/n + relative*t at time t
-    and waits for the phase gap to RAAN omega, closed in the drift
-    direction, divided by |relative|. With stocked_only, orbits without
-    stock are skipped; ``None`` when no orbit is eligible.
-
-    The ring is evenly spaced, so the nearest orbit follows from the
-    phase gap by arithmetic, and waits grow by one spacing per step along
-    the ring from it. Rounding can only move the orbit lying on the wrap
-    of the phase gap from first to last in that order or back, so the
-    exact minimum over the first two eligible orbits in ring order and
-    the last one is the minimum over all of them: O(1) calls per query
-    when most orbits are stocked, instead of a scan of the ring.
+    Parking orbit p has phase ring[p] + relative*t at time t and waits for
+    the phase gap to RAAN omega, closed in the drift direction, divided by
+    |relative|. One pass over the ring takes the exact minimum of both;
+    the lower index wins on equal waits. The second is ``None`` when no
+    orbit has stock.
     """
-    n = len(stock)
     drift = relative * t
-    phase = (omega - drift) % _TWO_PI
-    if relative < 0.0:
-        start, step = math.ceil(phase * n / _TWO_PI), 1
-    else:
-        start, step = math.floor(phase * n / _TWO_PI), -1
-    candidates: list[int] = []
-    i = 0
-    while i < n and len(candidates) < 2:
-        p = (start + step * i) % n
-        if not stocked_only or stock[p] > 0:
-            candidates.append(p)
-        i += 1
-    for k in range(n - 1, i - 1, -1):
-        p = (start + step * k) % n
-        if not stocked_only or stock[p] > 0:
-            candidates.append(p)
-            break
+    # -(theta - omega) is exactly omega - theta, and % gives +0.0 for a
+    # zero remainder, so one sign factor serves both drift directions.
+    sign = 1.0 if relative < 0.0 else -1.0
     rate = abs(relative)
-    best: tuple[float, int] | None = None
-    for p in candidates:
-        theta = _TWO_PI * p / n + drift
-        gap = (theta - omega) % _TWO_PI if relative < 0.0 else (omega - theta) % _TWO_PI
-        cand = (gap / rate, p)
-        if best is None or cand < best:
-            best = cand
-    return best
+    near_wait = stocked_wait = math.inf
+    near = stocked = -1
+    for p, phase in enumerate(ring):
+        wait = sign * (phase + drift - omega) % _TWO_PI / rate
+        if wait < near_wait:
+            near_wait, near = wait, p
+        if wait < stocked_wait and stock[p] > 0:
+            stocked_wait, stocked = wait, p
+    return (near_wait, near), ((stocked_wait, stocked) if stocked >= 0 else None)
 
 
 def _draw_failures(
@@ -274,6 +253,7 @@ def _run_with_rng(
     )
 
     plane_raan = [_TWO_PI * j / n_plane for j in range(n_plane)]
+    parking_ring = [_TWO_PI * p / n_park for p in range(n_park)]
 
     plane_stock = [s_plane + q_plane] * n_plane
     plane_backorders = [0] * n_plane
@@ -338,13 +318,12 @@ def _run_with_rng(
             events.append((t, "plane_order", j, plane_stock[j]))
         # Demand accounting: the order targets the geometrically closest
         # parking orbit; finding it empty is a parking backorder even if
-        # another orbit ends up serving the transfer. When it is stocked,
-        # it is also the closest stocked orbit.
-        choice = _closest_parking(t, plane_raan[j], relative, parking_stock, False)
-        if parking_stock[choice[1]] < 1:
-            if warmup <= t:
-                parking_backorders_window += 1
-            choice = _closest_parking(t, plane_raan[j], relative, parking_stock, True)
+        # another orbit ends up serving the transfer.
+        (_, nearest), choice = _closest_parking(
+            t, plane_raan[j], relative, parking_ring, parking_stock
+        )
+        if parking_stock[nearest] < 1 and warmup <= t:
+            parking_backorders_window += 1
         if choice is None:
             waiting_orders.append(j)
             if events is not None:
@@ -363,10 +342,14 @@ def _run_with_rng(
             ground_arrivals_window += 1
         if events is not None:
             events.append((t, "parking_arrival", p, parking_stock[p]))
-        # Queued plane orders re-pick the closest stocked orbit now.
-        while waiting_orders and any(s > 0 for s in parking_stock):
-            j = waiting_orders.popleft()
-            assign_transfer(j, t, _closest_parking(t, plane_raan[j], relative, parking_stock, True))
+        # Queued plane orders re-pick the closest stocked orbit now, in
+        # queue order, until no orbit has stock.
+        while waiting_orders:
+            j = waiting_orders[0]
+            _, choice = _closest_parking(t, plane_raan[j], relative, parking_ring, parking_stock)
+            if choice is None:
+                break
+            assign_transfer(waiting_orders.popleft(), t, choice)
         place_ground_order_if_due(p, t)
 
     # Failures come from their sorted list, arrivals from the heap; a

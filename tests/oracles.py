@@ -180,6 +180,7 @@ def run_with_rng_reference(
     tof = transfer.time_of_flight_days
 
     plane_raan = [_TWO_PI * j / n_plane for j in range(n_plane)]
+    parking_ring = [_TWO_PI * p / n_park for p in range(n_park)]
 
     plane_stock = [s_plane + q_plane] * n_plane
     plane_backorders = [0] * n_plane
@@ -228,8 +229,8 @@ def run_with_rng_reference(
     def in_window(t: float) -> bool:
         return warmup <= t <= horizon
 
-    def closest_parking(t: float, j: int, stocked_only: bool) -> tuple[float, int] | None:
-        return _closest_parking(t, plane_raan[j], relative, parking_stock, stocked_only)
+    def closest_parking(t: float, j: int) -> tuple[tuple[float, int], tuple[float, int] | None]:
+        return _closest_parking(t, plane_raan[j], relative, parking_ring, parking_stock)
 
     def place_ground_order_if_due(p: int, t: float) -> None:
         nonlocal ground_orders
@@ -264,11 +265,11 @@ def run_with_rng_reference(
             # parking orbit; finding it empty is a parking backorder even if
             # another orbit ends up serving the transfer. When it is stocked,
             # it is also the closest stocked orbit.
-            choice = closest_parking(t, j, stocked_only=False)
+            choice, stocked = closest_parking(t, j)
             if parking_stock[choice[1]] < 1:
                 if in_window(t):
                     parking_backorders_window += 1
-                choice = closest_parking(t, j, stocked_only=True)
+                choice = stocked
             if choice is None:
                 waiting_orders.append(j)
                 log(t, "order_queued", j, 0)
@@ -321,7 +322,7 @@ def run_with_rng_reference(
         # Queued plane orders re-pick the closest stocked orbit now.
         while waiting_orders and any(s > 0 for s in parking_stock):
             j = waiting_orders.popleft()
-            assign_transfer(j, t, closest_parking(t, j, stocked_only=True))
+            assign_transfer(j, t, closest_parking(t, j)[1])
         place_ground_order_if_due(p, t)
 
     # Failures come from their sorted list, arrivals from the heap; a

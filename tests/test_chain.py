@@ -390,7 +390,6 @@ def test_plane_stage_matches_its_segments_one_at_a_time():
 
 def test_strategy_validation_and_derived_quantities():
     assert STRATEGY.q_parking == 32
-    assert STRATEGY.s_parking == 32
     assert dataclasses.astuple(STRATEGY) == (3, 792.3, 4, 3, 8, 8)
     with pytest.raises(ValueError):
         SpareStrategy(

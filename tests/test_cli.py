@@ -179,8 +179,19 @@ def test_unknown_key_in_any_section_names_its_full_path(tmp_path, base_config, k
         ({"seed": -1}, "seed: must be nonnegative"),
         # Every run uses WGS-84; the Earth constants are not a setting.
         ({"earth": {"j2": 0.001}}, "earth: unknown key"),
+        (
+            {
+                "constellation": {
+                    "h_plane_km": 1200.0,
+                    "inclination_deg": 50.0,
+                    "n_sats": 40,
+                    "lambda_sat_per_year": 0.1,
+                }
+            },
+            "constellation.n_plane: required key missing",
+        ),
     ],
-    ids=["unknown-section", "not-an-object", "negative-seed", "earth"],
+    ids=["unknown-section", "not-an-object", "negative-seed", "earth", "missing-key"],
 )
 def test_top_level_errors(tmp_path, data, message):
     path = tmp_path / "c.json"
@@ -252,6 +263,17 @@ def test_every_setting_is_listed_here():
                 "mutation_sigma_km",
             )
         ),
+        (
+            "evaluate",
+            "constellation",
+            {"h_plane_km": "1200"},
+            "constellation.h_plane_km: expected a number, got '1200'",
+        ),
+        *(
+            ("evaluate", "constellation", {key: 0}, f"constellation: {key} must be >= 1, got 0")
+            for key in ("n_plane", "n_sats")
+        ),
+        ("evaluate", "launch", {"cap_launch": 0}, "launch: launch capacity must be >= 1, got 0"),
     ],
 )
 def test_out_of_range_settings_name_the_key_path(

@@ -55,6 +55,8 @@ def test_expected_shortage_scalar_type_and_edges():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             expected_shortage(2, bad)
+    with pytest.raises(ValueError, match="reorder point must be >= 0"):
+        expected_shortage(-1, 1.0)
 
 
 def test_expected_shortage_monotonicity():
@@ -156,6 +158,8 @@ def test_mean_stock():
     assert mean_stock(3, 4, 0.9) == pytest.approx(2.0 + 3.0 - 0.9 + 0.5, rel=0)
     # deeply backordered systems may go negative; value is reported raw
     assert mean_stock(3, 4, 20.0) < 0.0
+    with pytest.raises(ValueError, match="lead-time demand must be nonnegative"):
+        mean_stock(1, 1, -1.0)
 
 
 def test_policy_and_demand_validation():

@@ -133,13 +133,73 @@ def test_hand_traced_replication():
     assert rep.tessac == pytest.approx(manufacturing + holding + launch + maneuvering, rel=1e-12)
 
 
-def _toy_plane_arrival(t):
-    """When a batch ordered at time t reaches the toy config's single plane."""
+def _toy_drift_and_flight():
+    """Relative drift and flight time from the toy 700 km parking orbit to its plane."""
     parking, plane = CircularOrbit(700.0, 50.0), CircularOrbit(1200.0, 50.0)
     relative = raan_drift_rate(parking) - raan_drift_rate(plane)
     tof = hohmann_transfer(parking, plane, SAT.m_dry_kg, SAT.v_exhaust_km_s).time_of_flight_days
-    wait, _ = _closest_parking(t, 0.0, relative, [2], False)
+    return relative, tof
+
+
+def _toy_plane_arrival(t):
+    """When a batch ordered at time t reaches the toy config's single plane."""
+    relative, tof = _toy_drift_and_flight()
+    (wait, _), _ = _closest_parking(t, 0.0, relative, [0.0], [2])
     return t + wait + tof
+
+
+def test_hand_traced_restock_serves_queued_orders_in_order():
+    # Nine planes fail once each at days 10-18; each orders one batch.
+    # The two parking orbits hold 3 batches each, so the orders of planes
+    # 6, 7 and 8 queue. A restock brings k_q_parking = 2 batches: it
+    # serves planes 6 and 7, and plane 8 waits for the next arrival.
+    cfg = ConstellationConfig(
+        h_plane_km=1200.0, inclination_deg=50.0, n_plane=9, n_sats=1, lambda_sat_per_year=1.0
+    )
+    two = SpareStrategy(
+        n_parking=2, h_parking_km=700.0, q_plane=1, s_plane=1, k_q_parking=2, k_s_parking=1
+    )
+    sc = _toy_config(constellation=cfg, strategy=two, horizon_years=3.0)
+    times = [10.0 + j for j in range(9)]
+    rep = _run_with_rng(sc, times, list(range(9)), ScriptedLaunchRng([100.0, 400.0, 5e3, 5e3]))
+
+    relative, tof = _toy_drift_and_flight()
+
+    def wait(p, j, t):
+        # Orbit p (phase pi*p + relative*t) closes on plane j's RAAN
+        # backwards, since relative < 0.
+        gap = (math.pi * p + relative * t - 2 * math.pi * j / 9) % (2 * math.pi)
+        return gap / abs(relative)
+
+    assert relative < 0.0
+    queued = [(e[0], e[2]) for e in rep.events if e[1] == "order_queued"]
+    assert queued == [(16.0, 6), (17.0, 7), (18.0, 8)]
+    # Orbit 1 is emptied first: its ground order (wait 100) lands before
+    # orbit 0's (wait 400).
+    ground = [(e[0], e[2]) for e in rep.events if e[1] == "ground_order"]
+    assert [p for _, p in ground[:2]] == [1, 0]
+    t1, t2 = ground[0][0] + 120.0, ground[1][0] + 420.0
+    assert t1 < t2
+    assert [e[1:] for e in rep.events if e[0] == t1] == [
+        ("parking_arrival", 1, 2),
+        ("transfer_start", 1, 1),
+        ("ground_order", 1, 1),
+        ("transfer_start", 1, 0),
+    ]
+    assert [e[1:] for e in rep.events if e[0] == t2] == [
+        ("parking_arrival", 0, 2),
+        ("transfer_start", 0, 1),
+        ("ground_order", 0, 1),
+    ]
+    starts = [e[0] for e in rep.events if e[1] == "transfer_start"]
+    assert starts[6:] == [t1, t1, t2]
+    # Transfers 7-9 serve planes 6 and 7 from orbit 1, then plane 8 from
+    # orbit 0, each after its exact alignment wait.
+    served = [(1, 6, t1), (1, 7, t1), (0, 8, t2)]
+    assert list(rep.plane_leadtimes[6:]) == [wait(p, j, t) + tof for p, j, t in served]
+    arrivals = {e[2]: e[0] for e in rep.events if e[1] == "plane_arrival"}
+    assert [arrivals[j] for _, j, _ in served] == [t + wait(p, j, t) + tof for p, j, t in served]
+    assert rep.transfers == 9
 
 
 def _nudge_until(f, target, x):
@@ -332,13 +392,17 @@ def test_closest_parking_matches_the_full_scan():
                     t = (omega - k * spacing + math.copysign(2 * math.pi * m, relative)) / relative
                     for tt in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)):
                         states.append((tt, omega))
+            ring = [2 * math.pi * p / n_park for p in range(n_park)]
             for t, omega in states:
                 stock = [int(x) for x in rng.integers(0, 3, size=n_park)]
-                for stocked_only in (True, False):
-                    want = _scan_closest_parking(t, omega, relative, stock, stocked_only)
-                    got = _closest_parking(t, omega, relative, stock, stocked_only)
-                    assert got == want, (n_park, relative, t, omega, stock, stocked_only)
-    assert _closest_parking(10.0, 0.0, 0.01, [0, 0, 0], True) is None
+                want = tuple(
+                    _scan_closest_parking(t, omega, relative, stock, stocked_only)
+                    for stocked_only in (False, True)
+                )
+                got = _closest_parking(t, omega, relative, ring, stock)
+                assert got == want, (n_park, relative, t, omega, stock)
+    ring = [2 * math.pi * p / 3 for p in range(3)]
+    assert _closest_parking(10.0, 0.0, 0.01, ring, [0, 0, 0])[1] is None
 
 
 def _failures(rep):
