@@ -37,9 +37,7 @@ The loop is shaped so that the common event makes no Python call. One
 block at its top advances the stock integrals to the event's time;
 failures and plane arrivals are then handled inline. Helpers run only on
 the order path, once per batch: placing a plane order, assigning a
-transfer, placing a ground order and restocking a parking orbit. The
-per-event-closure loop it replaced is kept in tests/oracles.py as the
-reference it must reproduce bit for bit.
+transfer, placing a ground order and restocking a parking orbit.
 
 A replication's TESSAC is `costs.annual_cost` of its window's yearly
 flows, the function that also prices the analytic chain.
@@ -136,7 +134,6 @@ class ReplicationResult:
     initial_on_hand: int
     final_on_hand: int
     final_in_transit: int
-    plane_leadtimes: tuple[float, ...]
     events: tuple[tuple[float, str, int, int], ...] | None
 
 
@@ -276,7 +273,6 @@ def _run_with_rng(
     plane_cycles_window = transfers_window = 0
     ground_orders = ground_arrivals = ground_arrivals_window = 0
     parking_backorders_window = 0
-    leadtimes: list[float] = []
     events: list[tuple[float, str, int, int]] | None = [] if sc.capture_events else None
 
     # Heap entries are (time, scheduling sequence number, kind, location),
@@ -304,7 +300,6 @@ def _run_with_rng(
         transfers += 1
         if warmup <= t:
             transfers_window += 1
-            leadtimes.append(wait + tof)
         if events is not None:
             events.append((t, "transfer_start", p, parking_stock[p]))
         place_ground_order_if_due(p, t)
@@ -474,7 +469,6 @@ def _run_with_rng(
         initial_on_hand=initial_on_hand,
         final_on_hand=final_on_hand,
         final_in_transit=final_in_transit,
-        plane_leadtimes=tuple(leadtimes),
         events=tuple(events) if events is not None else None,
     )
 

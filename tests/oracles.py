@@ -2,20 +2,23 @@
 
 Each one takes a different route to a quantity the package computes in
 closed form, so agreement checks the closed form rather than restating it.
-The exceptions are run_with_rng_reference, the simulator's event loop in
-its plainer shape with one closure call per event, and breed_reference,
-the GA's breeding step as it was before it applied only the drawn
-mutation hits: the package must reproduce both bit for bit.
 segment_shortages and expected_shortage_mixture compose the package's
 bound_shortages into the shortage of a mixture of uniform demand-mean
 segments, which the tests use as a reference and the package does not
-need.
+need. replay_events checks a simulated replication against the rules of
+the policy: it walks the replication's event log and derives each entry
+from the earlier ones, with its own ring geometry (nearest_parking) and
+bookkeeping, and returns the replication that the log implies.
+breed_reference is the one bit-for-bit reference: the GA's breeding step
+as it was before it applied only the drawn mutation hits, which the
+package must reproduce exactly.
 """
 
 import heapq
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -33,14 +36,7 @@ from sparechain.optimizer import (
     TOURNAMENT_SIZE,
 )
 from sparechain.orbits import CircularOrbit, hohmann_transfer, raan_drift_rate
-from sparechain.simulator import (
-    _PARKING_ARRIVAL,
-    _PLANE_ARRIVAL,
-    _TWO_PI,
-    ReplicationResult,
-    SimConfig,
-    _closest_parking,
-)
+from sparechain.simulator import ReplicationResult, SimConfig
 
 
 def supply_probabilities_raw(p_av: float, n_parking: int) -> list[float]:
@@ -145,269 +141,239 @@ def poisson_shortage(s: int, mean_demand):
     return np.maximum(m * special.pdtrc(s - 1, m) - s * special.pdtrc(s, m), 0.0)
 
 
-def run_with_rng_reference(
-    sc: SimConfig, failure_times: list[float], failure_planes: list[int], launch_rng
-) -> ReplicationResult:
-    """The simulator's event loop with one closure call per event.
+class LogMismatch(AssertionError):
+    """An event log entry that the simulator's rules do not give."""
 
-    The reference for sparechain.simulator._run_with_rng, which handles
-    failures and plane arrivals inline: both must give equal
-    ReplicationResults, field for field, on the same failures and
-    identically seeded launch-wait streams. Failure j happens at
-    failure_times[j] on plane failure_planes[j]; failures past the
-    horizon are ignored. The cost block calls sparechain.costs.annual_cost
-    with the same flows as the package loop, so TESSAC compares with ==
-    too; the loop itself is what this reference checks.
+
+class Replay(NamedTuple):
+    """What `replay_events` derives from one replication's event log."""
+
+    result: ReplicationResult
+    leadtimes: list[float]  # wait + flight of each transfer in the window, in log order
+
+
+def nearest_parking(
+    t: float, omega: float, relative: float, stock: list[int]
+) -> tuple[tuple[float, int], tuple[float, int] | None]:
+    """(wait, index) of the nearest parking orbit and of the nearest stocked one.
+
+    The exact minimum over the whole ring. Orbit p of n has RAAN
+    2*pi*p/n + relative*t at time t and waits for the gap to the plane's
+    RAAN omega, closed in the drift direction, at |relative|; the lower
+    index wins on equal waits. The second is None when no orbit has stock.
+    """
+    n = len(stock)
+    rate = abs(relative)
+    near = stocked = None
+    for p in range(n):
+        theta = 2 * math.pi * p / n + relative * t
+        if relative < 0.0:
+            gap = (theta - omega) % (2 * math.pi)
+        else:
+            gap = (omega - theta) % (2 * math.pi)
+        wait = gap / rate
+        if near is None or wait < near[0]:
+            near = (wait, p)
+        if stock[p] > 0 and (stocked is None or wait < stocked[0]):
+            stocked = (wait, p)
+    return near, stocked
+
+
+def replay_events(
+    sc: SimConfig,
+    rep: ReplicationResult,
+    failures: list[tuple[float, int]],
+    launch_waits: list[float],
+) -> Replay:
+    """Check one replication's event log against the simulator's rules.
+
+    ``rep.events`` is the log of a run with ``capture_events=True``,
+    ``failures`` its (time, plane) pairs in time order and ``launch_waits``
+    the launch-window waits of its ground orders, one each, in order. The
+    replay derives each entry from the state the earlier ones left:
+    - the next event is the earliest failure or arrival, a failure first on
+      a tie and arrivals at one time in the order they were scheduled; a
+      batch reaches plane j at t + wait + tof and parking orbit p at
+      t + (pt + wait_i);
+    - each ``stock_after`` is the location's stock: a failure takes one
+      satellite if there is one, a plane arrival brings q less the
+      backlog it serves, a transfer takes one batch, a restock brings k_q;
+    - a location orders when its stock is at or below its reorder point
+      with none outstanding;
+    - a plane order counts a parking backorder when the nearest orbit is
+      empty, and leaves from the nearest stocked orbit, or queues;
+    - a restock serves the queue first in, first out, while any orbit
+      has stock.
+    The log names no target for a transfer: a transfer at a plane order
+    serves that plane, and the transfers at a restock serve the queue's
+    front in order. Only `orbits` geometry and `costs.annual_cost` are
+    shared with the package.
+
+    Returns the replication the log implies, with the lead times of the
+    window's transfers, including those still in flight at the horizon.
+
+    Raises:
+        LogMismatch: At the first entry the rules do not give.
     """
     cfg, st, lp = sc.constellation, sc.strategy, sc.launch
-    n_plane, n_park = cfg.n_plane, st.n_parking
-    q_plane, s_plane = st.q_plane, st.s_plane
-    k_q, k_s = st.k_q_parking, st.k_s_parking
-    q_parking = st.q_parking
-
+    q, s, k_q, k_s = st.q_plane, st.s_plane, st.k_q_parking, st.k_s_parking
     horizon = sc.horizon_years * DAYS_PER_YEAR
     warmup = sc.warmup_years * DAYS_PER_YEAR
     window = horizon - warmup
 
-    parking_orbit = CircularOrbit(st.h_parking_km, cfg.inclination_deg)
-    plane_orbit = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
-    relative = raan_drift_rate(parking_orbit, sc.consts) - raan_drift_rate(plane_orbit, sc.consts)
-    if relative == 0.0:
-        raise ValueError("zero relative drift rate: transfers never depart")
+    parking = CircularOrbit(st.h_parking_km, cfg.inclination_deg)
+    plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
+    relative = raan_drift_rate(parking, sc.consts) - raan_drift_rate(plane, sc.consts)
     transfer = hohmann_transfer(
-        parking_orbit, plane_orbit, sc.satellite.m_dry_kg, sc.satellite.v_exhaust_km_s, sc.consts
+        parking, plane, sc.satellite.m_dry_kg, sc.satellite.v_exhaust_km_s, sc.consts
     )
     tof = transfer.time_of_flight_days
+    raan = [2 * math.pi * j / cfg.n_plane for j in range(cfg.n_plane)]
 
-    plane_raan = [_TWO_PI * j / n_plane for j in range(n_plane)]
-    parking_ring = [_TWO_PI * p / n_park for p in range(n_park)]
-
-    plane_stock = [s_plane + q_plane] * n_plane
-    plane_backorders = [0] * n_plane
-    plane_in_transit = [False] * n_plane
-    parking_stock = [k_s + k_q] * n_park
-    parking_in_transit = [False] * n_park
-    waiting_orders: deque[int] = deque()
-
-    initial_on_hand = n_plane * (s_plane + q_plane) + n_park * (k_s + k_q) * q_plane
-
-    agg_plane = float(sum(plane_stock))
-    agg_park = float(sum(parking_stock))
-    int_plane = 0.0
-    int_park = 0.0
-    last_t = 0.0
-
-    failures = failures_window = served = 0
-    backorder_events_window = 0
-    plane_orders = transfers = plane_arrivals = 0
-    plane_cycles_window = transfers_window = 0
-    ground_orders = ground_arrivals = ground_arrivals_window = 0
-    parking_cycles_window = parking_backorders_window = 0
+    plane_stock = [s + q] * cfg.n_plane
+    backorders = [0] * cfg.n_plane
+    plane_ordered = [False] * cfg.n_plane
+    parking_stock = [k_s + k_q] * st.n_parking
+    parking_ordered = [False] * st.n_parking
+    queue: deque[int] = deque()
+    # Events to come: (time, scheduling number, entry kind, location). The
+    # failures are numbered before every arrival, so one comes first on a tie.
+    pending = [(t, i - len(failures), "failure", j) for i, (t, j) in enumerate(failures)]
+    heapq.heapify(pending)
+    scheduled = itertools.count()
     leadtimes: list[float] = []
-    events: list[tuple[float, str, int, int]] | None = [] if sc.capture_events else None
+    log = rep.events
+    at = ground_orders = parking_backorders = 0
 
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
+    def expect(t: float, what: str, loc: int, stock: int) -> None:
+        """The log's next entry must be the one the rules give."""
+        nonlocal at
+        want = (t, what, loc, stock)
+        if at == len(log) or log[at] != want:
+            got = log[at] if at < len(log) else "the end of the log"
+            raise LogMismatch(f"entry {at} is {got}; the rules give {want}")
+        at += 1
 
-    def push(t: float, kind: int, loc: int) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, loc))
-        seq += 1
-
-    def log(t: float, what: str, loc: int, stock: int) -> None:
-        if events is not None:
-            events.append((t, what, loc, stock))
-
-    def advance(t: float) -> None:
-        nonlocal int_plane, int_park, last_t
-        overlap = min(t, horizon) - max(last_t, warmup)
-        if overlap > 0.0:
-            int_plane += agg_plane * overlap
-            int_park += agg_park * overlap
-        last_t = t
-
-    def in_window(t: float) -> bool:
-        return warmup <= t <= horizon
-
-    def closest_parking(t: float, j: int) -> tuple[tuple[float, int], tuple[float, int] | None]:
-        return _closest_parking(t, plane_raan[j], relative, parking_ring, parking_stock)
-
-    def place_ground_order_if_due(p: int, t: float) -> None:
+    def ground_order_if_due(p: int, t: float) -> None:
         nonlocal ground_orders
-        if parking_stock[p] <= k_s and not parking_in_transit[p]:
-            parking_in_transit[p] = True
+        if parking_stock[p] <= k_s and not parking_ordered[p]:
+            expect(t, "ground_order", p, parking_stock[p])
+            if ground_orders == len(launch_waits):
+                raise LogMismatch(f"ground order {ground_orders} at {t} has no launch wait")
+            arrival = t + (lp.pt_launch_days + launch_waits[ground_orders])
+            heapq.heappush(pending, (arrival, next(scheduled), "parking_arrival", p))
+            parking_ordered[p] = True
             ground_orders += 1
-            delay = lp.pt_launch_days + launch_rng.exponential(lp.mu_launch_days)
-            push(t + delay, _PARKING_ARRIVAL, p)
-            log(t, "ground_order", p, parking_stock[p])
 
-    def assign_transfer(j: int, t: float, choice: tuple[float, int]) -> None:
-        """Send one batch toward plane j from parking orbit p, choice = (wait, p)."""
-        nonlocal agg_park, transfers, transfers_window
-        wait, p = choice
+    def send(j: int, t: float, supplier: tuple[float, int]) -> None:
+        """One batch toward plane j from supplier = (wait, orbit)."""
+        wait, p = supplier
         parking_stock[p] -= 1
-        agg_park -= 1.0
-        push(t + wait + tof, _PLANE_ARRIVAL, j)
-        transfers += 1
-        if in_window(t):
-            transfers_window += 1
+        expect(t, "transfer_start", p, parking_stock[p])
+        heapq.heappush(pending, (t + wait + tof, next(scheduled), "plane_arrival", j))
+        if warmup <= t:
             leadtimes.append(wait + tof)
-        log(t, "transfer_start", p, parking_stock[p])
-        place_ground_order_if_due(p, t)
+        ground_order_if_due(p, t)
 
-    def place_plane_order_if_due(j: int, t: float) -> None:
-        nonlocal plane_orders, parking_backorders_window
-        if plane_stock[j] <= s_plane and not plane_in_transit[j]:
-            plane_in_transit[j] = True
-            plane_orders += 1
-            log(t, "plane_order", j, plane_stock[j])
-            # Demand accounting: the order targets the geometrically closest
-            # parking orbit; finding it empty is a parking backorder even if
-            # another orbit ends up serving the transfer. When it is stocked,
-            # it is also the closest stocked orbit.
-            choice, stocked = closest_parking(t, j)
-            if parking_stock[choice[1]] < 1:
-                if in_window(t):
-                    parking_backorders_window += 1
-                choice = stocked
-            if choice is None:
-                waiting_orders.append(j)
-                log(t, "order_queued", j, 0)
+    def plane_order_if_due(j: int, t: float) -> None:
+        nonlocal parking_backorders
+        if plane_stock[j] <= s and not plane_ordered[j]:
+            expect(t, "plane_order", j, plane_stock[j])
+            plane_ordered[j] = True
+            (_, nearest), stocked = nearest_parking(t, raan[j], relative, parking_stock)
+            if parking_stock[nearest] == 0 and warmup <= t:
+                parking_backorders += 1
+            if stocked is None:
+                expect(t, "order_queued", j, 0)
+                queue.append(j)
             else:
-                assign_transfer(j, t, choice)
+                send(j, t, stocked)
 
-    def handle_failure(j: int, t: float) -> None:
-        nonlocal agg_plane, failures, failures_window, served, backorder_events_window
-        failures += 1
-        if in_window(t):
-            failures_window += 1
-        if plane_stock[j] > 0:
-            plane_stock[j] -= 1
-            agg_plane -= 1.0
-            served += 1
-        else:
-            plane_backorders[j] += 1
-            if in_window(t):
-                backorder_events_window += 1
-        log(t, "failure", j, plane_stock[j])
-        place_plane_order_if_due(j, t)
-
-    def handle_plane_arrival(j: int, t: float) -> None:
-        nonlocal agg_plane, served, plane_arrivals, plane_cycles_window
-        plane_arrivals += 1
-        if in_window(t):
-            plane_cycles_window += 1
-        assert plane_in_transit[j], "arrival without an outstanding order"
-        plane_in_transit[j] = False
-        delivered = q_plane
-        backlog = min(delivered, plane_backorders[j])
-        plane_backorders[j] -= backlog
-        served += backlog
-        plane_stock[j] += delivered - backlog
-        agg_plane += float(delivered - backlog)
-        log(t, "plane_arrival", j, plane_stock[j])
-        place_plane_order_if_due(j, t)
-
-    def handle_parking_arrival(p: int, t: float) -> None:
-        nonlocal agg_park, ground_arrivals, ground_arrivals_window, parking_cycles_window
-        ground_arrivals += 1
-        assert parking_in_transit[p], "arrival without an outstanding order"
-        parking_in_transit[p] = False
-        parking_stock[p] += k_q
-        agg_park += float(k_q)
-        if in_window(t):
-            ground_arrivals_window += 1
-            parking_cycles_window += 1
-        log(t, "parking_arrival", p, parking_stock[p])
-        # Queued plane orders re-pick the closest stocked orbit now.
-        while waiting_orders and any(s > 0 for s in parking_stock):
-            j = waiting_orders.popleft()
-            assign_transfer(j, t, closest_parking(t, j)[1])
-        place_ground_order_if_due(p, t)
-
-    # Failures come from their sorted list, arrivals from the heap; a
-    # failure at the same time as an arrival is handled first.
-    n_failures = len(failure_times)
-    next_failure = 0
-    t_failure = failure_times[0] if n_failures else math.inf
-    while True:
-        if heap and heap[0][0] < t_failure:
-            t, _, kind, loc = heapq.heappop(heap)
-            if t > horizon:
-                break
-            advance(t)
-            if kind == _PLANE_ARRIVAL:
-                handle_plane_arrival(loc, t)
+    served = backorder_events = 0
+    int_plane = int_park = last = 0.0
+    while pending and pending[0][0] <= horizon:
+        t, _, kind, loc = heapq.heappop(pending)
+        overlap = t - max(last, warmup)
+        if overlap > 0.0:
+            int_plane += sum(plane_stock) * overlap
+            int_park += sum(parking_stock) * overlap
+        last = t
+        if kind == "failure":
+            if plane_stock[loc] > 0:
+                plane_stock[loc] -= 1
+                served += 1
             else:
-                handle_parking_arrival(loc, t)
+                backorders[loc] += 1
+                backorder_events += warmup <= t
+            expect(t, kind, loc, plane_stock[loc])
+            plane_order_if_due(loc, t)
+        elif kind == "plane_arrival":
+            plane_ordered[loc] = False
+            backlog = min(q, backorders[loc])
+            backorders[loc] -= backlog
+            served += backlog
+            plane_stock[loc] += q - backlog
+            expect(t, kind, loc, plane_stock[loc])
+            plane_order_if_due(loc, t)
         else:
-            t = t_failure
-            if t > horizon:
-                break
-            advance(t)
-            handle_failure(failure_planes[next_failure], t)
-            next_failure += 1
-            t_failure = failure_times[next_failure] if next_failure < n_failures else math.inf
-    advance(horizon)
+            parking_ordered[loc] = False
+            parking_stock[loc] += k_q
+            expect(t, kind, loc, parking_stock[loc])
+            while queue:
+                _, stocked = nearest_parking(t, raan[queue[0]], relative, parking_stock)
+                if stocked is None:
+                    break
+                send(queue.popleft(), t, stocked)
+            ground_order_if_due(loc, t)
+    overlap = horizon - max(last, warmup)
+    if overlap > 0.0:
+        int_plane += sum(plane_stock) * overlap
+        int_park += sum(parking_stock) * overlap
+    if at < len(log):
+        raise LogMismatch(f"entry {at} is {log[at]}, after the last event by the horizon")
+    if ground_orders != len(launch_waits):
+        raise LogMismatch(f"{ground_orders} ground orders for {len(launch_waits)} launch waits")
 
-    final_on_hand = sum(plane_stock) + q_plane * sum(parking_stock)
-    final_in_transit = q_parking * (ground_orders - ground_arrivals) + q_plane * (
-        transfers - plane_arrivals
-    )
-    launched = q_parking * ground_orders
-    backorders_end = sum(plane_backorders)
-    assert final_on_hand + final_in_transit + served == initial_on_hand + launched, (
-        "satellite conservation violated"
-    )
-    assert served + backorders_end == failures, "every failure is served or backordered"
+    tally = Counter((what, warmup <= t) for t, what, _, _ in log)
 
-    mean_stock_plane = int_plane / window / n_plane
-    mean_stock_park = int_park / window / n_park
-    rho_plane = (
-        1.0 - (backorder_events_window / plane_cycles_window) / q_plane
-        if plane_cycles_window
-        else 1.0
-    )
-    rho_parking = (
-        1.0 - (parking_backorders_window / parking_cycles_window) / k_q
-        if parking_cycles_window
-        else 1.0
-    )
+    def count(what: str) -> int:
+        return tally[what, False] + tally[what, True]
 
     years = window / DAYS_PER_YEAR
     cost = annual_cost(
         sc.costs,
-        failures_window / years,
-        int_plane / window + q_plane * int_park / window,
-        ground_arrivals_window / years,
-        q_parking,
-        q_plane * transfers_window / years,
+        tally["failure", True] / years,
+        int_plane / window + q * int_park / window,
+        tally["parking_arrival", True] / years,
+        st.q_parking,
+        q * tally["transfer_start", True] / years,
         transfer.fuel_mass_kg,
     )
-
-    return ReplicationResult(
-        mean_stock_plane=mean_stock_plane,
-        mean_stock_parking_batches=mean_stock_park,
-        rho_plane=rho_plane,
-        rho_parking=rho_parking,
+    batch = {"failure": 0, "plane_arrival": q, "parking_arrival": st.q_parking}
+    plane_cycles, restocks = tally["plane_arrival", True], tally["parking_arrival", True]
+    result = ReplicationResult(
+        mean_stock_plane=int_plane / window / cfg.n_plane,
+        mean_stock_parking_batches=int_park / window / st.n_parking,
+        rho_plane=1.0 - (backorder_events / plane_cycles) / q if plane_cycles else 1.0,
+        rho_parking=1.0 - (parking_backorders / restocks) / k_q if restocks else 1.0,
         tessac=cost.tessac,
-        failures=failures,
-        failures_window=failures_window,
+        failures=count("failure"),
+        failures_window=tally["failure", True],
         served=served,
-        backorders_end=backorders_end,
-        plane_orders=plane_orders,
-        transfers=transfers,
-        plane_arrivals=plane_arrivals,
+        backorders_end=sum(backorders),
+        plane_orders=count("plane_order"),
+        transfers=count("transfer_start"),
+        plane_arrivals=count("plane_arrival"),
         ground_orders=ground_orders,
-        ground_arrivals=ground_arrivals,
-        ground_arrivals_window=ground_arrivals_window,
-        transfers_window=transfers_window,
-        initial_on_hand=initial_on_hand,
-        final_on_hand=final_on_hand,
-        final_in_transit=final_in_transit,
-        plane_leadtimes=tuple(leadtimes),
-        events=tuple(events) if events is not None else None,
+        ground_arrivals=count("parking_arrival"),
+        ground_arrivals_window=restocks,
+        transfers_window=tally["transfer_start", True],
+        initial_on_hand=cfg.n_plane * (s + q) + st.n_parking * (k_s + k_q) * q,
+        final_on_hand=sum(plane_stock) + q * sum(parking_stock),
+        final_in_transit=sum(batch[kind] for _, _, kind, _ in pending),
+        events=log,
     )
+    return Replay(result, leadtimes)
 
 
 def breed_reference(population: list, order: list[int], rng, bounds: list[tuple[float, float]]) -> list:

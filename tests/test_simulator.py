@@ -17,7 +17,7 @@ from sparechain.chain import (
 )
 from sparechain.orbits import CircularOrbit, hohmann_transfer, raan_drift_rate
 from case import CFG, COSTS, LAUNCH, SAT, STRATEGY
-from oracles import run_with_rng_reference
+from oracles import LogMismatch, nearest_parking, replay_events
 from sparechain import simulator
 from sparechain.simulator import (
     _FAILURE_BLOCK,
@@ -29,6 +29,7 @@ from sparechain.simulator import (
     child_seed,
     run_batch,
     run_replication,
+    stream,
 )
 
 
@@ -70,6 +71,12 @@ def _toy_config(**overrides):
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+def _case_config(**overrides):
+    """A simulation of the bundled case study."""
+    base = dict(constellation=CFG, strategy=STRATEGY, launch=LAUNCH, costs=COSTS, satellite=SAT)
+    return SimConfig(**base, **overrides)
 
 
 def test_hand_traced_replication():
@@ -117,8 +124,10 @@ def test_hand_traced_replication():
     assert rep.final_in_transit == 1
     assert rep.rho_plane == 1.0
     assert rep.rho_parking == 1.0
-    assert rep.plane_leadtimes == pytest.approx(
-        (wait1 + TOF_700_1200_DAYS, wait2 + TOF_700_1200_DAYS), rel=1e-12
+    replay = replay_events(sc, rep, [(50.0, 0), (550.0, 0), (5550.0, 0)], [10.0, 100.0])
+    assert replay.result == rep
+    assert replay.leadtimes == pytest.approx(
+        [wait1 + TOF_700_1200_DAYS, wait2 + TOF_700_1200_DAYS], rel=1e-12
     )
 
     int_plane = 2 * 50.0 + 1 * (arr1 - 50.0) + 2 * (550.0 - arr1) + 1 * (730.0 - 550.0)
@@ -161,7 +170,10 @@ def test_hand_traced_restock_serves_queued_orders_in_order():
     )
     sc = _toy_config(constellation=cfg, strategy=two, horizon_years=3.0)
     times = [10.0 + j for j in range(9)]
-    rep = _run_with_rng(sc, times, list(range(9)), ScriptedLaunchRng([100.0, 400.0, 5e3, 5e3]))
+    waits = [100.0, 400.0, 5e3, 5e3]
+    rep = _run_with_rng(sc, times, list(range(9)), ScriptedLaunchRng(waits))
+    replay = replay_events(sc, rep, list(zip(times, range(9))), waits)
+    assert replay.result == rep
 
     relative, tof = _toy_drift_and_flight()
 
@@ -196,7 +208,7 @@ def test_hand_traced_restock_serves_queued_orders_in_order():
     # Transfers 7-9 serve planes 6 and 7 from orbit 1, then plane 8 from
     # orbit 0, each after its exact alignment wait.
     served = [(1, 6, t1), (1, 7, t1), (0, 8, t2)]
-    assert list(rep.plane_leadtimes[6:]) == [wait(p, j, t) + tof for p, j, t in served]
+    assert replay.leadtimes[6:] == [wait(p, j, t) + tof for p, j, t in served]
     arrivals = {e[2]: e[0] for e in rep.events if e[1] == "plane_arrival"}
     assert [arrivals[j] for _, j, _ in served] == [t + wait(p, j, t) + tof for p, j, t in served]
     assert rep.transfers == 9
@@ -330,49 +342,126 @@ def _random_oracle_config(rng):
     )
 
 
-def test_event_loop_matches_the_reference_loop_exactly():
+def _stress_config(**overrides):
+    """Small stocks, a slow ground loop and high demand, so orders queue."""
+    cfg = ConstellationConfig(
+        h_plane_km=1200.0, inclination_deg=50.0, n_plane=25, n_sats=40, lambda_sat_per_year=0.1
+    )
+    strategy = SpareStrategy(
+        n_parking=2, h_parking_km=750.0, q_plane=2, s_plane=1, k_q_parking=2, k_s_parking=1
+    )
+    launch = LaunchParams(mu_launch_days=80.0, pt_launch_days=150.0, cap_launch=34)
+    base = dict(
+        constellation=cfg, strategy=strategy, launch=launch,
+        horizon_years=10.0, replications=5, seed=11, warmup_years=1.0,
+    )
+    return _toy_config(**{**base, **overrides})
+
+
+def _logged(sc, failure_rng, launch_rng, twin_rng):
+    """A replication's log, failures and launch waits, as `replay_events` reads them.
+
+    ``twin_rng`` is seeded as ``launch_rng``. It draws one wait per logged
+    ground order, and must then stand where the loop left ``launch_rng``.
+    """
+    cfg = sc.constellation
+    times, planes = _draw_failures(
+        failure_rng, plane_demand_rate(cfg) * cfg.n_plane, cfg.n_plane,
+        sc.horizon_years * DAYS_PER_YEAR,
+    )
+    rep = _run_with_rng(sc, times, planes, launch_rng)
+    n_ground = sum(e[1] == "ground_order" for e in rep.events)
+    waits = twin_rng.exponential(sc.launch.mu_launch_days, n_ground).tolist()
+    assert launch_rng.random() == twin_rng.random()  # one wait per ground order
+    return rep, list(zip(times, planes)), waits
+
+
+def _replayed(sc, seed):
+    """Replication ``seed`` on `run_replication`'s streams, checked by its replay."""
+    rep, failures, waits = _logged(sc, stream(seed, 0), stream(seed, 1), stream(seed, 1))
+    replay = replay_events(sc, rep, failures, waits)
+    assert replay.result == rep
+    return replay
+
+
+def test_replay_rederives_every_random_replication_from_its_log():
     rng = np.random.default_rng(1807)
     backordered = queued = 0
     for case in range(240):
-        sc = _random_oracle_config(rng)
-        cfg = sc.constellation
+        sc = dataclasses.replace(_random_oracle_config(rng), capture_events=True)
         for seed in range(3):
-            failure_rng = np.random.Generator(np.random.Philox(1000 * case + seed))
-            times, planes = _draw_failures(
-                failure_rng,
-                plane_demand_rate(cfg) * cfg.n_plane,
-                cfg.n_plane,
-                sc.horizon_years * DAYS_PER_YEAR,
+            rep, failures, waits = _logged(
+                sc,
+                np.random.Generator(np.random.Philox(1000 * case + seed)),
+                np.random.Generator(np.random.Philox(10**6 + 1000 * case + seed)),
+                np.random.Generator(np.random.Philox(10**6 + 1000 * case + seed)),
             )
-            launch_a = np.random.Generator(np.random.Philox(10**6 + 1000 * case + seed))
-            launch_b = np.random.Generator(np.random.Philox(10**6 + 1000 * case + seed))
-            got = _run_with_rng(sc, times, planes, launch_a)
-            want = run_with_rng_reference(sc, times, planes, launch_b)
-            assert got == want, (case, seed, sc)
-            assert launch_a.random() == launch_b.random()  # equal draws consumed
-            backordered += got.rho_plane < 1.0
-            queued += got.events is not None and ("order_queued" in {e[1] for e in got.events})
+            assert replay_events(sc, rep, failures, waits).result == rep, (case, seed, sc)
+            backordered += rep.rho_plane < 1.0
+            queued += "order_queued" in {e[1] for e in rep.events}
     # The stockout paths ran: plane backorders and queued plane orders.
     assert backordered > 20
     assert queued > 20
 
 
-def _scan_closest_parking(t, omega, relative, stock, stocked_only):
-    """Reference: the exact (wait, index) minimum over every parking orbit."""
-    n = len(stock)
-    best = None
-    for p in range(n):
-        if stocked_only and stock[p] < 1:
+def test_replay_rederives_the_case_study_and_a_retrograde_constellation():
+    # The random configs all drift backwards over at most 3 years. The
+    # case study runs 15 years with a warm-up; above 90 degrees of
+    # inclination the parking ring drifts forwards past the planes.
+    sc = _case_config(capture_events=True)
+    for i in range(3):
+        seed = child_seed(sc.seed, i)
+        assert _replayed(sc, seed).result == run_replication(sc, seed)
+    retrograde = _stress_config(
+        constellation=dataclasses.replace(CFG, inclination_deg=130.0, n_plane=12),
+        horizon_years=5.0,
+    )
+    h_parking = retrograde.strategy.h_parking_km
+    assert raan_drift_rate(CircularOrbit(h_parking, 130.0)) > raan_drift_rate(
+        CircularOrbit(1200.0, 130.0)
+    )
+    logs = [_replayed(retrograde, seed).result.events for seed in range(3)]
+    assert any(e[1] == "order_queued" for log in logs for e in log)
+
+
+def _with(log, k, *entries):
+    """A copy of the log with ``entries`` in place of its entry k."""
+    return log[:k] + list(entries) + log[k + 1 :]
+
+
+def test_replay_rejects_a_doctored_log():
+    sc = _stress_config()
+    rep, failures, waits = _logged(sc, stream(5, 0), stream(5, 1), stream(5, 1))
+    assert replay_events(sc, rep, failures, waits).result == rep
+    log = list(rep.events)
+    first = {}
+    for k, entry in enumerate(log):
+        first.setdefault(entry[1], k)
+    # Two transfers at one restock, which serve the queue's front in turn.
+    restocks = {t for t, what, _, _ in log if what == "parking_arrival"}
+    i, j = [k for k, e in enumerate(log) if e[1] == "transfer_start" and e[0] in restocks][:2]
+    assert log[i][0] == log[j][0] and log[i] != log[j]
+    arrival = first["plane_arrival"]
+    t, _, plane, stock = log[arrival]
+    t_f, _, plane_f, stock_f = log[first["failure"]]
+    doctored = {
+        "queued transfers swapped": _with(_with(log, i, log[j]), j, log[i]),
+        "stock_after off by one": _with(log, arrival, (t, "plane_arrival", plane, stock + 1)),
+        "plane order deleted": _with(log, first["plane_order"]),
+        "plane arrival one ulp later": _with(
+            log, arrival, (math.nextafter(t, math.inf), "plane_arrival", plane, stock)
+        ),
+        "extra ground order": _with(log, first["ground_order"], *[log[first["ground_order"]]] * 2),
+        "failure on another plane": _with(
+            log, first["failure"], (t_f, "failure", plane_f + 1, stock_f)
+        ),
+    }
+    for name, events in doctored.items():
+        try:
+            replay_events(sc, dataclasses.replace(rep, events=tuple(events)), failures, waits)
+        except LogMismatch:
             continue
-        theta = 2 * math.pi * p / n + relative * t
-        if relative < 0.0:
-            gap = (theta - omega) % (2 * math.pi)
-        else:
-            gap = (omega - theta) % (2 * math.pi)
-        cand = (gap / abs(relative), p)
-        if best is None or cand < best:
-            best = cand
-    return best
+        pytest.fail(f"the replay accepts a log with its {name}")
 
 
 def test_closest_parking_matches_the_full_scan():
@@ -395,12 +484,8 @@ def test_closest_parking_matches_the_full_scan():
             ring = [2 * math.pi * p / n_park for p in range(n_park)]
             for t, omega in states:
                 stock = [int(x) for x in rng.integers(0, 3, size=n_park)]
-                want = tuple(
-                    _scan_closest_parking(t, omega, relative, stock, stocked_only)
-                    for stocked_only in (False, True)
-                )
                 got = _closest_parking(t, omega, relative, ring, stock)
-                assert got == want, (n_park, relative, t, omega, stock)
+                assert got == nearest_parking(t, omega, relative, stock), (t, omega, stock)
     ring = [2 * math.pi * p / 3 for p in range(3)]
     assert _closest_parking(10.0, 0.0, 0.01, ring, [0, 0, 0])[1] is None
 
@@ -477,27 +562,10 @@ def test_no_failures_means_constant_stocks():
 
 
 def test_conservation_ledger_under_stress():
-    # small stocks, slow ground loop, high demand: exercises queueing,
-    # backorders, and rerouting while the in-engine ledger asserts hold
-    cfg = ConstellationConfig(
-        h_plane_km=1200.0, inclination_deg=50.0, n_plane=25, n_sats=40, lambda_sat_per_year=0.1
-    )
-    strategy = SpareStrategy(
-        n_parking=2, h_parking_km=750.0, q_plane=2, s_plane=1, k_q_parking=2, k_s_parking=1
-    )
-    launch = LaunchParams(mu_launch_days=80.0, pt_launch_days=150.0, cap_launch=34)
-    sc = SimConfig(
-        constellation=cfg,
-        strategy=strategy,
-        launch=launch,
-        costs=COSTS,
-        satellite=SAT,
-        horizon_years=10.0,
-        replications=5,
-        seed=11,
-        warmup_years=1.0,
-        capture_events=True,
-    )
+    # Exercises queueing, backorders and rerouting while the in-engine
+    # ledger asserts hold.
+    sc = _stress_config()
+    strategy = sc.strategy
     res = run_batch(sc)
     queued = 0
     for rep in res.per_replication:
@@ -514,17 +582,7 @@ def test_conservation_ledger_under_stress():
 
 
 def test_empirical_failure_rate_matches_poisson_intensity():
-    sc = SimConfig(
-        constellation=CFG,
-        strategy=STRATEGY,
-        launch=LAUNCH,
-        costs=COSTS,
-        satellite=SAT,
-        horizon_years=15.0,
-        replications=20,
-        seed=5,
-        warmup_years=0.0,
-    )
+    sc = _case_config(horizon_years=15.0, replications=20, seed=5, warmup_years=0.0)
     res = run_batch(sc)
     total = sum(r.failures for r in res.per_replication)
     expected = 40 * 40 * 0.05 * 15.0 * 20  # planes x sats x rate x years x reps
@@ -533,17 +591,7 @@ def test_empirical_failure_rate_matches_poisson_intensity():
 
 def test_case_study_simulation_tracks_model():
     metrics = evaluate_strategy(CFG, STRATEGY, LAUNCH)
-    sc = SimConfig(
-        constellation=CFG,
-        strategy=STRATEGY,
-        launch=LAUNCH,
-        costs=COSTS,
-        satellite=SAT,
-        horizon_years=15.0,
-        replications=30,
-        seed=0,
-        warmup_years=1.0,
-    )
+    sc = _case_config(horizon_years=15.0, replications=30, seed=0, warmup_years=1.0)
     res = run_batch(sc).mean
     assert abs(res.mean_stock_plane - metrics.mean_stock_plane) / res.mean_stock_plane < 0.02
     assert (
@@ -567,26 +615,12 @@ def test_leadtimes_uniform_when_parking_always_stocked():
         n_parking=3, h_parking_km=700.0, q_plane=10, s_plane=1, k_q_parking=10, k_s_parking=10
     )
     launch = LaunchParams(mu_launch_days=1.0, pt_launch_days=1.0, cap_launch=200)
-    sc = SimConfig(
-        constellation=cfg,
-        strategy=strategy,
-        launch=launch,
-        costs=COSTS,
-        satellite=SAT,
-        horizon_years=15.0,
-        replications=10,
-        seed=0,
-        warmup_years=0.0,
-    )
-    res = run_batch(sc)
-    leadtimes = np.concatenate([r.plane_leadtimes for r in res.per_replication])
-    rel = abs(
-        raan_drift_rate(CircularOrbit(700.0, 50.0)) - raan_drift_rate(CircularOrbit(1200.0, 50.0))
-    )
-    tof = hohmann_transfer(
-        CircularOrbit(700.0, 50.0), CircularOrbit(1200.0, 50.0), 150.0, 2.16
-    ).time_of_flight_days
-    segment = (2 * math.pi / 3) / rel
+    sc = _toy_config(constellation=cfg, strategy=strategy, launch=launch, horizon_years=15.0)
+    # The replications of seed 0. The replay's lead times include those
+    # of batches still in flight at the horizon.
+    leadtimes = np.concatenate([_replayed(sc, child_seed(0, i)).leadtimes for i in range(10)])
+    relative, tof = _toy_drift_and_flight()
+    segment = (2 * math.pi / 3) / abs(relative)
     assert leadtimes.size > 500
     assert np.all(leadtimes >= tof - 1e-9)
     assert np.all(leadtimes <= tof + segment + 1e-9)
@@ -595,17 +629,7 @@ def test_leadtimes_uniform_when_parking_always_stocked():
 
 
 def test_same_seed_reproduces_bit_identical_results():
-    sc = SimConfig(
-        constellation=CFG,
-        strategy=STRATEGY,
-        launch=LAUNCH,
-        costs=COSTS,
-        satellite=SAT,
-        horizon_years=5.0,
-        replications=12,
-        seed=42,
-        warmup_years=1.0,
-    )
+    sc = _case_config(horizon_years=5.0, replications=12, seed=42, warmup_years=1.0)
     a = run_batch(sc)
     b = run_batch(sc)
     assert a == b
@@ -632,17 +656,7 @@ def test_only_the_simulator_derives_random_streams():
 
 def test_standard_error_shrinks_with_replications():
     def se(reps):
-        sc = SimConfig(
-            constellation=CFG,
-            strategy=STRATEGY,
-            launch=LAUNCH,
-            costs=COSTS,
-            satellite=SAT,
-            horizon_years=5.0,
-            replications=reps,
-            seed=3,
-            warmup_years=1.0,
-        )
+        sc = _case_config(horizon_years=5.0, replications=reps, seed=3, warmup_years=1.0)
         return run_batch(sc).se.tessac
 
     assert se(64) < se(8)
