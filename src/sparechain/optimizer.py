@@ -14,6 +14,10 @@ per generation six arrays in this order: tournament contenders,
 crossover coins, gene-swap coins, mutation coins, replacement integer
 genes and altitude steps. Every array is drawn whole, used or not, so
 the draws never depend on fitness values.
+
+Only the genetic search uses numpy (`_breed` and `optimize` import it
+when called), so the exact ground-only search runs on the standard
+library.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .chain import (
     STRATEGY_BOUNDS,
@@ -191,7 +193,7 @@ _CROSSOVER = [
     operator.itemgetter(*(g + _N_GENES * (mask >> g & 1) for g in range(_N_GENES)))
     for mask in range(1 << _N_GENES)
 ]
-_BIT_VALUES = 1 << np.arange(_N_GENES)
+_BIT_VALUES = tuple(1 << g for g in range(_N_GENES))
 
 
 def _search_memo(prob: OptimizationProblem) -> StageMemo:
@@ -232,6 +234,8 @@ def _breed(population: list, order: list[int], rng, bounds: list[tuple[float, fl
     order. Every draw is made whole, but a child's gene changes only where
     its mutation coin hit.
     """
+    import numpy as np
+
     n_children = len(population) - ELITISM
     n_pairs = (n_children + 1) // 2
     # Candidates with equal sort keys are equal genomes, so the lowest
@@ -293,6 +297,8 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
         ValueError: If no candidate in the box can be evaluated (see
             `_search_memo`), naming the cause.
     """
+    import numpy as np
+
     ga = prob.ga
     bounds = [getattr(prob.bounds, name) for name in STRATEGY_BOUNDS]
     memo = _search_memo(prob)

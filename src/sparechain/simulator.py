@@ -28,6 +28,10 @@ streams, one per purpose:
 * launch waits, ``stream(r, 1)``: one exponential launch-window wait per
   ground order, in the order the orders are placed.
 
+numpy is imported only inside the functions that derive seeds and
+streams (`child_seed`, `stream`) and aggregate replications (`run_batch`),
+so importing this module, as every command does, does not load it.
+
 The event loop takes the failures as a sorted list and keeps only plane
 and parking arrivals on its heap. A failure at exactly the same time as
 an arrival is handled first; arrivals at the same time are handled in the
@@ -51,8 +55,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .chain import (
     DAYS_PER_YEAR,
@@ -199,18 +201,22 @@ def _draw_failures(
         gaps = rng.exponential(1.0 / rate, _FAILURE_BLOCK)
         planes += rng.integers(0, n_plane, _FAILURE_BLOCK).tolist()
         gaps[0] += last
-        times += np.cumsum(gaps, out=gaps).tolist()
+        times += gaps.cumsum(out=gaps).tolist()
         last = times[-1]
     return times, planes
 
 
 def child_seed(seed: int, *key: int) -> int:
     """The first 64-bit word of ``SeedSequence(seed, spawn_key=key)``."""
+    import numpy as np
+
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
-    """A Philox generator on ``SeedSequence(seed, spawn_key=key)``."""
+def stream(seed: int, *key: int):
+    """A ``numpy.random.Generator`` on Philox, seeded by ``SeedSequence(seed, spawn_key=key)``."""
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
@@ -481,6 +487,8 @@ def run_batch(sc: SimConfig, jobs: int | None = None) -> SimulationResult:
     ``jobs`` is not read; it stays because the benchmark (``bench/``)
     still passes it.
     """
+    import numpy as np
+
     reps = [run_replication(sc, child_seed(sc.seed, i)) for i in range(sc.replications)]
     n = len(reps)
     mean, se = [], []

@@ -454,6 +454,52 @@ def test_evaluate_runs_without_scipy(tmp_path):
     assert a == b
 
 
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sparechain.__file__).parent.parent)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_startup_imports_no_numpy():
+    # Every command imports the package and the CLI and loads its config
+    # before it runs; numpy loads only when a command draws random numbers.
+    code = (
+        "import sys; import sparechain, sparechain.cli; "
+        "from sparechain.config import bundled_case_study_path, load_run_config; "
+        "load_run_config(bundled_case_study_path()); "
+        "assert 'numpy' not in sys.modules, 'numpy imported at start-up'"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate"],
+        ["evaluate", "--inplane-only"],
+        ["optimize", "--inplane-only"],
+        ["fit-launch-data"],
+    ],
+    ids=" ".join,
+)
+def test_analytic_commands_run_without_numpy(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "in_process")]) == 0
+    # A None entry in sys.modules makes every import of numpy fail.
+    code = (
+        "import sys; sys.modules['numpy'] = None; "
+        "from sparechain.cli import main; raise SystemExit(main(sys.argv[1:]))"
+    )
+    proc = run_python(code, *argv, "--out", str(tmp_path / "no_numpy"))
+    assert proc.returncode == 0, proc.stderr
+    a, b = (
+        {p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("in_process", "no_numpy")
+    )
+    assert a == b
+
+
 def test_invalid_json_and_missing_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
