@@ -97,7 +97,7 @@ class ConstellationConfig:
 
 # What a spare strategy may be, (lo, hi) per SpareStrategy field in field
 # order, enforced at construction; where the searches look is
-# `optimizer.VariableBounds`. A float lo marks the one real-valued variable.
+# `config.VariableBounds`. A float lo marks the one real-valued variable.
 STRATEGY_BOUNDS = {
     "n_parking": (1, 20),
     "h_parking_km": (700.0, 1000.0),

@@ -20,6 +20,12 @@ replication, case, restart and sweep point derives its streams; the key
 layout is listed once, in the `simulator` docstring. ``evaluate`` and
 ``fit-launch-data`` are deterministic and ignore the seed.
 
+The package loads `optimizer`, `simulator` and `validation` lazily, and
+this module reads their names only inside the command functions, so a
+command executes only the modules it runs: ``evaluate`` none of them,
+``simulate`` the simulator, ``optimize`` and ``sensitivity`` not the
+validation study, ``validate`` and ``fit-launch-data`` not the optimizer.
+
 Exit status: 0 on success, 1 on configuration or input errors (among
 them a search in which every candidate must fail, as on polar planes),
 2 when a requested optimization or sizing is infeasible.
@@ -34,6 +40,7 @@ import math
 import sys
 from pathlib import Path
 
+from . import optimizer, simulator, validation
 from .chain import STRATEGY_BOUNDS, PolicyMetrics, evaluate_inplane_only
 from .config import (
     ConfigError,
@@ -44,21 +51,13 @@ from .config import (
     load_run_config,
 )
 from .costs import CostBreakdown, evaluate_design, tessac_inplane_only
-from .optimizer import (
-    OptimizationProblem,
-    optimize,
-    optimize_inplane_only,
-    sensitivity_sweep,
-)
-from .simulator import Estimates, SimConfig, child_seed, run_batch
-from .validation import OUTPUT_NAMES, fit_launch_gaps, read_launch_dates, run_validation
 
 _COMMAND_IDS = {"simulate": 1, "validate": 2, "optimize": 3, "sensitivity": 4}
 
 
 def command_seed(master: int, command: str) -> int:
     """Per-command child seed derived from the master seed."""
-    return child_seed(master, _COMMAND_IDS[command])
+    return simulator.child_seed(master, _COMMAND_IDS[command])
 
 
 def _fmt(value) -> str:
@@ -94,15 +93,6 @@ def _strategy_fields(strategy) -> tuple[list[str], list]:
 
 _METRIC_COLUMNS = list(PolicyMetrics._fields)
 _COST_COLUMNS = [f.name for f in dataclasses.fields(CostBreakdown)] + ["tessac"]
-# ReplicationResult attributes, one column each after the index, in simulation_replications.csv.
-_REPLICATION_COLUMNS = (
-    *Estimates._fields,
-    "failures",
-    "served",
-    "backorders_end",
-    "transfers",
-    "ground_orders",
-)
 
 
 def cmd_evaluate(rc: RunConfig, args, out: Path, master: int) -> int:
@@ -130,7 +120,7 @@ def cmd_evaluate(rc: RunConfig, args, out: Path, master: int) -> int:
 
 def cmd_simulate(rc: RunConfig, args, out: Path, master: int) -> int:
     rc.require("constellation", "strategy", "launch", "costs", "satellite")
-    sc = SimConfig(
+    sc = simulator.SimConfig(
         constellation=rc.constellation,
         strategy=rc.strategy,
         launch=rc.launch,
@@ -141,17 +131,15 @@ def cmd_simulate(rc: RunConfig, args, out: Path, master: int) -> int:
         consts=rc.earth,
         **vars(rc.simulation),
     )
-    res = run_batch(sc)
+    res = simulator.run_batch(sc)
+    estimates = simulator.Estimates._fields
     header = ["metric", "mean", "se"]
-    rows = list(zip(Estimates._fields, res.mean, res.se))
+    rows = list(zip(estimates, res.mean, res.se))
     _write_csv(out / "simulation_summary.csv", header, rows)
-    rep_rows = [
-        [i, *(getattr(r, n) for n in _REPLICATION_COLUMNS)]
-        for i, r in enumerate(res.per_replication)
-    ]
-    _write_csv(
-        out / "simulation_replications.csv", ["replication", *_REPLICATION_COLUMNS], rep_rows
-    )
+    # ReplicationResult attributes, one column each after the index.
+    columns = (*estimates, "failures", "served", "backorders_end", "transfers", "ground_orders")
+    rep_rows = [[i, *(getattr(r, n) for n in columns)] for i, r in enumerate(res.per_replication)]
+    _write_csv(out / "simulation_replications.csv", ["replication", *columns], rep_rows)
     if args.event_log:
         ev_rows = [
             [i, t, what, loc, stock]
@@ -177,7 +165,7 @@ def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
     }
     run_size = {field: getattr(args, field) for field in flags}
     check_run_size(run_size, flags)
-    report = run_validation(
+    report = validation.run_validation(
         rc.validation.space,
         costs=rc.costs,
         satellite=rc.satellite,
@@ -186,13 +174,14 @@ def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
         **run_size,
     )
     param_names = [f.name for f in dataclasses.fields(rc.validation.space)]
+    output_names = validation.OUTPUT_NAMES
     case_header = (
         ["case", "feasible"]
         + param_names
         + ["s_plane", "k_s_parking"]
-        + [f"model_{n}" for n in OUTPUT_NAMES]
-        + [f"sim_{n}" for n in OUTPUT_NAMES]
-        + [f"err_pct_{n}" for n in OUTPUT_NAMES]
+        + [f"model_{n}" for n in output_names]
+        + [f"sim_{n}" for n in output_names]
+        + [f"err_pct_{n}" for n in output_names]
         + ["reason"]
     )
     case_rows = []
@@ -201,12 +190,12 @@ def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
         row += [case.params[p] for p in param_names]
         row += [case.s_plane, case.k_s_parking]
         for source in (case.model_values, case.sim_values, case.errors_pct):
-            row += [source.get(n) if source else None for n in OUTPUT_NAMES]
+            row += [source.get(n) if source else None for n in output_names]
         row.append(case.reason or "")
         case_rows.append(row)
     _write_csv(out / "validation_cases.csv", case_header, case_rows)
     header = ["output", "avg_abs_error_pct"]
-    rows = [[name, report.averaged_errors_pct[name]] for name in OUTPUT_NAMES]
+    rows = [[name, report.averaged_errors_pct[name]] for name in output_names]
     _write_csv(out / "validation_summary.csv", header, rows)
     _emit(header, rows)
     feasible = sum(1 for c in report.cases if c.feasible)
@@ -216,9 +205,9 @@ def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
     return 0
 
 
-def _problem(rc: RunConfig) -> OptimizationProblem:
+def _problem(rc: RunConfig) -> optimizer.OptimizationProblem:
     rc.require("constellation", "launch", "costs", "satellite")
-    return OptimizationProblem(
+    return optimizer.OptimizationProblem(
         constellation=rc.constellation,
         launch=rc.launch,
         costs=rc.costs,
@@ -231,7 +220,7 @@ def _problem(rc: RunConfig) -> OptimizationProblem:
 def cmd_optimize(rc: RunConfig, args, out: Path, master: int) -> int:
     prob = _problem(rc)
     if args.inplane_only:
-        res = optimize_inplane_only(prob)
+        res = optimizer.optimize_inplane_only(prob)
         header = ["q_plane", "s_plane", "tessac", "fill_rate_product"]
         rows = [
             [
@@ -244,7 +233,7 @@ def cmd_optimize(rc: RunConfig, args, out: Path, master: int) -> int:
         _write_csv(out / "optimize_inplane.csv", header, rows)
         _emit(header, rows)
         return 0
-    res = optimize(prob, seed=command_seed(master, "optimize"))
+    res = optimizer.optimize(prob, seed=command_seed(master, "optimize"))
     if not res.feasible:
         print("genetic search found no feasible strategy", file=sys.stderr)
         return 2
@@ -274,7 +263,7 @@ def cmd_sensitivity(rc: RunConfig, args, out: Path, master: int) -> int:
         raise ConfigError(
             f"--rates: failure rates must be finite and nonnegative, got {args.rates}"
         )
-    points = sensitivity_sweep(prob, rates, seed=command_seed(master, "sensitivity"))
+    points = optimizer.sensitivity_sweep(prob, rates, seed=command_seed(master, "sensitivity"))
     header = [
         "lambda_sat_per_year",
         "tessac_multi",
@@ -305,8 +294,8 @@ def cmd_sensitivity(rc: RunConfig, args, out: Path, master: int) -> int:
 
 def cmd_fit_launch_data(rc: RunConfig, args, out: Path, master: int) -> int:
     path = args.dates if args.dates is not None else bundled_launch_dates_path()
-    dates = read_launch_dates(path)
-    mean_gap = fit_launch_gaps(dates)
+    dates = validation.read_launch_dates(path)
+    mean_gap = validation.fit_launch_gaps(dates)
     header = ["n_dates", "n_gaps", "mean_gap_days"]
     rows = [[len(dates), len(dates) - 1, mean_gap]]
     _write_csv(out / "launch_fit.csv", header, rows)

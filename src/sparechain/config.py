@@ -6,6 +6,11 @@ optimization and validation settings. Every object in the file, the top
 level included, is built from the fields of the dataclass it describes:
 unknown keys are rejected and every value passes the domain checks of
 its dataclass.
+
+The settings records of the searches and the validation study
+(`VariableBounds`, `GAParams`, `TradeSpace`) are defined here, so that
+loading a config runs neither `optimizer` nor `validation`; those
+modules import them from here.
 """
 
 from __future__ import annotations
@@ -19,12 +24,22 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, ClassVar, get_args, get_type_hints
 
-from .chain import ConstellationConfig, LaunchParams, SatelliteParams, SpareStrategy
+from .chain import (
+    STRATEGY_BOUNDS,
+    ConstellationConfig,
+    LaunchParams,
+    SatelliteParams,
+    SpareStrategy,
+    check_strategy_value,
+)
 from .costs import CostParams
-from .inventory import SQPolicy
-from .optimizer import GAParams, VariableBounds
+from .inventory import SQPolicy, check_integer
 from .orbits import WGS84, EarthConstants
-from .validation import TradeSpace
+
+# Elite genomes the genetic search copies unchanged into each next
+# generation; a population must be larger. `optimizer` holds the other
+# operators.
+ELITISM = 2
 
 
 class ConfigError(ValueError):
@@ -54,6 +69,82 @@ def check_run_size(values: dict[str, Any], names: dict[str, str]) -> None:
             f"{names['warmup_years']}: must be nonnegative and shorter than "
             f"{names['horizon_years']} ({values['horizon_years']}), got {values['warmup_years']}"
         )
+
+
+@dataclass(frozen=True)
+class VariableBounds:
+    """Where the searches look: (lo, hi) per variable, each a valid strategy value.
+
+    The default is the one box of the genetic search, the validation sizing
+    and its trade space. Its reorder points, unbounded in a strategy, stop
+    at 10; a config widens them under ``optimization.bounds``.
+    """
+
+    n_parking: tuple[int, int] = STRATEGY_BOUNDS["n_parking"]
+    h_parking_km: tuple[float, float] = STRATEGY_BOUNDS["h_parking_km"]
+    q_plane: tuple[int, int] = STRATEGY_BOUNDS["q_plane"]
+    s_plane: tuple[int, int] = (1, 10)
+    k_q_parking: tuple[int, int] = STRATEGY_BOUNDS["k_q_parking"]
+    k_s_parking: tuple[int, int] = (1, 10)
+
+    def __post_init__(self) -> None:
+        for name in STRATEGY_BOUNDS:
+            lo, hi = getattr(self, name)
+            check_strategy_value(name, lo)
+            check_strategy_value(name, hi)
+            if lo > hi:
+                raise ValueError(f"{name} bounds ({lo}, {hi}) must be ordered")
+
+
+@dataclass(frozen=True)
+class GAParams:
+    """Genetic-algorithm run size.
+
+    The operators are constants: `ELITISM` here, the rest in `optimizer`.
+    """
+
+    population: int = 60
+    generations: int = 150
+    restarts: int = 5
+
+    def __post_init__(self) -> None:
+        for name in ("population", "generations", "restarts"):
+            check_integer(name, getattr(self, name))
+        if self.population <= ELITISM or self.generations < 1 or self.restarts < 1:
+            raise ValueError(f"population > {ELITISM}, generations >= 1, restarts >= 1 required")
+
+
+@dataclass(frozen=True)
+class TradeSpace:
+    """Sampling bounds (lo, hi) of the eleven varied study parameters.
+
+    A field hinted ``tuple[int, int]`` is an integer dimension: its bounds
+    are whole and its samples are rounded.
+    """
+
+    pt_launch_days: tuple[float, float] = (30.0, 120.0)
+    h_plane_km: tuple[float, float] = (1000.0, 2000.0)
+    h_parking_km: tuple[float, float] = VariableBounds().h_parking_km
+    inclination_deg: tuple[float, float] = (30.0, 70.0)
+    lambda_sat_per_year: tuple[float, float] = (0.001, 0.1)
+    mu_launch_days: tuple[float, float] = (30.0, 90.0)
+    n_plane: tuple[int, int] = (20, 40)
+    n_parking: tuple[int, int] = VariableBounds().n_parking
+    n_sats: tuple[int, int] = (20, 60)
+    q_plane: tuple[int, int] = VariableBounds().q_plane
+    k_q_parking: tuple[int, int] = VariableBounds().k_q_parking
+
+    def __post_init__(self) -> None:
+        hints = get_type_hints(TradeSpace)
+        for f in dataclasses.fields(self):
+            lo, hi = getattr(self, f.name)
+            if hints[f.name] == tuple[int, int]:
+                check_integer(f"{f.name}[0]", lo)
+                check_integer(f"{f.name}[1]", hi)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{f.name}: bounds must be finite, got [{lo}, {hi}]")
+            if lo > hi:
+                raise ValueError(f"{f.name}: lower bound {lo} above upper bound {hi}")
 
 
 @dataclass(frozen=True)

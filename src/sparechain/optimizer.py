@@ -17,7 +17,9 @@ the draws never depend on fitness values.
 
 Only the genetic search uses numpy (`_breed` and `optimize` import it
 when called), so the exact ground-only search runs on the standard
-library.
+library. The search settings (`VariableBounds`, `GAParams` and the
+elitism count) are defined in `config`, so loading a config does not
+execute this module; the package loads it lazily, on first use.
 """
 
 from __future__ import annotations
@@ -38,66 +40,24 @@ from .chain import (
     SpareStrategy,
     StageMemo,
     UndefinedAvailabilityError,
-    check_strategy_value,
     evaluate_inplane_only,
 )
+from .config import ELITISM, GAParams, VariableBounds
 from .costs import CostBreakdown, CostParams, NegativeHoldingError, tessac, tessac_inplane_only
-from .inventory import SQPolicy, check_integer, least_reorder_point
+from .inventory import SQPolicy, least_reorder_point
 from .orbits import WGS84, EarthConstants
 from .simulator import child_seed, stream
 
 PENALTY_SCALE = 1e6
 ERROR_PENALTY = 1e9
 
-# Fixed genetic operators: elite genomes copied unchanged into each next
-# generation, candidates per parent tournament, probability that a pair of
-# parents is recombined, per-gene mutation probability, and the standard
-# deviation of an altitude mutation.
-ELITISM = 2
+# Fixed genetic operators besides `config.ELITISM`: candidates per parent
+# tournament, probability that a pair of parents is recombined, per-gene
+# mutation probability, and the standard deviation of an altitude mutation.
 TOURNAMENT_SIZE = 3
 CROSSOVER_RATE = 0.8
 MUTATION_RATE = 0.1
 MUTATION_SIGMA_KM = 30.0
-
-
-@dataclass(frozen=True)
-class VariableBounds:
-    """Where the searches look: (lo, hi) per variable, each a valid strategy value.
-
-    The default is the one box of the genetic search, the validation sizing
-    and its trade space. Its reorder points, unbounded in a strategy, stop
-    at 10; a config widens them under ``optimization.bounds``.
-    """
-
-    n_parking: tuple[int, int] = STRATEGY_BOUNDS["n_parking"]
-    h_parking_km: tuple[float, float] = STRATEGY_BOUNDS["h_parking_km"]
-    q_plane: tuple[int, int] = STRATEGY_BOUNDS["q_plane"]
-    s_plane: tuple[int, int] = (1, 10)
-    k_q_parking: tuple[int, int] = STRATEGY_BOUNDS["k_q_parking"]
-    k_s_parking: tuple[int, int] = (1, 10)
-
-    def __post_init__(self) -> None:
-        for name in STRATEGY_BOUNDS:
-            lo, hi = getattr(self, name)
-            check_strategy_value(name, lo)
-            check_strategy_value(name, hi)
-            if lo > hi:
-                raise ValueError(f"{name} bounds ({lo}, {hi}) must be ordered")
-
-
-@dataclass(frozen=True)
-class GAParams:
-    """Genetic-algorithm run size; the operators are the module constants."""
-
-    population: int = 60
-    generations: int = 150
-    restarts: int = 5
-
-    def __post_init__(self) -> None:
-        for name in ("population", "generations", "restarts"):
-            check_integer(name, getattr(self, name))
-        if self.population <= ELITISM or self.generations < 1 or self.restarts < 1:
-            raise ValueError(f"population > {ELITISM}, generations >= 1, restarts >= 1 required")
 
 
 @dataclass(frozen=True)

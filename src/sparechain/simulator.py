@@ -30,7 +30,9 @@ streams, one per purpose:
 
 numpy is imported only inside the functions that derive seeds and
 streams (`child_seed`, `stream`) and aggregate replications (`run_batch`),
-so importing this module, as every command does, does not load it.
+so importing this module does not load it. The package loads this module
+lazily, so a command that neither simulates, searches nor draws a seed
+(``evaluate``) does not execute it.
 
 The event loop takes the failures as a sorted list and keeps only plane
 and parking arrivals on its heap. A failure at exactly the same time as

@@ -10,7 +10,6 @@ exponential launch-gap model from a list of historical launch dates.
 from __future__ import annotations
 
 import dataclasses
-import math
 import statistics
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -26,9 +25,9 @@ from .chain import (
     StageMemo,
     UndefinedAvailabilityError,
 )
+from .config import TradeSpace, VariableBounds
 from .costs import CostParams, evaluate_design
-from .inventory import check_integer, least_reorder_point
-from .optimizer import VariableBounds
+from .inventory import least_reorder_point
 from .orbits import WGS84, EarthConstants
 from .simulator import Estimates, SimConfig, SimulationResult, child_seed, run_batch, stream
 
@@ -48,39 +47,6 @@ OUTPUT_NAMES = (
     "rho_parking",
     "tessac",
 )
-
-
-@dataclass(frozen=True)
-class TradeSpace:
-    """Sampling bounds (lo, hi) of the eleven varied study parameters.
-
-    A field hinted ``tuple[int, int]`` is an integer dimension: its bounds
-    are whole and its samples are rounded.
-    """
-
-    pt_launch_days: tuple[float, float] = (30.0, 120.0)
-    h_plane_km: tuple[float, float] = (1000.0, 2000.0)
-    h_parking_km: tuple[float, float] = VariableBounds().h_parking_km
-    inclination_deg: tuple[float, float] = (30.0, 70.0)
-    lambda_sat_per_year: tuple[float, float] = (0.001, 0.1)
-    mu_launch_days: tuple[float, float] = (30.0, 90.0)
-    n_plane: tuple[int, int] = (20, 40)
-    n_parking: tuple[int, int] = VariableBounds().n_parking
-    n_sats: tuple[int, int] = (20, 60)
-    q_plane: tuple[int, int] = VariableBounds().q_plane
-    k_q_parking: tuple[int, int] = VariableBounds().k_q_parking
-
-    def __post_init__(self) -> None:
-        hints = get_type_hints(TradeSpace)
-        for f in dataclasses.fields(self):
-            lo, hi = getattr(self, f.name)
-            if hints[f.name] == tuple[int, int]:
-                check_integer(f"{f.name}[0]", lo)
-                check_integer(f"{f.name}[1]", hi)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"{f.name}: bounds must be finite, got [{lo}, {hi}]")
-            if lo > hi:
-                raise ValueError(f"{f.name}: lower bound {lo} above upper bound {hi}")
 
 
 def lhs_sample(space: TradeSpace, n: int, seed: int) -> list[dict[str, float | int]]:

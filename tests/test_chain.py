@@ -28,8 +28,8 @@ from sparechain.chain import (
     plane_stage,
     supply_probabilities,
 )
+from sparechain.config import VariableBounds
 from sparechain.inventory import SQPolicy, expected_shortage
-from sparechain.optimizer import VariableBounds
 from sparechain.orbits import WGS84, CircularOrbit, raan_drift_rate, transfer_time
 
 from case import CFG, LAUNCH, SAT, STRATEGY

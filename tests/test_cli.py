@@ -462,17 +462,56 @@ def run_python(code, *args):
     )
 
 
+LAZY_MODULES = ("optimizer", "simulator", "validation")
+
+# Names of the lazy modules whose bodies have run: loading one turns it
+# into a plain module (reading an attribute to ask would run it).
+EXECUTED = (
+    f"' '.join(n for n in {LAZY_MODULES} "
+    "if type(sys.modules['sparechain.' + n]) is types.ModuleType)"
+)
+
+
 def test_startup_imports_no_numpy():
     # Every command imports the package and the CLI and loads its config
-    # before it runs; numpy loads only when a command draws random numbers.
+    # before it runs; numpy loads only when a command draws random numbers,
+    # and the search, simulator and study modules only when it runs them.
     code = (
-        "import sys; import sparechain, sparechain.cli; "
+        "import sys, types; import sparechain, sparechain.cli; "
         "from sparechain.config import bundled_case_study_path, load_run_config; "
         "load_run_config(bundled_case_study_path()); "
-        "assert 'numpy' not in sys.modules, 'numpy imported at start-up'"
+        "assert 'numpy' not in sys.modules, 'numpy imported at start-up'; "
+        f"assert all('sparechain.' + n in sys.modules for n in {LAZY_MODULES}); "
+        f"executed = {EXECUTED}; "
+        "assert not executed, f'executed at start-up: {executed}'"
     )
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (["evaluate"], ""),
+        (["evaluate", "--inplane-only"], ""),
+        (["simulate"], "simulator"),
+        (["optimize"], "optimizer simulator"),
+        (["optimize", "--inplane-only"], "optimizer simulator"),
+        (["sensitivity", "--rates", "0.05"], "optimizer simulator"),
+        (["validate", "--n-cases", "1", "--reps", "2", "--horizon", "2"], "simulator validation"),
+        (["fit-launch-data"], "simulator validation"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_each_command_executes_only_the_modules_it_runs(tmp_path, fast_config, argv, executed):
+    code = (
+        "import sys, types; from sparechain import cli; "
+        "code = cli.main(sys.argv[1:]); "
+        f"print({EXECUTED}); raise SystemExit(code)"
+    )
+    proc = run_python(code, *argv, "--config", str(fast_config), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == executed
 
 
 @pytest.mark.parametrize(
