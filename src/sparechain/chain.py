@@ -518,16 +518,9 @@ def evaluate_inplane_only(
 
     Planes order straight from the ground, so the plane lead time is the
     launch law itself. Parking fields are reported as an ideal pass-through
-    (availability 1, no stock).
-
-    Raises:
-        ValueError: If the order quantity exceeds the launch capacity.
+    (availability 1, no stock). The launch capacity is not read here:
+    `costs.tessac_inplane_only` rejects a batch that exceeds it.
     """
-    if policy.order_quantity_q > lp.cap_launch:
-        raise ValueError(
-            f"order quantity {policy.order_quantity_q} exceeds launch "
-            f"capacity {lp.cap_launch}"
-        )
     lam_plane = plane_demand_rate(cfg)
     lt = lp.pt_launch_days + lp.mu_launch_days
     es = leadtime_expected_shortage(policy.reorder_point_s, lam_plane, lp)

@@ -16,15 +16,15 @@ identical files.
 
 Seed handling: one master seed (``--seed``, else the config's ``seed``)
 gives each stochastic command its own child seed, from which every
-replication, case, restart and sweep point derives its streams; the key
-layout is listed once, in the `simulator` docstring. ``evaluate`` and
+replication, case, restart and sweep point derives its streams; the seed
+rule and its key layout live once, in `config`. ``evaluate`` and
 ``fit-launch-data`` are deterministic and ignore the seed.
 
 The package loads `optimizer`, `simulator` and `validation` lazily, and
 this module reads their names only inside the command functions, so a
 command executes only the modules it runs: ``evaluate`` none of them,
-``simulate`` the simulator, ``optimize`` and ``sensitivity`` not the
-validation study, ``validate`` and ``fit-launch-data`` not the optimizer.
+``simulate`` the simulator, ``optimize`` and ``sensitivity`` the optimizer
+alone, ``validate`` and ``fit-launch-data`` the study and the simulator.
 
 Exit status: 0 on success, 1 on configuration or input errors (among
 them a search in which every candidate must fail, as on polar planes),
@@ -45,9 +45,11 @@ from .chain import STRATEGY_BOUNDS, PolicyMetrics, evaluate_inplane_only
 from .config import (
     ConfigError,
     RunConfig,
+    SimulationSettings,
     bundled_case_study_path,
     bundled_launch_dates_path,
     check_run_size,
+    child_seed,
     load_run_config,
 )
 from .costs import CostBreakdown, evaluate_design, tessac_inplane_only
@@ -57,7 +59,7 @@ _COMMAND_IDS = {"simulate": 1, "validate": 2, "optimize": 3, "sensitivity": 4}
 
 def command_seed(master: int, command: str) -> int:
     """Per-command child seed derived from the master seed."""
-    return simulator.child_seed(master, _COMMAND_IDS[command])
+    return child_seed(master, _COMMAND_IDS[command])
 
 
 def _fmt(value) -> str:
@@ -332,16 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[shared], help="model-vs-simulation errors")
     p.add_argument("--n-cases", type=int, default=25, help="sampled cases")
-    p.add_argument(
-        "--reps", dest="replications", type=int, default=100, help="replications per case"
-    )
-    p.add_argument(
-        "--horizon", dest="horizon_years", type=float, default=15.0, help="years per replication"
-    )
-    p.add_argument(
-        "--warmup", dest="warmup_years", type=float, default=1.0, help="discarded years"
-    )
-    p.set_defaults(run=cmd_validate)
+    p.add_argument("--reps", dest="replications", type=int, help="replications per case")
+    p.add_argument("--horizon", dest="horizon_years", type=float, help="years per replication")
+    p.add_argument("--warmup", dest="warmup_years", type=float, help="discarded years")
+    # The run-size flags default to SimulationSettings' fields, not to the
+    # loaded config's simulation section.
+    p.set_defaults(run=cmd_validate, **vars(SimulationSettings()))
 
     p = sub.add_parser("optimize", parents=[shared], help="search for cheapest strategy")
     p.add_argument(

@@ -7,10 +7,26 @@ level included, is built from the fields of the dataclass it describes:
 unknown keys are rejected and every value passes the domain checks of
 its dataclass.
 
-The settings records of the searches and the validation study
-(`VariableBounds`, `GAParams`, `TradeSpace`) are defined here, so that
-loading a config runs neither `optimizer` nor `validation`; those
-modules import them from here.
+This module is the one owner of the run settings. The settings records
+of the searches and the validation study (`VariableBounds`, `GAParams`,
+`TradeSpace`) are defined here, so that loading a config runs neither
+`optimizer` nor `validation`; those modules import them from here.
+`SimulationSettings` holds the default run size and
+`OptimizationSettings` the default search settings; `simulator`,
+`optimizer`, `validation` and `cli` take their defaults from these two
+records.
+
+The seed rule lives here too: ``child_seed(seed, *key)`` and
+``stream(seed, *key)`` derive every seed and stream in the package from a
+parent seed and a spawn key. From the master seed ``m``, command ``c``
+(simulate 1, validate 2, optimize 3, sensitivity 4) runs with
+``s = child_seed(m, c)``. Then replication ``i`` has seed
+``child_seed(s, i)``, the validation sampler draws from ``stream(s)``,
+validation case ``i`` simulates with ``child_seed(s, 1, i)``, GA restart
+``r`` draws from ``stream(s, r)`` and sweep rate ``i`` searches with
+``child_seed(s, i)``. The two streams of one replication are listed in
+the `simulator` docstring. Both functions import numpy only when called,
+so loading a config does not load it.
 """
 
 from __future__ import annotations
@@ -44,6 +60,20 @@ ELITISM = 2
 
 class ConfigError(ValueError):
     """A configuration problem, with the offending key path in the message."""
+
+
+def child_seed(seed: int, *key: int) -> int:
+    """The first 64-bit word of ``SeedSequence(seed, spawn_key=key)``."""
+    import numpy as np
+
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
+
+
+def stream(seed: int, *key: int):
+    """A ``numpy.random.Generator`` on Philox, seeded by ``SeedSequence(seed, spawn_key=key)``."""
+    import numpy as np
+
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def check_run_size(values: dict[str, Any], names: dict[str, str]) -> None:

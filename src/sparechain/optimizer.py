@@ -8,7 +8,7 @@ and is solved exactly: per order quantity, the reorder point steps up to
 the first one that meets the fill-rate target. A sweep utility reruns
 both per failure rate to map the savings of the orbital echelon.
 
-Each restart has its own random stream (keys in the `simulator`
+Each restart has its own random stream (keys in the `config`
 docstring). It first draws the initial population genome by genome, then
 per generation six arrays in this order: tournament contenders,
 crossover coins, gene-swap coins, mutation coins, replacement integer
@@ -18,8 +18,10 @@ the draws never depend on fitness values.
 Only the genetic search uses numpy (`_breed` and `optimize` import it
 when called), so the exact ground-only search runs on the standard
 library. The search settings (`VariableBounds`, `GAParams` and the
-elitism count) are defined in `config`, so loading a config does not
-execute this module; the package loads it lazily, on first use.
+elitism count), their defaults (`OptimizationSettings`) and the seed rule
+are defined in `config`, so loading a config does not execute this
+module, and a search does not execute `simulator`; the package loads
+this module lazily, on first use.
 """
 
 from __future__ import annotations
@@ -42,11 +44,10 @@ from .chain import (
     UndefinedAvailabilityError,
     evaluate_inplane_only,
 )
-from .config import ELITISM, GAParams, VariableBounds
+from .config import ELITISM, GAParams, OptimizationSettings, VariableBounds, child_seed, stream
 from .costs import CostBreakdown, CostParams, NegativeHoldingError, tessac, tessac_inplane_only
 from .inventory import SQPolicy, least_reorder_point
 from .orbits import WGS84, EarthConstants
-from .simulator import child_seed, stream
 
 PENALTY_SCALE = 1e6
 ERROR_PENALTY = 1e9
@@ -68,9 +69,9 @@ class OptimizationProblem:
     launch: LaunchParams
     costs: CostParams
     satellite: SatelliteParams
-    rho_target: float = 0.95
-    bounds: VariableBounds = VariableBounds()
-    ga: GAParams = GAParams()
+    rho_target: float = OptimizationSettings.rho_target
+    bounds: VariableBounds = OptimizationSettings.bounds
+    ga: GAParams = OptimizationSettings.ga
     consts: EarthConstants = WGS84
 
     def __post_init__(self) -> None:
@@ -240,7 +241,7 @@ def optimize(prob: OptimizationProblem, seed: int) -> OptimizationResult:
     """Genetic search over the full strategy space.
 
     Runs the configured number of independent restarts (restart r draws
-    from ``simulator.stream(seed, r)``) and returns the
+    from ``config.stream(seed, r)``) and returns the
     best feasible candidate found, with exact ties broken toward the
     lexicographically smallest variable vector. Selection ranks genomes by
     penalized fitness, so an infeasible genome may rank first; the winner
@@ -362,7 +363,7 @@ def sensitivity_sweep(
 ) -> list[SweepPoint]:
     """Optimize both strategies across failure rates and report the savings.
 
-    Rate index i searches with seed ``simulator.child_seed(seed, i)``. A
+    Rate index i searches with seed ``config.child_seed(seed, i)``. A
     failure at one rate is recorded in that point and the sweep continues.
 
     Raises:

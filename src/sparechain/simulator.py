@@ -8,14 +8,9 @@ alignment soonest among those with stock, and ground resupply arrives
 after a fixed processing time plus an exponential launch-window wait.
 
 Randomness comes from counter-based generators, so runs are reproducible
-across platforms. ``child_seed(seed, *key)`` and ``stream(seed, *key)``
-are the one rule that derives every seed and stream in the package from
-a parent seed and a spawn key. From the master seed ``m``, command ``c``
-(simulate 1, validate 2, optimize 3, sensitivity 4) runs with
-``s = child_seed(m, c)``. Then replication ``i`` has seed
-``child_seed(s, i)``, the validation sampler draws from ``stream(s)``,
-validation case ``i`` simulates with ``child_seed(s, 1, i)``, GA restart
-``r`` draws from ``stream(s, r)`` and sweep rate ``i`` searches with
+across platforms. Seeds and streams derive by the package's one seed rule,
+`config.child_seed` and `config.stream` (the key table is in the `config`
+docstring): replication ``i`` of a batch with seed ``s`` has seed
 ``child_seed(s, i)``. A replication with seed ``r`` draws from two
 streams, one per purpose:
 
@@ -28,11 +23,11 @@ streams, one per purpose:
 * launch waits, ``stream(r, 1)``: one exponential launch-window wait per
   ground order, in the order the orders are placed.
 
-numpy is imported only inside the functions that derive seeds and
-streams (`child_seed`, `stream`) and aggregate replications (`run_batch`),
-so importing this module does not load it. The package loads this module
-lazily, so a command that neither simulates, searches nor draws a seed
-(``evaluate``) does not execute it.
+numpy is imported only inside the seed functions of `config` and the
+aggregation of replications (`run_batch`), so importing this module does
+not load it. The package loads this module lazily, so a command that
+does not simulate (``evaluate``, ``optimize``, ``sensitivity``) does not
+execute it.
 
 The event loop takes the failures as a sorted list and keeps only plane
 and parking arrivals on its heap. A failure at exactly the same time as
@@ -40,10 +35,12 @@ an arrival is handled first; arrivals at the same time are handled in the
 order they were scheduled.
 
 The loop is shaped so that the common event makes no Python call. One
-block at its top advances the stock integrals to the event's time;
-failures and plane arrivals are then handled inline. Helpers run only on
+block at its top advances the stock integrals to the event's time; all
+three event kinds are then handled in the loop body. Helpers run only on
 the order path, once per batch: placing a plane order, assigning a
-transfer, placing a ground order and restocking a parking orbit.
+transfer and placing a ground order. The loop keeps no count it can
+derive: the failure counts follow from the failure list, the plane
+orders from the transfers and the orders still queued.
 
 A replication's TESSAC is `costs.annual_cost` of its window's yearly
 flows, the function that also prices the analytic chain.
@@ -51,6 +48,7 @@ flows, the function that also prices the analytic chain.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -67,6 +65,7 @@ from .chain import (
     altitude_stage,
     plane_demand_rate,
 )
+from .config import SimulationSettings, check_run_size, child_seed, stream
 from .costs import CostParams, annual_cost
 from .inventory import check_integer
 from .orbits import WGS84, CircularOrbit, EarthConstants, raan_drift_rate
@@ -91,22 +90,17 @@ class SimConfig:
     launch: LaunchParams
     costs: CostParams
     satellite: SatelliteParams
-    horizon_years: float = 15.0
-    replications: int = 100
+    horizon_years: float = SimulationSettings.horizon_years
+    replications: int = SimulationSettings.replications
     seed: int = 0
-    warmup_years: float = 1.0
+    warmup_years: float = SimulationSettings.warmup_years
     capture_events: bool = False
     consts: EarthConstants = WGS84
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.horizon_years < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon_years}")
-        if not 0.0 <= self.warmup_years < self.horizon_years:
-            raise ValueError("warm-up must be nonnegative and shorter than the horizon")
         check_integer("replications", self.replications)
         check_integer("seed", self.seed)
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
+        check_run_size(vars(self), {name: name for name in vars(self)})
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -208,20 +202,6 @@ def _draw_failures(
     return times, planes
 
 
-def child_seed(seed: int, *key: int) -> int:
-    """The first 64-bit word of ``SeedSequence(seed, spawn_key=key)``."""
-    import numpy as np
-
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
-
-
-def stream(seed: int, *key: int):
-    """A ``numpy.random.Generator`` on Philox, seeded by ``SeedSequence(seed, spawn_key=key)``."""
-    import numpy as np
-
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
-
-
 def run_replication(sc: SimConfig, seed: int) -> ReplicationResult:
     """Run one replication: failures and launch waits from two child streams."""
     cfg = sc.constellation
@@ -275,9 +255,8 @@ def _run_with_rng(
     int_park = 0.0
     last_t = 0.0
 
-    failures = failures_window = served = 0
-    backorder_events_window = 0
-    plane_orders = transfers = plane_arrivals = 0
+    served = backorder_events_window = 0
+    transfers = plane_arrivals = 0
     plane_cycles_window = transfers_window = 0
     ground_orders = ground_arrivals = ground_arrivals_window = 0
     parking_backorders_window = 0
@@ -314,9 +293,8 @@ def _run_with_rng(
 
     def place_plane_order(j: int, t: float) -> None:
         """Order a batch for plane j, which is at or below s_plane with none in transit."""
-        nonlocal plane_orders, parking_backorders_window
+        nonlocal parking_backorders_window
         plane_in_transit[j] = True
-        plane_orders += 1
         if events is not None:
             events.append((t, "plane_order", j, plane_stock[j]))
         # Demand accounting: the order targets the geometrically closest
@@ -333,27 +311,6 @@ def _run_with_rng(
                 events.append((t, "order_queued", j, 0))
         else:
             assign_transfer(j, t, choice)
-
-    def handle_parking_arrival(p: int, t: float) -> None:
-        nonlocal agg_park, ground_arrivals, ground_arrivals_window
-        ground_arrivals += 1
-        assert parking_in_transit[p], "arrival without an outstanding order"
-        parking_in_transit[p] = False
-        parking_stock[p] += k_q
-        agg_park += float(k_q)
-        if warmup <= t:
-            ground_arrivals_window += 1
-        if events is not None:
-            events.append((t, "parking_arrival", p, parking_stock[p]))
-        # Queued plane orders re-pick the closest stocked orbit now, in
-        # queue order, until no orbit has stock.
-        while waiting_orders:
-            j = waiting_orders[0]
-            _, choice = _closest_parking(t, plane_raan[j], relative, parking_ring, parking_stock)
-            if choice is None:
-                break
-            assign_transfer(waiting_orders.popleft(), t, choice)
-        place_ground_order_if_due(p, t)
 
     # Failures come from their sorted list, arrivals from the heap; a
     # failure at the same time as an arrival is handled first. Every event
@@ -380,10 +337,6 @@ def _run_with_rng(
             j = failure_planes[next_failure]
             next_failure += 1
             t_failure = failure_times[next_failure] if next_failure < n_failures else math.inf
-            failures += 1
-            in_window = warmup <= t
-            if in_window:
-                failures_window += 1
             stock = plane_stock[j]
             if stock > 0:
                 stock -= 1
@@ -392,7 +345,7 @@ def _run_with_rng(
                 served += 1
             else:
                 plane_backorders[j] += 1
-                if in_window:
+                if warmup <= t:
                     backorder_events_window += 1
             if events is not None:
                 events.append((t, "failure", j, stock))
@@ -415,7 +368,33 @@ def _run_with_rng(
             if stock <= s_plane:  # and no batch is in transit any more
                 place_plane_order(loc, t)
         else:
-            handle_parking_arrival(loc, t)
+            ground_arrivals += 1
+            assert parking_in_transit[loc], "arrival without an outstanding order"
+            parking_in_transit[loc] = False
+            parking_stock[loc] += k_q
+            agg_park += float(k_q)
+            if warmup <= t:
+                ground_arrivals_window += 1
+            if events is not None:
+                events.append((t, "parking_arrival", loc, parking_stock[loc]))
+            # Queued plane orders re-pick the closest stocked orbit now, in
+            # queue order, until no orbit has stock.
+            while waiting_orders:
+                j = waiting_orders[0]
+                _, choice = _closest_parking(
+                    t, plane_raan[j], relative, parking_ring, parking_stock
+                )
+                if choice is None:
+                    break
+                assign_transfer(waiting_orders.popleft(), t, choice)
+            place_ground_order_if_due(loc, t)
+
+    # The loop handled the first next_failure failures; those before the
+    # warm-up lie outside the window. Every plane order became a transfer
+    # or is still queued.
+    failures = next_failure
+    failures_window = failures - bisect.bisect_left(failure_times, warmup, 0, failures)
+    plane_orders = transfers + len(waiting_orders)
 
     overlap = horizon - max(last_t, warmup)
     if overlap > 0.0:

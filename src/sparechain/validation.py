@@ -25,11 +25,11 @@ from .chain import (
     StageMemo,
     UndefinedAvailabilityError,
 )
-from .config import TradeSpace, VariableBounds
+from .config import SimulationSettings, TradeSpace, VariableBounds, child_seed, stream
 from .costs import CostParams, evaluate_design
 from .inventory import least_reorder_point
 from .orbits import WGS84, EarthConstants
-from .simulator import Estimates, SimConfig, SimulationResult, child_seed, run_batch, stream
+from .simulator import Estimates, SimConfig, SimulationResult, run_batch
 
 # The fill-rate requirement both echelons are sized against.
 RHO_REQUIREMENT = 0.95
@@ -173,9 +173,9 @@ def run_validation(
     costs: CostParams,
     satellite: SatelliteParams,
     consts: EarthConstants,
-    replications: int = 100,
-    horizon_years: float = 15.0,
-    warmup_years: float = 1.0,
+    replications: int = SimulationSettings.replications,
+    horizon_years: float = SimulationSettings.horizon_years,
+    warmup_years: float = SimulationSettings.warmup_years,
     seed: int = 0,
     simulate_fn: Callable[[SimConfig], SimulationResult] | None = None,
 ) -> ErrorReport:
@@ -195,7 +195,7 @@ def run_validation(
         horizon_years: Simulated horizon per replication.
         warmup_years: Discarded start-up span per replication.
         seed: Master seed of the sampler and of each case's simulation
-            (keys in the `simulator` docstring).
+            (keys in the `config` docstring).
         simulate_fn: Replacement for the simulation step (testing hook);
             must accept a SimConfig and return a result whose ``mean`` is an `Estimates`.
 

@@ -166,11 +166,6 @@ def test_inplane_rejects_a_fractional_reorder_point():
         evaluate_inplane_only(CFG, SQPolicy(2.5, 3), LAUNCH)
 
 
-def test_inplane_rejects_oversized_batch():
-    with pytest.raises(ValueError):
-        evaluate_inplane_only(CFG, SQPolicy(reorder_point_s=4, order_quantity_q=35), LAUNCH)
-
-
 def test_zero_failure_rate_is_perfect_service():
     quiet = dataclasses.replace(CFG, lambda_sat_per_year=0.0)
     metrics = evaluate_strategy(quiet, STRATEGY, LAUNCH)

@@ -19,9 +19,10 @@ from sparechain.config import (
     RunConfig,
     ValidationSettings,
     bundled_case_study_path,
+    child_seed,
     load_run_config,
 )
-from sparechain.simulator import SimConfig, child_seed, run_batch
+from sparechain.simulator import SimConfig, run_batch
 from sparechain.validation import OUTPUT_NAMES, lhs_sample
 
 from golden_runs import GOLDEN
@@ -97,6 +98,17 @@ def test_evaluate_inplane_policy(tmp_path):
     assert row["q_plane"] == "20"
     assert row["s_plane"] == "4"
     assert float(row["tessac"]) == pytest.approx(503.22739726027396, rel=1e-15)
+
+
+def test_evaluate_inplane_rejects_a_batch_past_the_launch_capacity(tmp_path, base_config, capsys):
+    # A ground-only batch rides one rocket; the bundled rocket carries 34.
+    cfg = json.loads(json.dumps(base_config))
+    cfg["inplane_policy"]["order_quantity_q"] = 35
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["evaluate", "--inplane-only", "--config", str(path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert "exceeds launch capacity 34" in capsys.readouterr().err
 
 
 def test_evaluate_outputs_are_byte_identical(tmp_path):
@@ -495,9 +507,9 @@ def test_startup_imports_no_numpy():
         (["evaluate"], ""),
         (["evaluate", "--inplane-only"], ""),
         (["simulate"], "simulator"),
-        (["optimize"], "optimizer simulator"),
-        (["optimize", "--inplane-only"], "optimizer simulator"),
-        (["sensitivity", "--rates", "0.05"], "optimizer simulator"),
+        (["optimize"], "optimizer"),
+        (["optimize", "--inplane-only"], "optimizer"),
+        (["sensitivity", "--rates", "0.05"], "optimizer"),
         (["validate", "--n-cases", "1", "--reps", "2", "--horizon", "2"], "simulator validation"),
         (["fit-launch-data"], "simulator validation"),
     ],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sparechain import simulator
+from sparechain.config import child_seed
 from sparechain.chain import (
     DAYS_PER_YEAR,
     SpareStrategy,
@@ -252,7 +253,7 @@ def test_simulated_tessac_is_annual_cost_of_the_window_flows(monkeypatch):
         horizon_years=6.0,
         warmup_years=1.0,
     )
-    rep = simulator.run_replication(sc, simulator.child_seed(3, 0))
+    rep = simulator.run_replication(sc, child_seed(3, 0))
     (args,) = calls
     cp, replacements, held, launches, batch, transferred, fuel_kg = args
     assert rep.tessac == annual_cost(*args).tessac

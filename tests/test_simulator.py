@@ -18,7 +18,8 @@ from sparechain.chain import (
 from sparechain.orbits import CircularOrbit, hohmann_transfer, raan_drift_rate
 from case import CFG, COSTS, LAUNCH, SAT, STRATEGY
 from oracles import LogMismatch, nearest_parking, replay_events
-from sparechain import simulator
+from sparechain import config
+from sparechain.config import child_seed, stream
 from sparechain.simulator import (
     _FAILURE_BLOCK,
     Estimates,
@@ -26,10 +27,8 @@ from sparechain.simulator import (
     _closest_parking,
     _draw_failures,
     _run_with_rng,
-    child_seed,
     run_batch,
     run_replication,
-    stream,
 )
 
 
@@ -642,16 +641,16 @@ def test_replication_seeds_are_distinct():
     assert child_seed(0, 3) != child_seed(1, 3)
 
 
-def test_only_the_simulator_derives_random_streams():
-    # simulator.child_seed and simulator.stream are the one rule that turns
-    # a seed and a spawn key into a child seed or a generator.
-    package = Path(simulator.__file__).parent
+def test_only_the_config_derives_random_streams():
+    # config.child_seed and config.stream are the one rule that turns a
+    # seed and a spawn key into a child seed or a generator.
+    package = Path(config.__file__).parent
     derivers = {
         path.name
         for path in package.glob("*.py")
         if re.search(r"SeedSequence|Philox", path.read_text(encoding="utf-8"))
     }
-    assert derivers == {"simulator.py"}
+    assert derivers == {"config.py"}
 
 
 def test_standard_error_shrinks_with_replications():
@@ -697,8 +696,23 @@ def test_warmup_window_counters():
 @pytest.mark.parametrize("horizon", [math.inf, math.nan])
 def test_non_finite_horizon_is_rejected(horizon):
     # Construction only: a replication over an infinite horizon never ends.
-    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+    with pytest.raises(ValueError, match="^horizon_years: must be positive and finite"):
         _toy_config(horizon_years=horizon)
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        (dict(horizon_years=0.0), "horizon_years"),
+        (dict(horizon_years=2.0, warmup_years=2.0), "warmup_years"),
+        (dict(replications=0), "replications"),
+    ],
+)
+def test_run_size_errors_name_the_field(overrides, field):
+    # The run-size rules are the config's, so an error names the field as
+    # a config key path or a command-line flag would.
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        _toy_config(**overrides)
 
 
 @pytest.mark.parametrize("name", ["replications", "seed"])
@@ -713,12 +727,7 @@ def test_config_counts_must_be_integers(name):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        _toy_config(horizon_years=0.0)
-    with pytest.raises(ValueError):
-        _toy_config(warmup_years=3.0)  # beyond the horizon
-    with pytest.raises(ValueError):
-        _toy_config(replications=0)
+    # The run-size rules are checked in test_run_size_errors_name_the_field.
     with pytest.raises(ValueError):
         _toy_config(seed=-1)
     # Parking orbits at the planes' altitude drift with them, and polar
