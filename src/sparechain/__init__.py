@@ -24,7 +24,6 @@ from .chain import (
     evaluate_strategy,
 )
 from .costs import CostParams, evaluate_design
-from .orbits import WGS84
 
 
 def _lazy_submodule(name: str):
@@ -65,7 +64,6 @@ __all__ = [
     "LaunchParams",
     "SatelliteParams",
     "CostParams",
-    "WGS84",
     "evaluate_strategy",
     "evaluate_design",
     "OptimizationProblem",

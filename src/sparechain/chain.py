@@ -51,6 +51,7 @@ from .orbits import (
     CircularOrbit,
     EarthConstants,
     TransferResult,
+    check_earth,
     drift_and_flight,
     hohmann_transfer,
     raan_drift_rate,
@@ -312,10 +313,7 @@ def plane_bounds(n_parking: int, drift: float, tof: float) -> list[float]:
 
 
 def plane_leadtime(
-    strategy: SpareStrategy,
-    cfg: ConstellationConfig,
-    p_av: float,
-    consts: EarthConstants = WGS84,
+    strategy: SpareStrategy, cfg: ConstellationConfig, p_av: float
 ) -> tuple[list[float], list[tuple[float, float]]]:
     """Parking-to-plane lead-time law as (weights, segments_days).
 
@@ -323,9 +321,7 @@ def plane_leadtime(
     `plane_bounds`, weighted by its `supply_probabilities` probability.
     """
     plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
-    drift, tof, _ = altitude_stage(
-        strategy.h_parking_km, plane, raan_drift_rate(plane, consts), None, consts
-    )
+    drift, tof, _ = altitude_stage(strategy.h_parking_km, plane, raan_drift_rate(plane), None)
     bounds = plane_bounds(strategy.n_parking, drift, tof)
     return supply_probabilities(p_av, strategy.n_parking), list(zip(bounds, bounds[1:]))
 
@@ -358,7 +354,6 @@ def altitude_stage(
     plane: CircularOrbit,
     plane_drift: float,
     satellite: SatelliteParams | None,
-    consts: EarthConstants,
 ) -> tuple[float, float, TransferResult | None]:
     """(drift, tof, transfer) of one parking altitude below the ``plane``.
 
@@ -370,12 +365,10 @@ def altitude_stage(
     The chain and the simulator both set up their parking orbit here.
     """
     parking = CircularOrbit(h_parking_km, plane.inclination_deg)
-    drift, tof = drift_and_flight(parking, plane, plane_drift, consts)
+    drift, tof = drift_and_flight(parking, plane, plane_drift)
     if satellite is None:
         return drift, tof, None
-    transfer = hohmann_transfer(
-        parking, plane, satellite.m_dry_kg, satellite.v_exhaust_km_s, consts
-    )
+    transfer = hohmann_transfer(parking, plane, satellite.m_dry_kg, satellite.v_exhaust_km_s)
     return drift, tof, transfer
 
 
@@ -414,12 +407,13 @@ STAGE_MEMO_SIZE = 256
 class StageMemo:
     """The two-echelon chain of one problem, with its three stages memoized.
 
-    The problem is the constellation, the launch law, the Earth constants
-    and the satellite whose Hohmann raise is priced (None for none). What
-    depends on it alone (the plane demand rate, the ground lead time, the
-    plane orbit and its drift rate) is computed once, at construction. The
-    stage tables are keyed on the candidate's numbers only: the parking
-    stage keeps every distinct key, the altitude and plane stages their
+    The problem is the constellation, the launch law and the satellite
+    whose Hohmann raise is priced (None for none); the Earth is fixed in
+    `orbits`. What depends on the problem alone (the plane demand rate,
+    the ground lead time, the plane orbit and its drift rate) is computed
+    once, at construction. The stage tables are keyed on the candidate's
+    numbers only: the parking stage keeps every distinct key, the
+    altitude and plane stages their
     last STAGE_MEMO_SIZE in a least-recently-used table. A stage that
     raises stores nothing and raises again on the next visit. A search
     builds one memo and drops it with the search, so that no search reuses
@@ -427,17 +421,13 @@ class StageMemo:
     """
 
     def __init__(
-        self,
-        cfg: ConstellationConfig,
-        lp: LaunchParams,
-        consts: EarthConstants = WGS84,
-        satellite: SatelliteParams | None = None,
+        self, cfg: ConstellationConfig, lp: LaunchParams, satellite: SatelliteParams | None = None
     ) -> None:
         self.cfg = cfg
         self.lam_plane = plane_demand_rate(cfg)  # satellites/day
         self.lt_parking = lp.pt_launch_days + lp.mu_launch_days  # days
         plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
-        plane_drift = raan_drift_rate(plane, consts)
+        plane_drift = raan_drift_rate(plane)
         # The parking and altitude stage functions are looked up at call
         # time, so that a test can replace them on the module; plane_stage
         # is bound here, when the memo is built.
@@ -445,7 +435,7 @@ class StageMemo:
             lambda k_s, k_q, lam_parking: parking_stage(k_s, k_q, lam_parking, lp)
         )
         self.altitude = functools.lru_cache(STAGE_MEMO_SIZE)(
-            lambda h_parking_km: altitude_stage(h_parking_km, plane, plane_drift, satellite, consts)
+            lambda h_parking_km: altitude_stage(h_parking_km, plane, plane_drift, satellite)
         )
         self.plane = functools.lru_cache(STAGE_MEMO_SIZE)(plane_stage)
 
@@ -507,8 +497,12 @@ def evaluate_strategy(
     lp: LaunchParams,
     consts: EarthConstants = WGS84,
 ) -> PolicyMetrics:
-    """Full feed-forward evaluation of one strategy; see `StageMemo.figures`."""
-    return StageMemo(cfg, lp, consts).figures(strategy)[0]
+    """Full feed-forward evaluation of one strategy; see `StageMemo.figures`.
+
+    ``consts`` must be `WGS84`; it stays only for bench/run.py's call.
+    """
+    check_earth(consts)
+    return StageMemo(cfg, lp).figures(strategy)[0]
 
 
 def evaluate_inplane_only(

@@ -108,9 +108,7 @@ def cmd_evaluate(rc: RunConfig, args, out: Path, master: int) -> int:
         row: list = [rc.inplane_policy.order_quantity_q, rc.inplane_policy.reorder_point_s]
     else:
         rc.require("strategy", "satellite")
-        metrics, breakdown = evaluate_design(
-            cfg, rc.strategy, rc.launch, rc.costs, rc.satellite, rc.earth
-        )
+        metrics, breakdown = evaluate_design(cfg, rc.strategy, rc.launch, rc.costs, rc.satellite)
         header, row = _strategy_fields(rc.strategy)
     header += _METRIC_COLUMNS + _COST_COLUMNS
     row += list(metrics)
@@ -130,7 +128,6 @@ def cmd_simulate(rc: RunConfig, args, out: Path, master: int) -> int:
         satellite=rc.satellite,
         seed=command_seed(master, "simulate"),
         capture_events=args.event_log,
-        consts=rc.earth,
         **vars(rc.simulation),
     )
     res = simulator.run_batch(sc)
@@ -171,7 +168,6 @@ def cmd_validate(rc: RunConfig, args, out: Path, master: int) -> int:
         rc.validation.space,
         costs=rc.costs,
         satellite=rc.satellite,
-        consts=rc.earth,
         seed=command_seed(master, "validate"),
         **run_size,
     )
@@ -214,7 +210,6 @@ def _problem(rc: RunConfig) -> optimizer.OptimizationProblem:
         launch=rc.launch,
         costs=rc.costs,
         satellite=rc.satellite,
-        consts=rc.earth,
         **vars(rc.optimization),
     )
 

@@ -219,12 +219,19 @@ class RunConfig:
     optimization: OptimizationSettings = OptimizationSettings()
     validation: ValidationSettings = ValidationSettings()
     seed: int = 0
-    # Not a config key: every run uses the one Earth model.
+    # Not a config key, and read only by bench/: `orbits` holds the one Earth.
     earth: ClassVar[EarthConstants] = WGS84
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigError("seed: must be nonnegative")
+        # A ground-only batch rides one rocket; checked at load, whatever the command.
+        policy, launch = self.inplane_policy, self.launch
+        if policy and launch and policy.order_quantity_q > launch.cap_launch:
+            raise ConfigError(
+                f"inplane_policy.order_quantity_q: batch of {policy.order_quantity_q} "
+                f"exceeds launch.cap_launch {launch.cap_launch}"
+            )
 
     def require(self, *sections: str) -> None:
         """Raise ConfigError naming the first missing section."""

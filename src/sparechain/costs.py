@@ -27,7 +27,7 @@ from .chain import (
     conjunction,
 )
 from .inventory import SQPolicy
-from .orbits import EarthConstants, TransferResult
+from .orbits import TransferResult
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,6 @@ def evaluate_design(
     lp: LaunchParams,
     costs: CostParams,
     satellite: SatelliteParams,
-    consts: EarthConstants,
 ) -> tuple[PolicyMetrics, CostBreakdown]:
     """Metrics and annual cost of one multi-echelon strategy.
 
@@ -187,7 +186,7 @@ def evaluate_design(
         ValueError: If the chain cannot evaluate the strategy (see
             `StageMemo.figures`).
     """
-    metrics, transfer = StageMemo(cfg, lp, consts, satellite).figures(strategy)
+    metrics, transfer = StageMemo(cfg, lp, satellite).figures(strategy)
     return metrics, tessac(cfg, strategy, metrics, transfer, costs, lp)
 
 

@@ -47,7 +47,7 @@ from .chain import (
 from .config import ELITISM, GAParams, OptimizationSettings, VariableBounds, child_seed, stream
 from .costs import CostBreakdown, CostParams, NegativeHoldingError, tessac, tessac_inplane_only
 from .inventory import SQPolicy, least_reorder_point
-from .orbits import WGS84, EarthConstants
+from .orbits import WGS84, EarthConstants, check_earth
 
 PENALTY_SCALE = 1e6
 ERROR_PENALTY = 1e9
@@ -72,9 +72,11 @@ class OptimizationProblem:
     rho_target: float = OptimizationSettings.rho_target
     bounds: VariableBounds = OptimizationSettings.bounds
     ga: GAParams = OptimizationSettings.ga
+    # Must be WGS84: kept only for bench/reference.py, which passes it.
     consts: EarthConstants = WGS84
 
     def __post_init__(self) -> None:
+        check_earth(self.consts)
         if not 0.0 < self.rho_target < 1.0:
             raise ValueError(f"fill-rate target must be in (0, 1), got {self.rho_target}")
 
@@ -106,7 +108,7 @@ def fitness(
     """
     cfg, lp = prob.constellation, prob.launch
     if memo is None:
-        memo = StageMemo(cfg, lp, prob.consts, prob.satellite)
+        memo = StageMemo(cfg, lp, prob.satellite)
     try:
         metrics, transfer = memo.figures(candidate)
         cost = tessac(cfg, candidate, metrics, transfer, prob.costs, lp)
@@ -166,7 +168,7 @@ def _search_memo(prob: OptimizationProblem) -> StageMemo:
             relative drift, as for polar planes): every candidate in the box
             would fail, so the search would find nothing.
     """
-    memo = StageMemo(prob.constellation, prob.launch, prob.consts, prob.satellite)
+    memo = StageMemo(prob.constellation, prob.launch, prob.satellite)
     h_lo, h_plane = prob.bounds.h_parking_km[0], prob.constellation.h_plane_km
     if h_lo >= h_plane:
         raise ValueError(

@@ -6,6 +6,9 @@ sweep past constellation planes), Hohmann transfers between co-planar
 circular orbits (which set fuel mass and flight time for a resupply
 maneuver), and the drift wait until a parking plane aligns with a target
 plane.
+
+The Earth is fixed at `WGS84`, which only this module reads. `check_earth`
+guards the four ``consts`` parameters that stay only because bench/ passes them.
 """
 
 from __future__ import annotations
@@ -32,8 +35,15 @@ class EarthConstants:
                 raise ValueError(f"{field.name} must be positive and finite, got {value}")
 
 
-#: Default WGS-84-consistent constants.
+#: The WGS-84-consistent constants of the model's one Earth.
 WGS84 = EarthConstants()
+
+
+def check_earth(consts: EarthConstants) -> None:
+    """Raise ValueError naming ``consts`` unless it is `WGS84`."""
+    # Identity first: the altitude stage raises thousands of transfers per search.
+    if consts is not WGS84 and consts != WGS84:
+        raise ValueError(f"consts: the model's Earth is WGS84 only, got {consts!r}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +66,8 @@ class CircularOrbit:
                 f"inclination must be in [0, 180] degrees, got {self.inclination_deg}"
             )
 
-    def semimajor_axis_km(self, consts: EarthConstants = WGS84) -> float:
-        return consts.r_earth_km + self.altitude_km
+    def semimajor_axis_km(self) -> float:
+        return WGS84.r_earth_km + self.altitude_km
 
 
 @dataclass(frozen=True)
@@ -75,12 +85,11 @@ class TransferResult:
     time_of_flight_days: float
 
 
-def raan_drift_rate(orbit: CircularOrbit, consts: EarthConstants = WGS84) -> float:
+def raan_drift_rate(orbit: CircularOrbit) -> float:
     """Nodal regression rate of a circular orbit due to Earth oblateness.
 
     Args:
         orbit: The orbit of interest.
-        consts: Gravitational and shape constants.
 
     Returns:
         dRAAN/dt in rad/day. Negative (westward regression) for
@@ -89,18 +98,18 @@ def raan_drift_rate(orbit: CircularOrbit, consts: EarthConstants = WGS84) -> flo
     # cos(radians(90)) is about 6e-17, not 0: a polar orbit would drift.
     if orbit.inclination_deg == 90.0:
         return 0.0
-    a = orbit.semimajor_axis_km(consts)
-    n = math.sqrt(consts.mu_km3_s2 / a**3)  # rad/s
+    a = orbit.semimajor_axis_km()
+    n = math.sqrt(WGS84.mu_km3_s2 / a**3)  # rad/s
     rate_rad_s = (
-        -(3.0 * n * consts.r_earth_km**2 * consts.j2 / (2.0 * a**2))
+        -(3.0 * n * WGS84.r_earth_km**2 * WGS84.j2 / (2.0 * a**2))
         * math.cos(math.radians(orbit.inclination_deg))
     )
     return rate_rad_s * SECONDS_PER_DAY
 
 
-def _time_of_flight_days(a0: float, a1: float, mu: float) -> float:
+def _time_of_flight_days(a0: float, a1: float) -> float:
     """Half-period of the transfer ellipse between radii a0 and a1, days."""
-    return math.pi * math.sqrt((a0 + a1) ** 3 / (8.0 * mu)) / SECONDS_PER_DAY
+    return math.pi * math.sqrt((a0 + a1) ** 3 / (8.0 * WGS84.mu_km3_s2)) / SECONDS_PER_DAY
 
 
 def hohmann_transfer(
@@ -117,7 +126,7 @@ def hohmann_transfer(
         target: Higher orbit (arrival); must share the origin inclination.
         m_dry_kg: Satellite dry mass.
         v_exhaust_km_s: Effective exhaust velocity of the propulsion system.
-        consts: Gravitational constants.
+        consts: Must be `WGS84`; kept only for bench/run.py, which passes it.
 
     Returns:
         TransferResult with the total delta-v, the propellant mass from the
@@ -125,9 +134,11 @@ def hohmann_transfer(
 
     Raises:
         ValueError: If the transfer would lower the orbit, if the
-            inclinations differ (plane changes are out of scope), or if the
-            dry mass or the exhaust velocity is out of range or not finite.
+            inclinations differ (plane changes are out of scope), if the
+            dry mass or the exhaust velocity is out of range or not finite,
+            or if ``consts`` is not `WGS84`.
     """
+    check_earth(consts)
     if origin.altitude_km > target.altitude_km:
         raise ValueError(
             "only raising transfers are supported: "
@@ -144,9 +155,9 @@ def hohmann_transfer(
     if not 0.0 < v_exhaust_km_s < math.inf:
         raise ValueError(f"v_exhaust_km_s must be positive and finite, got {v_exhaust_km_s}")
 
-    mu = consts.mu_km3_s2
-    a0 = origin.semimajor_axis_km(consts)
-    a1 = target.semimajor_axis_km(consts)
+    mu = WGS84.mu_km3_s2
+    a0 = origin.semimajor_axis_km()
+    a1 = target.semimajor_axis_km()
     dv1 = math.sqrt(mu / a0) * (math.sqrt(2.0 * a1 / (a0 + a1)) - 1.0)
     dv2 = math.sqrt(mu / a1) * (1.0 - math.sqrt(2.0 * a0 / (a0 + a1)))
     delta_v = dv1 + dv2
@@ -154,16 +165,11 @@ def hohmann_transfer(
     return TransferResult(
         delta_v_km_s=delta_v,
         fuel_mass_kg=fuel,
-        time_of_flight_days=_time_of_flight_days(a0, a1, mu),
+        time_of_flight_days=_time_of_flight_days(a0, a1),
     )
 
 
-def transfer_time(
-    delta_raan_rad: float,
-    parking: CircularOrbit,
-    plane: CircularOrbit,
-    consts: EarthConstants = WGS84,
-) -> float:
+def transfer_time(delta_raan_rad: float, parking: CircularOrbit, plane: CircularOrbit) -> float:
     """Total resupply delay for a given nodal separation.
 
     The parking orbit regresses at a different rate than the constellation
@@ -174,7 +180,6 @@ def transfer_time(
         delta_raan_rad: Angle the parking plane must still drift, rad in [0, 2pi].
         parking: Lower storage orbit.
         plane: Target constellation orbit.
-        consts: Gravitational constants.
 
     Returns:
         Drift wait plus time of flight, days.
@@ -188,15 +193,12 @@ def transfer_time(
         raise ValueError(f"delta RAAN must be in [0, 2pi], got {delta_raan_rad}")
     if parking.altitude_km >= plane.altitude_km:
         raise ValueError("parking orbit must be below the constellation plane")
-    drift, tof_days = drift_and_flight(parking, plane, raan_drift_rate(plane, consts), consts)
+    drift, tof_days = drift_and_flight(parking, plane, raan_drift_rate(plane))
     return delta_raan_rad / abs(drift) + tof_days
 
 
 def drift_and_flight(
-    parking: CircularOrbit,
-    plane: CircularOrbit,
-    plane_drift_rad_day: float,
-    consts: EarthConstants = WGS84,
+    parking: CircularOrbit, plane: CircularOrbit, plane_drift_rad_day: float
 ) -> tuple[float, float]:
     """Relative nodal drift (rad/day) and Hohmann flight time (days) to ``plane``.
 
@@ -204,16 +206,14 @@ def drift_and_flight(
     negative when the parking orbit regresses faster, as below a prograde
     plane. `transfer_time` and the chain's lead-time bounds wait on its
     magnitude; the simulator's ring also follows its direction.
-    ``plane_drift_rad_day`` is ``raan_drift_rate(plane, consts)``, passed
+    ``plane_drift_rad_day`` is ``raan_drift_rate(plane)``, passed
     in so that a caller visiting many parking orbits computes it once.
 
     Raises:
         ValueError: If the relative drift rate vanishes.
     """
-    relative = raan_drift_rate(parking, consts) - plane_drift_rad_day
+    relative = raan_drift_rate(parking) - plane_drift_rad_day
     if relative == 0.0:
         raise ValueError("zero relative drift rate: planes never align")
-    tof_days = _time_of_flight_days(
-        parking.semimajor_axis_km(consts), plane.semimajor_axis_km(consts), consts.mu_km3_s2
-    )
+    tof_days = _time_of_flight_days(parking.semimajor_axis_km(), plane.semimajor_axis_km())
     return relative, tof_days

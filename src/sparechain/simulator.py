@@ -68,7 +68,7 @@ from .chain import (
 from .config import SimulationSettings, check_run_size, child_seed, stream
 from .costs import CostParams, annual_cost
 from .inventory import check_integer
-from .orbits import WGS84, CircularOrbit, EarthConstants, raan_drift_rate
+from .orbits import WGS84, CircularOrbit, EarthConstants, check_earth, raan_drift_rate
 
 _TWO_PI = 2.0 * math.pi
 
@@ -95,9 +95,11 @@ class SimConfig:
     seed: int = 0
     warmup_years: float = SimulationSettings.warmup_years
     capture_events: bool = False
+    # Must be WGS84: kept only for bench/run.py, which passes it.
     consts: EarthConstants = WGS84
 
     def __post_init__(self) -> None:
+        check_earth(self.consts)
         check_integer("replications", self.replications)
         check_integer("seed", self.seed)
         check_run_size(vars(self), {name: name for name in vars(self)})
@@ -234,7 +236,7 @@ def _run_with_rng(
 
     plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
     relative, tof, transfer = altitude_stage(
-        st.h_parking_km, plane, raan_drift_rate(plane, sc.consts), sc.satellite, sc.consts
+        st.h_parking_km, plane, raan_drift_rate(plane), sc.satellite
     )
 
     plane_raan = [_TWO_PI * j / n_plane for j in range(n_plane)]

@@ -28,7 +28,6 @@ from .chain import (
 from .config import SimulationSettings, TradeSpace, VariableBounds, child_seed, stream
 from .costs import CostParams, evaluate_design
 from .inventory import least_reorder_point
-from .orbits import WGS84, EarthConstants
 from .simulator import Estimates, SimConfig, SimulationResult, run_batch
 
 # The fill-rate requirement both echelons are sized against.
@@ -78,10 +77,7 @@ class SizingInfeasibleError(ValueError):
 
 
 def size_reorder_points(
-    cfg: ConstellationConfig,
-    strategy: SpareStrategy,
-    lp: LaunchParams,
-    consts: EarthConstants = WGS84,
+    cfg: ConstellationConfig, strategy: SpareStrategy, lp: LaunchParams
 ) -> tuple[int, int]:
     """Smallest reorder points meeting the per-echelon fill-rate requirements.
 
@@ -101,7 +97,7 @@ def size_reorder_points(
     """
     box = VariableBounds()
     (s_lo, s_hi), (k_s_lo, k_s_hi) = box.s_plane, box.k_s_parking
-    memo = StageMemo(cfg, lp, consts)
+    memo = StageMemo(cfg, lp)
 
     def metrics(s: int, k_s: int) -> PolicyMetrics:
         return memo.figures(dataclasses.replace(strategy, s_plane=s, k_s_parking=k_s))[0]
@@ -172,7 +168,6 @@ def run_validation(
     *,
     costs: CostParams,
     satellite: SatelliteParams,
-    consts: EarthConstants,
     replications: int = SimulationSettings.replications,
     horizon_years: float = SimulationSettings.horizon_years,
     warmup_years: float = SimulationSettings.warmup_years,
@@ -183,14 +178,14 @@ def run_validation(
 
     Each sampled case is sized to the fill-rate requirement, evaluated
     analytically, then simulated; the five outputs are compared as
-    relative percentage errors and averaged over feasible cases.
+    relative percentage errors and averaged over feasible cases. The
+    orbits of every case are those of `orbits`' one fixed Earth.
 
     Args:
         space: Sampling bounds.
         n_cases: Number of cases.
         costs: Unit prices of the analytic and simulated TESSAC.
         satellite: Spare satellite whose transfers are priced.
-        consts: Earth constants of the orbital model.
         replications: Simulation replications per case.
         horizon_years: Simulated horizon per replication.
         warmup_years: Discarded start-up span per replication.
@@ -207,7 +202,6 @@ def run_validation(
     study = dict(
         costs=costs,
         satellite=satellite,
-        consts=consts,
         replications=replications,
         horizon_years=horizon_years,
         warmup_years=warmup_years,
@@ -244,11 +238,9 @@ def _run_case(
         cfg = ConstellationConfig(**_sampled(ConstellationConfig, params))
         lp = LaunchParams(**_sampled(LaunchParams, params), cap_launch=_UNREAD_CAP_LAUNCH)
         strategy = SpareStrategy(**_sampled(SpareStrategy, params), s_plane=1, k_s_parking=1)
-        s_plane, k_s = size_reorder_points(cfg, strategy, lp, consts=study["consts"])
+        s_plane, k_s = size_reorder_points(cfg, strategy, lp)
         strategy = dataclasses.replace(strategy, s_plane=s_plane, k_s_parking=k_s)
-        metrics, cost = evaluate_design(
-            cfg, strategy, lp, study["costs"], study["satellite"], study["consts"]
-        )
+        metrics, cost = evaluate_design(cfg, strategy, lp, study["costs"], study["satellite"])
     except ValueError as exc:
         return CaseOutcome(index=index, params=params, feasible=False, reason=str(exc))
 

@@ -223,10 +223,8 @@ def replay_events(
 
     parking = CircularOrbit(st.h_parking_km, cfg.inclination_deg)
     plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
-    relative = raan_drift_rate(parking, sc.consts) - raan_drift_rate(plane, sc.consts)
-    transfer = hohmann_transfer(
-        parking, plane, sc.satellite.m_dry_kg, sc.satellite.v_exhaust_km_s, sc.consts
-    )
+    relative = raan_drift_rate(parking) - raan_drift_rate(plane)
+    transfer = hohmann_transfer(parking, plane, sc.satellite.m_dry_kg, sc.satellite.v_exhaust_km_s)
     tof = transfer.time_of_flight_days
     raan = [2 * math.pi * j / cfg.n_plane for j in range(cfg.n_plane)]
 

@@ -28,7 +28,7 @@ from sparechain.optimizer import (
     optimize_inplane_only,
     sensitivity_sweep,
 )
-from sparechain.orbits import WGS84, CircularOrbit, hohmann_transfer
+from sparechain.orbits import CircularOrbit, hohmann_transfer
 
 from case import CFG, COSTS, LAUNCH, PROBLEM, SAT, STRATEGY
 from oracles import (
@@ -131,7 +131,6 @@ def criterion_3_study(seed: int):
         25,
         costs=COSTS,
         satellite=SAT,
-        consts=WGS84,
         replications=100,
         horizon_years=15.0,
         warmup_years=1.0,

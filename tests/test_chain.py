@@ -30,7 +30,7 @@ from sparechain.chain import (
 )
 from sparechain.config import VariableBounds
 from sparechain.inventory import SQPolicy, expected_shortage
-from sparechain.orbits import WGS84, CircularOrbit, raan_drift_rate, transfer_time
+from sparechain.orbits import CircularOrbit, raan_drift_rate, transfer_time
 
 from case import CFG, LAUNCH, SAT, STRATEGY
 from oracles import (
@@ -365,7 +365,7 @@ def test_plane_stage_matches_its_segments_one_at_a_time():
     plane_drift = raan_drift_rate(plane)
     rates = (0.0, plane_demand_rate(CFG), 0.05)
     for h_parking_km in (700.0, 792.3, 999.0):
-        drift, tof, _ = altitude_stage(h_parking_km, plane, plane_drift, None, WGS84)
+        drift, tof, _ = altitude_stage(h_parking_km, plane, plane_drift, None)
         for n in range(1, 21):
             bounds = plane_bounds(n, drift, tof)
             segments = list(zip(bounds, bounds[1:]))

@@ -108,7 +108,8 @@ def test_evaluate_inplane_rejects_a_batch_past_the_launch_capacity(tmp_path, bas
     path.write_text(json.dumps(cfg))
     argv = ["evaluate", "--inplane-only", "--config", str(path), "--out", str(tmp_path / "o")]
     assert main(argv) == 1
-    assert "exceeds launch capacity 34" in capsys.readouterr().err
+    message = "inplane_policy.order_quantity_q: batch of 35 exceeds launch.cap_launch 34"
+    assert message in capsys.readouterr().err
 
 
 def test_evaluate_outputs_are_byte_identical(tmp_path):
@@ -855,6 +856,8 @@ def test_optimize_inplane_has_no_reorder_point_cap(tmp_path, base_config):
 def test_optimize_infeasible_space_exits_2(tmp_path, base_config, capsys):
     cfg = json.loads(json.dumps(base_config))
     cfg["launch"]["cap_launch"] = 1
+    # The ground-only batch must fit the rocket too, or the config fails at load.
+    cfg["inplane_policy"]["order_quantity_q"] = 1
     cfg["optimization"] = {
         "rho_target": 0.95,
         "bounds": {

@@ -23,7 +23,7 @@ from sparechain.costs import (
     tessac_inplane_only,
 )
 from sparechain.inventory import SQPolicy
-from sparechain.orbits import WGS84, CircularOrbit, hohmann_transfer
+from sparechain.orbits import CircularOrbit, hohmann_transfer
 
 from case import CFG, COSTS, LAUNCH, SAT, STRATEGY
 
@@ -83,7 +83,7 @@ def test_polar_constellation_is_rejected():
     # aligns with a plane: there is no lead time to price.
     polar = dataclasses.replace(CFG, inclination_deg=90.0)
     with pytest.raises(ValueError, match="^zero relative drift rate: planes never align$"):
-        evaluate_design(polar, STRATEGY, LAUNCH, COSTS, SAT, WGS84)
+        evaluate_design(polar, STRATEGY, LAUNCH, COSTS, SAT)
 
 
 def test_inplane_cost_breakdown():

@@ -193,7 +193,7 @@ def test_memoized_fitness_matches_memo_free_fitness():
             PROBLEM, constellation=dataclasses.replace(CFG, lambda_sat_per_year=0.0)
         ),
     )
-    memos = [StageMemo(p.constellation, p.launch, p.consts, p.satellite) for p in problems]
+    memos = [StageMemo(p.constellation, p.launch, p.satellite) for p in problems]
     outcomes = Counter()
     for _ in range(600):
         i = int(rng.integers(2))
@@ -618,7 +618,7 @@ def test_fitness_penalizes_negative_holding():
         PROBLEM, constellation=dataclasses.replace(CFG, lambda_sat_per_year=0.1)
     )
     strategy = SpareStrategy(2, 700.0, 1, 1, 8, 30)
-    memo = StageMemo(prob.constellation, prob.launch, prob.consts, prob.satellite)
+    memo = StageMemo(prob.constellation, prob.launch, prob.satellite)
     metrics, transfer = memo.figures(strategy)
     with pytest.raises(costs.NegativeHoldingError):
         costs.tessac(prob.constellation, strategy, metrics, transfer, COSTS, LAUNCH)

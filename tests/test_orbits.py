@@ -1,7 +1,12 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from sparechain import orbits
+from sparechain.chain import evaluate_strategy
+from sparechain.optimizer import OptimizationProblem
 from sparechain.orbits import (
     WGS84,
     CircularOrbit,
@@ -10,6 +15,9 @@ from sparechain.orbits import (
     raan_drift_rate,
     transfer_time,
 )
+from sparechain.simulator import SimConfig
+
+from case import CFG, COSTS, LAUNCH, SAT, STRATEGY
 
 # Frozen references computed with a 40-digit mpmath pipeline, cast to float.
 DRIFT_1200_50 = -0.0611421276394433
@@ -143,4 +151,44 @@ def test_constants_validation():
 
 def test_semimajor_axis():
     orbit = CircularOrbit(1200.0, 50.0)
-    assert orbit.semimajor_axis_km(WGS84) == pytest.approx(6378.137 + 1200.0, rel=0)
+    assert orbit.semimajor_axis_km() == pytest.approx(6378.137 + 1200.0, rel=0)
+
+
+# The four names that keep a ``consts`` parameter, called as bench/ calls
+# them: positionally for the two functions, by keyword for the two records.
+KEPT_CONSTS = {
+    "evaluate_strategy": lambda consts: evaluate_strategy(CFG, STRATEGY, LAUNCH, consts),
+    "hohmann_transfer": lambda consts: hohmann_transfer(
+        CircularOrbit(792.3, 50.0), CircularOrbit(1200.0, 50.0), 150.0, 2.16, consts
+    ),
+    "SimConfig": lambda consts: SimConfig(
+        constellation=CFG, strategy=STRATEGY, launch=LAUNCH, costs=COSTS, satellite=SAT,
+        consts=consts,
+    ),
+    "OptimizationProblem": lambda consts: OptimizationProblem(
+        constellation=CFG, launch=LAUNCH, costs=COSTS, satellite=SAT, consts=consts
+    ),
+}
+
+
+@pytest.mark.parametrize("name", KEPT_CONSTS)
+def test_kept_consts_parameters_accept_only_wgs84(name):
+    call = KEPT_CONSTS[name]
+    call(WGS84)
+    call(EarthConstants())  # equal to WGS84, though another object
+    with pytest.raises(ValueError, match="^consts: "):
+        call(EarthConstants(j2=0.001))
+
+
+def test_only_orbits_reads_the_earth():
+    # One Earth: the constants' fields are read in orbits.py alone, and the
+    # modules that neither model the orbits nor keep a parameter for bench/
+    # do not name the Earth at all.
+    package = Path(orbits.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    readers = {
+        name for name, text in sources.items() if re.search(r"mu_km3_s2|r_earth_km|\bj2\b", text)
+    }
+    assert readers == {"orbits.py"}
+    for name in ("cli.py", "costs.py", "validation.py", "__init__.py"):
+        assert not re.search(r"consts|EarthConstants|WGS84", sources[name]), name

@@ -21,7 +21,6 @@ from sparechain.chain import (
 from sparechain.config import bundled_launch_dates_path
 from sparechain.costs import evaluate_design
 from sparechain.inventory import fill_rate
-from sparechain.orbits import WGS84
 from sparechain.simulator import Estimates, SimConfig, run_batch
 from sparechain.validation import (
     OUTPUT_NAMES,
@@ -45,7 +44,7 @@ DIMENSION_TYPES = {name: get_args(hint)[0] for name, hint in get_type_hints(Trad
 INTEGER_NAMES = [name for name, kind in DIMENSION_TYPES.items() if kind is int]
 
 
-def test_parameter_range_rejects_inverted_bounds():
+def test_trade_space_rejects_inverted_bounds():
     message = "pt_launch_days: lower bound 2.0 above upper bound 1.0"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         TradeSpace(pt_launch_days=(2.0, 1.0))
@@ -56,7 +55,7 @@ def test_parameter_range_rejects_inverted_bounds():
 @pytest.mark.parametrize(
     ("lo", "hi"), [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0)]
 )
-def test_parameter_range_rejects_non_finite_bounds(lo, hi):
+def test_trade_space_rejects_non_finite_bounds(lo, hi):
     with pytest.raises(ValueError, match="^lambda_sat_per_year: bounds must be finite"):
         TradeSpace(lambda_sat_per_year=(lo, hi))
 
@@ -186,7 +185,7 @@ def test_sizing_passes_other_chain_errors_through(monkeypatch):
 def test_validation_reports_the_altitude_reason():
     space = TradeSpace(h_plane_km=(750.0, 850.0), h_parking_km=(900.0, 1000.0))
     report = run_validation(
-        space, 3, costs=COSTS, satellite=SAT, consts=WGS84, seed=0,
+        space, 3, costs=COSTS, satellite=SAT, seed=0,
         simulate_fn=_model_echo,
     )
     assert report.infeasible_count == 3
@@ -199,7 +198,7 @@ def test_invalid_sampled_launch_law_marks_cases_infeasible():
     # infeasible with that reason and the study runs on.
     space = TradeSpace(mu_launch_days=(0.0, 0.0))
     report = run_validation(
-        space, 3, costs=COSTS, satellite=SAT, consts=WGS84, seed=0,
+        space, 3, costs=COSTS, satellite=SAT, seed=0,
         simulate_fn=_model_echo,
     )
     assert report.infeasible_count == 3
@@ -223,7 +222,6 @@ def _model_echo(sim_config):
         sim_config.launch,
         sim_config.costs,
         sim_config.satellite,
-        sim_config.consts,
     )
     return SimpleNamespace(
         mean=Estimates(
@@ -248,7 +246,6 @@ def test_perfect_simulator_yields_zero_errors():
         6,
         costs=COSTS,
         satellite=SAT,
-        consts=WGS84,
         replications=7,
         horizon_years=4.0,
         warmup_years=0.5,
@@ -278,7 +275,7 @@ def test_perfect_simulator_yields_zero_errors():
             assert type(built[name]) is DIMENSION_TYPES[name], name
         assert (sc.strategy.s_plane, sc.strategy.k_s_parking) == (c.s_plane, c.k_s_parking)
         assert sc.launch.cap_launch == 34
-        assert (sc.costs, sc.satellite, sc.consts) == (COSTS, SAT, WGS84)
+        assert (sc.costs, sc.satellite) == (COSTS, SAT)
         assert (sc.replications, sc.horizon_years, sc.warmup_years) == (7, 4.0, 0.5)
     assert len({sc.seed for sc in seen}) == len(seen)
 
@@ -296,7 +293,7 @@ def test_zero_simulated_value_marks_only_its_case_infeasible():
         return result
 
     report = run_validation(
-        TradeSpace(), 6, costs=COSTS, satellite=SAT, consts=WGS84, seed=4, simulate_fn=hook
+        TradeSpace(), 6, costs=COSTS, satellite=SAT, seed=4, simulate_fn=hook
     )
     simulated = [c for c in report.cases if c.sim_values is not None]
     first, rest = simulated[0], simulated[1:]
@@ -315,7 +312,7 @@ def test_zero_simulated_value_marks_only_its_case_infeasible():
 
 
 def test_validation_report_is_deterministic():
-    study = dict(costs=COSTS, satellite=SAT, consts=WGS84)
+    study = dict(costs=COSTS, satellite=SAT)
     a = run_validation(TradeSpace(), 4, seed=9, simulate_fn=_model_echo, **study)
     b = run_validation(TradeSpace(), 4, seed=9, simulate_fn=_model_echo, **study)
     assert a == b
@@ -400,7 +397,7 @@ def test_simulation_ranks_the_optimum_below_the_search_end_points(capsys):
         return [r.tessac for r in run_batch(sc).per_replication]
 
     def model(strategy):
-        return evaluate_design(CFG, strategy, LAUNCH, COSTS, SAT, WGS84)[1].tessac
+        return evaluate_design(CFG, strategy, LAUNCH, COSTS, SAT)[1].tessac
 
     best = simulated(EXACT_OPTIMUM)
     for rival in GA_END_POINTS:
