@@ -42,6 +42,12 @@ transfer and placing a ground order. The loop keeps no count it can
 derive: the failure counts follow from the failure list, the plane
 orders from the transfers and the orders still queued.
 
+The parking ring is evenly spaced, so `_closest_parking` finds an
+order's nearest parking orbit by arithmetic on the phase gap, not by a
+scan: an order costs O(1) when its nearest orbit has stock, whatever
+the ring size. The full scan over the ring lives only in the tests
+(``tests/oracles.py::nearest_parking``), as the reference it must equal.
+
 A replication's TESSAC is `costs.annual_cost` of its window's yearly
 flows, the function that also prices the analytic chain.
 """
@@ -79,6 +85,13 @@ _PLANE_ARRIVAL = 2
 
 # Failure interarrival gaps and plane indices are drawn this many at a time.
 _FAILURE_BLOCK = 256
+
+# A parking orbit's phase gap computed within _WRAP_MARGIN * (|drift| + 8)
+# radians of the ring spacing or of a full turn may be one rounding from
+# the other side. The gap expression rounds five times, each time by at
+# most 2**-53 * (|drift| + 4*pi), so its error is below
+# 1e-15 * (|drift| + 8): the margin is a thousand times that.
+_WRAP_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -157,30 +170,65 @@ class SimulationResult:
 
 
 def _closest_parking(
-    t: float, omega: float, relative: float, ring: list[float], stock: list[int]
+    t: float, omega: float, relative: float, stock: list[int]
 ) -> tuple[tuple[float, int], tuple[float, int] | None]:
     """(wait in days, index) of the nearest parking orbit and of the nearest with stock.
 
-    Parking orbit p has phase ring[p] + relative*t at time t and waits for
-    the phase gap to RAAN omega, closed in the drift direction, divided by
-    |relative|. One pass over the ring takes the exact minimum of both;
-    the lower index wins on equal waits. The second is ``None`` when no
-    orbit has stock.
+    Orbit p of the n = len(stock) orbits has phase 2*pi*p/n + relative*t
+    at time t. Its wait is its phase gap to RAAN omega, closed in the
+    drift direction, divided by |relative|. The result is the exact
+    minimum over the ring of that wait expression as written below, the
+    lower index winning on equal waits; the second is ``None`` when no
+    orbit has stock. ``tests/oracles.py::nearest_parking`` is the full
+    scan it must equal.
+
+    The ring is evenly spaced, so the gaps are those of one orbit plus
+    whole ring spacings 2*pi/n, and the orbit whose gap lies in
+    [0, 2*pi/n) follows from the gap to orbit 0 by arithmetic: c is
+    x = ((omega - relative*t) mod 2*pi) * n / 2*pi rounded up when the
+    ring drifts backwards (relative < 0), down when it drifts forwards.
+    Rounding errs only near the wrap, where a gap is within rounding of
+    0 or a full turn:
+    - if c's computed gap is below the spacing by more than _WRAP_MARGIN,
+      every other gap exceeds it by at least about a spacing and none is
+      near a full turn, so c is the nearest;
+    - otherwise c may be one index off, or the orbit on the wrap may
+      round to a gap of 0 or to a full turn, and the nearest is the
+      least of orbits c - 1, c and c + 1.
+    Two different orbits never tie: their gaps differ by about a spacing.
+    Dividing by |relative| keeps their order, so the gaps are compared
+    and only the winners are divided.
+    Gaps grow from the nearest orbit in the drift direction (index +1
+    when relative < 0, -1 otherwise) up to the orbit one spacing behind
+    it, so the nearest stocked orbit is the first stocked one on that
+    walk. An order therefore costs O(1) when its nearest orbit has stock
+    and walks at most n - 1 orbits when it does not.
     """
+    n = len(stock)
     drift = relative * t
     # -(theta - omega) is exactly omega - theta, and % gives +0.0 for a
     # zero remainder, so one sign factor serves both drift directions.
-    sign = 1.0 if relative < 0.0 else -1.0
-    rate = abs(relative)
-    near_wait = stocked_wait = math.inf
-    near = stocked = -1
-    for p, phase in enumerate(ring):
-        wait = sign * (phase + drift - omega) % _TWO_PI / rate
-        if wait < near_wait:
-            near_wait, near = wait, p
-        if wait < stocked_wait and stock[p] > 0:
-            stocked_wait, stocked = wait, p
-    return (near_wait, near), ((stocked_wait, stocked) if stocked >= 0 else None)
+    if relative < 0.0:
+        sign, step, rate = 1.0, 1, -relative
+        c = math.ceil((omega - drift) % _TWO_PI * n / _TWO_PI) % n
+    else:
+        sign, step, rate = -1.0, -1, relative
+        c = math.floor((omega - drift) % _TWO_PI * n / _TWO_PI) % n
+    near, near_gap = c, sign * (_TWO_PI * c / n + drift - omega) % _TWO_PI
+    if not near_gap < _TWO_PI / n - _WRAP_MARGIN * (abs(drift) + 8.0):
+        for p in (c - 1) % n, (c + 1) % n:
+            gap = sign * (_TWO_PI * p / n + drift - omega) % _TWO_PI
+            if gap < near_gap:
+                near, near_gap = p, gap
+    nearest = (near_gap / rate, near)
+    if stock[near] > 0:
+        return nearest, nearest
+    p = near
+    for _ in range(n - 1):
+        p = (p + step) % n
+        if stock[p] > 0:
+            return nearest, (sign * (_TWO_PI * p / n + drift - omega) % _TWO_PI / rate, p)
+    return nearest, None
 
 
 def _draw_failures(
@@ -240,7 +288,6 @@ def _run_with_rng(
     )
 
     plane_raan = [_TWO_PI * j / n_plane for j in range(n_plane)]
-    parking_ring = [_TWO_PI * p / n_park for p in range(n_park)]
 
     plane_stock = [s_plane + q_plane] * n_plane
     plane_backorders = [0] * n_plane
@@ -303,7 +350,7 @@ def _run_with_rng(
         # parking orbit; finding it empty is a parking backorder even if
         # another orbit ends up serving the transfer.
         (_, nearest), choice = _closest_parking(
-            t, plane_raan[j], relative, parking_ring, parking_stock
+            t, plane_raan[j], relative, parking_stock
         )
         if parking_stock[nearest] < 1 and warmup <= t:
             parking_backorders_window += 1
@@ -384,7 +431,7 @@ def _run_with_rng(
             while waiting_orders:
                 j = waiting_orders[0]
                 _, choice = _closest_parking(
-                    t, plane_raan[j], relative, parking_ring, parking_stock
+                    t, plane_raan[j], relative, parking_stock
                 )
                 if choice is None:
                     break

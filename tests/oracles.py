@@ -21,7 +21,6 @@ from collections import Counter, deque
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from sparechain.chain import DAYS_PER_YEAR
 from sparechain.costs import annual_cost
@@ -135,8 +134,11 @@ def poisson_shortage(s: int, mean_demand):
     """E[(D - s)+], D ~ Poisson(mean_demand), element-wise over an array, s >= 1.
 
     The closed form m*P(D >= s) - s*P(D >= s+1) with scipy's Poisson
-    tails, so it shares no code with the package's tail kernel.
+    tails, so it shares no code with the package's tail kernel. scipy is
+    imported here, not at the top, so the other oracles run without it.
     """
+    from scipy import special
+
     m = np.asarray(mean_demand, dtype=float)
     return np.maximum(m * special.pdtrc(s - 1, m) - s * special.pdtrc(s, m), 0.0)
 

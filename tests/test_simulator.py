@@ -152,7 +152,7 @@ def _toy_drift_and_flight():
 def _toy_plane_arrival(t):
     """When a batch ordered at time t reaches the toy config's single plane."""
     relative, tof = _toy_drift_and_flight()
-    (wait, _), _ = _closest_parking(t, 0.0, relative, [0.0], [2])
+    (wait, _), _ = _closest_parking(t, 0.0, relative, [2])
     return t + wait + tof
 
 
@@ -423,6 +423,29 @@ def test_replay_rederives_the_case_study_and_a_retrograde_constellation():
     assert any(e[1] == "order_queued" for log in logs for e in log)
 
 
+def test_replay_rederives_random_forward_drifting_rings():
+    # Above 90 degrees of inclination every random parking ring drifts
+    # forwards past its planes, so the supplier lookup rounds down and
+    # walks the ring by -1.
+    rng = np.random.default_rng(3690)
+    backordered = queued = 0
+    for case in range(80):
+        sc = _random_oracle_config(rng)
+        cfg = dataclasses.replace(
+            sc.constellation, inclination_deg=float(rng.uniform(100.0, 150.0))
+        )
+        sc = dataclasses.replace(sc, constellation=cfg, capture_events=True)
+        parking = CircularOrbit(sc.strategy.h_parking_km, cfg.inclination_deg)
+        plane = CircularOrbit(cfg.h_plane_km, cfg.inclination_deg)
+        assert raan_drift_rate(parking) > raan_drift_rate(plane)
+        rep = _replayed(sc, case).result
+        backordered += rep.rho_plane < 1.0
+        queued += "order_queued" in {e[1] for e in rep.events}
+    # The stockout paths ran: plane backorders and queued plane orders.
+    assert backordered > 10
+    assert queued > 10
+
+
 def _with(log, k, *entries):
     """A copy of the log with ``entries`` in place of its entry k."""
     return log[:k] + list(entries) + log[k + 1 :]
@@ -480,13 +503,47 @@ def test_closest_parking_matches_the_full_scan():
                     t = (omega - k * spacing + math.copysign(2 * math.pi * m, relative)) / relative
                     for tt in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)):
                         states.append((tt, omega))
-            ring = [2 * math.pi * p / n_park for p in range(n_park)]
             for t, omega in states:
                 stock = [int(x) for x in rng.integers(0, 3, size=n_park)]
-                got = _closest_parking(t, omega, relative, ring, stock)
+                got = _closest_parking(t, omega, relative, stock)
                 assert got == nearest_parking(t, omega, relative, stock), (t, omega, stock)
-    ring = [2 * math.pi * p / 3 for p in range(3)]
-    assert _closest_parking(10.0, 0.0, 0.01, ring, [0, 0, 0])[1] is None
+    assert _closest_parking(10.0, 0.0, 0.01, [0, 0, 0])[1] is None
+
+    # Rates of 1e-5 to 1 rad/day of both signs and times to about 1e6 days,
+    # random or with an orbit on the plane's RAAN. Each state is checked
+    # with an empty ring, with one stocked orbit at every ring offset from
+    # the nearest and with random stock around an empty nearest orbit.
+    rng = np.random.default_rng(36)
+    for n_park in range(1, 21):
+        spacing = 2 * math.pi / n_park
+        for _ in range(8):
+            relative = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, 0.0))
+            states = []
+            for _ in range(4):
+                omega = 2 * math.pi * int(rng.integers(0, 40)) / 40
+                states.append((float(rng.uniform(0.0, 1e6)), omega))
+            turns = max(1, int(abs(relative) * 1e6 / (2 * math.pi)) - 1)
+            for k in range(n_park):
+                omega = 2 * math.pi * int(rng.integers(0, 40)) / 40
+                m = int(rng.integers(1, turns + 1))
+                t = (omega - k * spacing + math.copysign(2 * math.pi * m, relative)) / relative
+                for tt in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)):
+                    states.append((tt, omega))
+            for t, omega in states:
+                empty = [0] * n_park
+                (_, nearest), none = nearest_parking(t, omega, relative, empty)
+                assert none is None
+                stocks = [empty]
+                for offset in range(n_park):
+                    stocks.append(list(empty))
+                    stocks[-1][(nearest + offset) % n_park] = 1
+                stocks.append([int(x) for x in rng.integers(0, 2, size=n_park)])
+                stocks[-1][nearest] = 0
+                for stock in stocks:
+                    got = _closest_parking(t, omega, relative, stock)
+                    assert got == nearest_parking(t, omega, relative, stock), (
+                        t, omega, relative, stock,
+                    )
 
 
 def _failures(rep):
